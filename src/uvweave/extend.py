@@ -2,8 +2,8 @@
 
 Three steps, run in order by the pipeline:
 
-1. ``label_fill`` grows the part labels to the full mask by nearest
-   originally-labeled pixel.
+1. ``label_fill`` grows the silhouette to the full mask; the new pixels
+   carry zero UVs.
 2. ``extrapolate_uv`` fills empty UV entries by sweeping outward from the
    known region, fitting a local linear model in each 3x3 window.
 3. ``relax_springs`` connects every extrapolated point to nearby original
@@ -14,46 +14,27 @@ Three steps, run in order by the pipeline:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.ndimage as ndi
 
 from .errors import ValidationError
-from .fields import Field2, pixel_center_grid
-from .warpmap import AtlasLayout, UVMap, chart_positions
+from .fields import pixel_center_grid
+from .warpmap import UVMap, texture_positions
 
 
 def label_fill(P_raw: UVMap, full_mask: np.ndarray) -> UVMap:
-    """Extend the silhouette to ``full_mask``, growing part labels with it.
+    """Extend the silhouette to ``full_mask``.
 
-    New pixels take the part index of the nearest originally-labeled pixel
-    (Euclidean distance, ties to the lower part index) and carry zero UVs
-    until extrapolation assigns them.  Part-free maps pass through with
-    only the silhouette enlarged.
+    New pixels carry zero UVs until extrapolation assigns them.
     """
     full = np.asarray(full_mask, dtype=bool)
     if full.shape != P_raw.silhouette.shape:
         raise ValidationError("full mask shape does not match uv map")
     if not (full | ~P_raw.silhouette).all():
         raise ValidationError("full mask must contain the raw silhouette")
-    if P_raw.part is None:
-        return UVMap(P_raw.uv.copy(), full, None)
-    part = np.where(full, 0, 0).astype(np.int64)
-    part[P_raw.silhouette] = P_raw.part[P_raw.silhouette]
-    todo = full & ~P_raw.silhouette
-    if todo.any():
-        best_d = np.full(full.shape, np.inf)
-        best_p = np.zeros(full.shape, dtype=np.int64)
-        for p in np.unique(P_raw.part[P_raw.silhouette]):
-            d = ndi.distance_transform_edt(part != p)
-            closer = d < best_d          # strict: ties keep the lower index
-            best_d = np.where(closer, d, best_d)
-            best_p = np.where(closer, p, best_p)
-        part[todo] = best_p[todo]
-    part[~full] = 0
-    return UVMap(P_raw.uv.copy(), full, part)
+    return UVMap(P_raw.uv.copy(), full)
 
 
 def _fit_window(dx, dy, vals):
@@ -70,6 +51,12 @@ def _fit_window(dx, dy, vals):
 
 
 _OFFSETS = [(oy, ox) for oy in (-1, 0, 1) for ox in (-1, 0, 1) if (oy, ox) != (0, 0)]
+_NEIGHBORS = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]])
+
+
+def _known_neighbors(known: np.ndarray) -> np.ndarray:
+    """Known pixels among each pixel's 8 neighbors; outside the image is unknown."""
+    return ndi.correlate(known.astype(np.int64), _NEIGHBORS, mode="constant")
 
 
 def extrapolate_uv(P_labeled: UVMap, known: np.ndarray | None = None):
@@ -77,10 +64,9 @@ def extrapolate_uv(P_labeled: UVMap, known: np.ndarray | None = None):
 
     ``known`` marks pixels whose UVs are data (defaults to the whole
     silhouette, making the call a no-op).  Each sweep fills every pixel
-    with at least two same-part known neighbors in its 3x3 window from the
-    previous sweep's state; unreachable islands fall back to the nearest
-    known same-part UV.  A part present in the silhouette but without any
-    known UVs is an error.
+    with at least two known neighbors in its 3x3 window from the previous
+    sweep's state; unreachable islands fall back to the nearest known UV.
+    A non-empty silhouette without any known UVs is an error.
     """
     sil = P_labeled.silhouette
     if known is None:
@@ -91,29 +77,15 @@ def extrapolate_uv(P_labeled: UVMap, known: np.ndarray | None = None):
             raise ValidationError("known mask shape does not match uv map")
         if (known & ~sil).any():
             raise ValidationError("known mask must lie inside the silhouette")
-    part = P_labeled.part if P_labeled.part is not None else sil.astype(np.int64)
-    missing = sorted(set(np.unique(part[sil])) - set(np.unique(part[known])))
-    if missing:
-        raise ValidationError(f"no known UVs for part(s) {missing}")
+    if sil.any() and not known.any():
+        raise ValidationError("no known UVs on the silhouette")
 
     uv = P_labeled.uv.data.copy()
     h, w = sil.shape
     cur = known.copy()
     new_rows, new_cols = [], []
     while True:
-        fillable = np.zeros_like(sil)
-        for p in np.unique(part[sil & ~cur]):
-            kp = (cur & (part == p)).astype(np.int64)
-            cnt = np.zeros_like(kp)
-            for oy, ox in _OFFSETS:
-                shifted = np.zeros_like(kp)
-                ys = slice(max(oy, 0), h + min(oy, 0))
-                yd = slice(max(-oy, 0), h + min(-oy, 0))
-                xs = slice(max(ox, 0), w + min(ox, 0))
-                xd = slice(max(-ox, 0), w + min(-ox, 0))
-                shifted[yd, xd] = kp[ys, xs]
-                cnt += shifted
-            fillable |= sil & ~cur & (part == p) & (cnt >= 2)
+        fillable = sil & ~cur & (_known_neighbors(cur) >= 2)
         if not fillable.any():
             break
         ys, xs = np.nonzero(fillable)
@@ -122,7 +94,7 @@ def extrapolate_uv(P_labeled: UVMap, known: np.ndarray | None = None):
             ddx, ddy, vals = [], [], []
             for oy, ox in _OFFSETS:
                 ny, nx = y + oy, x + ox
-                if 0 <= ny < h and 0 <= nx < w and cur[ny, nx] and part[ny, nx] == part[y, x]:
+                if 0 <= ny < h and 0 <= nx < w and cur[ny, nx]:
                     ddx.append(ox)
                     ddy.append(oy)
                     vals.append(uv[ny, nx])
@@ -135,12 +107,9 @@ def extrapolate_uv(P_labeled: UVMap, known: np.ndarray | None = None):
 
     rest = sil & ~cur
     if rest.any():
-        for p in np.unique(part[rest]):
-            kp = cur & (part == p)
-            inds = ndi.distance_transform_edt(~kp, return_distances=False,
-                                              return_indices=True)
-            sel = rest & (part == p)
-            uv[sel] = uv[inds[0][sel], inds[1][sel]]
+        inds = ndi.distance_transform_edt(~cur, return_distances=False,
+                                          return_indices=True)
+        uv[rest] = uv[inds[0][rest], inds[1][rest]]
         ys, xs = np.nonzero(rest)
         new_rows.append(ys)
         new_cols.append(xs)
@@ -151,7 +120,7 @@ def extrapolate_uv(P_labeled: UVMap, known: np.ndarray | None = None):
         new_points = new_points[order]
     else:
         new_points = np.zeros((0, 2), dtype=np.int64)
-    return UVMap(uv, sil, P_labeled.part), new_points
+    return UVMap(uv, sil), new_points
 
 
 @dataclass
@@ -236,33 +205,25 @@ class RelaxResult:
     skipped: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
 
-def _part_scale(tex_pos, pix_y, pix_x, original, part_arr, shape):
+def _known_scale(tex_pos, known):
     """Median texture-texels-per-image-pixel ratio in the known region.
 
     Measured over multi-pixel baselines so per-entry UV noise averages out
-    instead of dominating the ratio; short baselines fill in when a part is
-    too small for long ones.
+    instead of dominating the ratio; short baselines fill in when the
+    region is too small for long ones, and 1.0 when it has no pairs at all.
     """
-    h, w = shape
-    pos_img = np.full((h, w, 2), np.nan)
-    pos_img[pix_y, pix_x] = tex_pos
-    scales = {}
-    for p in np.unique(part_arr[original]):
-        sel = original & (part_arr == p)
-        for baselines in (((0, 8), (8, 0), (6, 6)), ((0, 1), (1, 0))):
-            ratios = []
-            for dy, dx in baselines:
-                a = sel[: h - dy, : w - dx] & sel[dy:, dx:]
-                if a.any():
-                    d = pos_img[dy:, dx:][a] - pos_img[: h - dy, : w - dx][a]
-                    dist = np.sqrt(np.sum(d * d, axis=1))
-                    ratios.append(dist / np.hypot(dy, dx))
-            if ratios:
-                scales[int(p)] = float(np.median(np.concatenate(ratios)))
-                break
-        else:
-            scales[int(p)] = 1.0
-    return scales
+    h, w = known.shape
+    for baselines in (((0, 8), (8, 0), (6, 6)), ((0, 1), (1, 0))):
+        ratios = []
+        for dy, dx in baselines:
+            a = known[: h - dy, : w - dx] & known[dy:, dx:]
+            if a.any():
+                d = tex_pos[dy:, dx:][a] - tex_pos[: h - dy, : w - dx][a]
+                dist = np.sqrt(np.sum(d * d, axis=1))
+                ratios.append(dist / np.hypot(dy, dx))
+        if ratios:
+            return float(np.median(np.concatenate(ratios)))
+    return 1.0
 
 
 def _local_scale(apos, ay, ax, fallback, min_baseline=4.0):
@@ -279,13 +240,13 @@ def _local_scale(apos, ay, ax, fallback, min_baseline=4.0):
     return float(np.median(tex / img[keep]))
 
 
-def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None = None,
-                  atlas: AtlasLayout | None = None):
+def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None = None):
     """Relax extrapolated UV entries in texture space; returns (UVMap, RelaxResult).
 
-    Original entries never move.  Points without any same-part original
-    anchor inside the search region are left where extrapolation put them.
-    Non-convergence within the iteration budget degrades to a warning.
+    Original entries never move.  Points without any original anchor
+    inside the search region are left where extrapolation put them.
+    Non-convergence within the iteration budget is reported in
+    ``RelaxResult.converged``.
     """
     cfg = cfg or SpringConfig()
     new_points = np.asarray(new_points, dtype=np.int64).reshape(-1, 2)
@@ -297,27 +258,20 @@ def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None
     sil = P_ext.silhouette
     if not sil[new_points[:, 0], new_points[:, 1]].all():
         raise ValidationError("new points must lie on the silhouette")
-    u_glob, _ = chart_positions(P_ext, atlas)
-    tex_pos = u_glob * np.array([tw, th])             # texel units
-    part_arr = P_ext.part if P_ext.part is not None else sil.astype(np.int64)
+    tex_pos = texture_positions(P_ext) * np.array([tw, th])   # texel units
 
     original = sil.copy()
     original[new_points[:, 0], new_points[:, 1]] = False
     oy, ox = np.nonzero(original)
     anchor_pos = tex_pos[oy, ox]
-    anchor_part = part_arr[oy, ox]
-    scales = _part_scale(tex_pos[sil], *np.nonzero(sil), original=original,
-                         part_arr=part_arr, shape=sil.shape) if original.any() else {}
+    known_scale = _known_scale(tex_pos, original)
 
     half = cfg.region / 2.0
-    pts, springs_a, springs_p, rests = [], [], [], []
-    moved_idx, skipped = [], []
+    pts, springs_a, springs_p, rests, skipped = [], [], [], [], []
     for y, x in new_points:
         pos0 = tex_pos[y, x]
-        p = part_arr[y, x]
         box = (np.abs(anchor_pos[:, 0] - pos0[0]) <= half) \
-            & (np.abs(anchor_pos[:, 1] - pos0[1]) <= half) \
-            & (anchor_part == p)
+            & (np.abs(anchor_pos[:, 1] - pos0[1]) <= half)
         cand = np.nonzero(box)[0]
         if len(cand) == 0:
             skipped.append((y, x))
@@ -328,14 +282,13 @@ def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None
         sel = cand[order[: cfg.max_anchors]]
         k = len(pts)
         pts.append((y, x))
-        moved_idx.append((y, x))
         # Local texels-per-pixel ratio from anchor pairs near this point;
         # the chart scale varies spatially, so a global median would bake
         # systematic strain into every rest length.  Pairs span the whole
         # region at long baselines so per-entry UV noise averages out.
         ssel = cand[order[:: max(1, len(order) // 48)][:48]]
         scale = _local_scale(anchor_pos[ssel], oy[ssel], ox[ssel],
-                             scales.get(int(p), 1.0), min_baseline=8.0)
+                             known_scale, min_baseline=8.0)
         img_d = np.sqrt((oy[sel] - y) ** 2.0 + (ox[sel] - x) ** 2.0)
         springs_a.extend(anchor_pos[sel])
         springs_p.extend([k] * len(sel))
@@ -356,18 +309,12 @@ def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None
     pull_it, fmax, ok2 = sys.relax_phase("pull", cfg.step, cfg.force_tol, cfg.max_iters)
     d_after = sys.distortion()
     converged = ok1 and ok2
-    if not converged:
-        warnings.warn(f"spring relaxation stopped at max net force {fmax:.3e}")
 
     uv = P_ext.uv.data.copy()
     c = pixel_center_grid(P_ext.width, P_ext.height)
     u_new = sys.points / np.array([tw, th])
-    if P_ext.part is not None:
-        if atlas is None:
-            atlas = AtlasLayout()
-        u_new = atlas.to_local(u_new, part_arr[pidx[:, 0], pidx[:, 1]])
     uv[pidx[:, 0], pidx[:, 1]] = c[pidx[:, 0], pidx[:, 1]] - u_new
-    out = UVMap(uv, sil, P_ext.part)
+    out = UVMap(uv, sil)
     res = RelaxResult(system=sys, moved=pidx, distortion_before=d_before,
                       distortion_after=d_after, push_iters=push_it,
                       pull_iters=pull_it, max_force=fmax, converged=converged,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import Field2, _bilinear_gather
-from .warpmap import AtlasLayout, SplatRecord, UVMap, fill_from_nearest, splat_average, splat_record
+from .warpmap import UVMap, fill_from_nearest, splat_average, splat_record
 
 
 @dataclass
@@ -41,11 +41,9 @@ def _check_pair(P: UVMap, I: Field2):
         )
 
 
-def _forward(P: UVMap, I: Field2, tex_w: int, tex_h: int,
-             atlas: AtlasLayout | None, rec: SplatRecord | None = None):
+def _forward(P: UVMap, I: Field2, tex_w: int, tex_h: int):
     """Shared forward pass; returns everything the adjoint needs."""
-    if rec is None:
-        rec = splat_record(P, tex_w, tex_h, atlas)
+    rec = splat_record(P, tex_w, tex_h)
     tgt, cov = splat_average(rec, rec.values)          # (n_tex, 2) normalized
     tgt_filled = fill_from_nearest(tgt.reshape(tex_h, tex_w, 2),
                                    cov.reshape(tex_h, tex_w)).reshape(-1, 2)
@@ -65,23 +63,23 @@ def _forward(P: UVMap, I: Field2, tex_w: int, tex_h: int,
     return rec, tgt, cov, T, dT_dqx, dT_dqy, T_at, res, l_app
 
 
-def loss_app(P: UVMap, I: Field2, tex_w: int | None = None, tex_h: int | None = None,
-             atlas: AtlasLayout | None = None) -> float:
+def loss_app(P: UVMap, I: Field2, tex_w: int | None = None,
+             tex_h: int | None = None) -> float:
     """Summed squared round-trip error over foreground pixels."""
     _check_pair(P, I)
     tex_w = tex_w or I.width
     tex_h = tex_h or I.height
-    return _forward(P, I, tex_w, tex_h, atlas)[-1]
+    return _forward(P, I, tex_w, tex_h)[-1]
 
 
-def grad_app(P: UVMap, I: Field2, tex_w: int | None = None, tex_h: int | None = None,
-             atlas: AtlasLayout | None = None) -> LossReport:
+def grad_app(P: UVMap, I: Field2, tex_w: int | None = None,
+             tex_h: int | None = None) -> LossReport:
     """Appearance loss and its exact gradient with respect to the UV field."""
     _check_pair(P, I)
     tex_w = tex_w or I.width
     tex_h = tex_h or I.height
     rec, tgt, cov, T, dT_dqx, dT_dqy, T_at, res, l_app = _forward(
-        P, I, tex_w, tex_h, atlas)
+        P, I, tex_w, tex_h)
 
     r = 2.0 * res                                      # dl/dI' per pixel, (n, C)
     fx, fy, w = rec.fx, rec.fy, rec.weights
@@ -116,10 +114,10 @@ def grad_app(P: UVMap, I: Field2, tex_w: int | None = None, tex_h: int | None = 
     dgx += np.einsum("nk,nk->n", dw_dgx, dldw)
     dgy += np.einsum("nk,nk->n", dw_dgy, dldw)
 
-    # Chain to the stored displacement: g = (origin + slope * (c - uv)) * tex - 0.5.
+    # Chain to the stored displacement: g = (c - uv) * tex - 0.5.
     guv = np.zeros((P.height, P.width, 2), dtype=np.float64)
-    guv[rec.pix_y, rec.pix_x, 0] = -dgx * rec.slope[:, 0] * tex_w
-    guv[rec.pix_y, rec.pix_x, 1] = -dgy * rec.slope[:, 1] * tex_h
+    guv[rec.pix_y, rec.pix_x, 0] = -dgx * tex_w
+    guv[rec.pix_y, rec.pix_x, 1] = -dgy * tex_h
     return LossReport(l_app=l_app, l_reg=0.0, grad=Field2(guv))
 
 
@@ -197,7 +195,7 @@ def fd_probe_check(P: UVMap, I: Field2, alpha1: float, alpha2: float,
     grad = rep_a.grad.data + rep_r.grad.data
 
     def total(uv):
-        Q = UVMap(uv, P.silhouette, P.part)
+        Q = UVMap(uv, P.silhouette)
         return loss_app(Q, I, tex_w, tex_h) + loss_reg(Q, alpha1, alpha2)
 
     worst = 0.0

@@ -3,7 +3,8 @@
 A sequence lives in one directory with a ``manifest.json`` naming every
 per-frame artifact by a relative path.  Stages record a provenance tag
 (name plus config snapshot) when they run; later stages refuse to start
-until their prerequisites are tagged.  All JSON is written with sorted
+until their prerequisites are tagged, and re-running a stage drops the
+tags of every stage downstream of it.  All JSON is written with sorted
 keys and no timestamps so re-running a stage on unchanged inputs is
 byte-identical.
 """
@@ -23,7 +24,10 @@ from .relocate import Correspondence
 from .warpmap import UVMap
 
 MANIFEST_NAME = "manifest.json"
-STAGE_ORDER = ["gen", "corrupt", "extend", "optimize", "relocate", "synth", "metrics"]
+# Each stage's prerequisite, listed before the stages that depend on it.
+STAGE_PREREQ = {"corrupt": "gen", "extend": "corrupt", "optimize": "extend",
+                "relocate": "optimize", "synth": "relocate", "retexture": "relocate",
+                "metrics": "synth"}
 
 
 def config_dict(cfg) -> dict:
@@ -34,10 +38,14 @@ def config_dict(cfg) -> dict:
 
 
 def _read_uv_channels(path):
-    """Float64 (H, W, 2) UV offsets and int64 (H, W) part labels of a
-    packed UV file.  The file's samples are released before returning."""
+    """Float64 (H, W, 2) UV offsets and the rounded int64 (H, W) third
+    channel, positive on the silhouette, of a packed UV file.  The file's
+    samples are released before returning."""
     samples = read_pfm_samples(path)   # float32
-    part = np.rint(samples[..., 2]).astype(np.int64)
+    # `> 0.5` on the samples gives the same mask, but without this int64
+    # array glibc's mmap threshold stays low and each 512^2 retexture pass
+    # faults ~24k pages in afresh.
+    channel = np.rint(samples[..., 2]).astype(np.int64)
     # Widen the (u, v) pairs to float64 as complex items: one strided loop
     # instead of a two-element inner loop per pixel.  The result is
     # contiguous, which UVMap validates and masks several times faster
@@ -46,7 +54,7 @@ def _read_uv_channels(path):
     pair = np.dtype(np.complex64).newbyteorder(samples.dtype.byteorder)
     pairs = samples.reshape(h * w, 3)[:, :2].view(pair)
     uv = pairs.astype(np.complex128).view(np.float64).reshape(h, w, 2)
-    return uv, part
+    return uv, channel
 
 
 class Manifest:
@@ -84,6 +92,9 @@ class Manifest:
         for i, fr in enumerate(data["frames"]):
             if fr.get("index") != i:
                 raise ValidationError("manifest frame indices must be contiguous from 0")
+        if data.get("has_parts", False):
+            raise ValidationError("manifest has_parts is not supported: "
+                                  "UV maps hold one chart and a silhouette")
         m = cls(root, data)
         for fr in data["frames"]:
             for key, rel in fr.items():
@@ -111,7 +122,14 @@ class Manifest:
         return tuple(self.data["texture_size"])
 
     def mark_stage(self, name: str, cfg: dict | None = None):
-        self.data["stages"][name] = {"config": cfg or {}}
+        """Tag ``name`` as run and drop the tags of every stage downstream."""
+        stages = self.data["stages"]
+        stages[name] = {"config": cfg or {}}
+        stale = {name}
+        for stage, prereq in STAGE_PREREQ.items():
+            if prereq in stale:
+                stale.add(stage)
+                stages.pop(stage, None)
 
     def require_stage(self, name: str):
         if name not in self.data["stages"]:
@@ -148,19 +166,14 @@ class Manifest:
 
     def write_uv(self, index: int, key: str, P: UVMap):
         rel = f"frames/f{index:04d}_{key}.pfm"
-        packed = np.concatenate([
-            P.uv.data,
-            (P.part if P.part is not None else P.silhouette.astype(np.int64))
-            [..., None].astype(np.float64),
-        ], axis=2)
+        packed = np.concatenate([P.uv.data, P.silhouette[..., None].astype(np.float64)],
+                                axis=2)
         write_pfm(self.root / rel, packed)
         self.set_frame_item(index, key, rel)
 
-    def read_uv(self, index: int, key: str, has_parts: bool | None = None) -> UVMap:
-        uv, part = _read_uv_channels(self.frame_item(index, key))
-        if has_parts is None:
-            has_parts = bool(self.data.get("has_parts", False))
-        return UVMap(uv, part > 0, part if has_parts else None)
+    def read_uv(self, index: int, key: str) -> UVMap:
+        uv, channel = _read_uv_channels(self.frame_item(index, key))
+        return UVMap(uv, channel > 0)
 
     def write_mask(self, index: int, key: str, mask: np.ndarray):
         rel = f"frames/f{index:04d}_{key}.pfm"

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import Field2, pixel_center_grid, sample_bilinear
-from .relocate import FlowConfig, block_flow
+from .relocate import block_flow
 from .render import render_lookup
-from .warpmap import AtlasLayout, UVMap, image_grid, texture_grid, warp
+from .warpmap import UVMap, image_grid, texture_grid, warp
 
 PSNR_CAP = 99.0
 
@@ -44,12 +44,11 @@ def loss_smo(Pm: UVMap, P: UVMap, Pp: UVMap) -> float:
     return float(np.sum(v1[m] * v1[m]) + np.sum(v2[m] * v2[m]) + np.sum(acc[m] * acc[m]))
 
 
-def loss_img_s(P: UVMap, T_o: Field2, I: Field2,
-               atlas: AtlasLayout | None = None) -> float:
+def loss_img_s(P: UVMap, T_o: Field2, I: Field2) -> float:
     """Squared error of the texture-lookup render against the frame."""
     if (P.height, P.width) != (I.height, I.width):
         raise ValidationError("uv map and image resolutions differ")
-    rendered, _ = render_lookup(T_o, P, atlas)
+    rendered, _ = render_lookup(T_o, P)
     d = (rendered.data - I.data)[P.silhouette]
     return float(np.sum(d * d))
 
@@ -88,8 +87,7 @@ def metric_psnr(a: Field2, b: Field2) -> float:
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP)
 
 
-def uv_motion_fields(P_list, tex_w: int | None = None, tex_h: int | None = None,
-                     atlas: AtlasLayout | None = None):
+def uv_motion_fields(P_list, tex_w: int | None = None, tex_h: int | None = None):
     """Per-pair image-space motion derived purely from the UV maps.
 
     For each consecutive pair, texels carry the image position they map to
@@ -104,21 +102,20 @@ def uv_motion_fields(P_list, tex_w: int | None = None, tex_h: int | None = None,
     c_img = Field2(pixel_center_grid(P_list[0].width, P_list[0].height))
     placed = []
     for P in P_list:
-        g = texture_grid(P, tw, th, atlas)
+        g = texture_grid(P, tw, th)
         placed.append((warp(c_img, g), g.coverage > 0))
     out = []
     for t in range(len(P_list) - 1):
         (a, cov_a), (b, cov_b) = placed[t], placed[t + 1]
         v_tex = Field2(b.data - a.data, valid=cov_a & cov_b)
-        g_next = image_grid(P_list[t + 1], atlas)
+        g_next = image_grid(P_list[t + 1])
         vals, validity = sample_bilinear(v_tex, g_next.target.data)
         valid = P_list[t + 1].silhouette & (validity > 0.5)
         out.append((vals, valid))
     return out
 
 
-def metric_tdiff(frames, P_list, tex_w: int | None = None, tex_h: int | None = None,
-                 atlas: AtlasLayout | None = None):
+def metric_tdiff(frames, P_list, tex_w: int | None = None, tex_h: int | None = None):
     """Temporal difference under UV-derived motion; returns (mean, per-pair).
 
     Each frame t is warped forward by the motion the UV maps imply and
@@ -128,7 +125,7 @@ def metric_tdiff(frames, P_list, tex_w: int | None = None, tex_h: int | None = N
     """
     if len(frames) < 2 or len(frames) != len(P_list):
         raise ValidationError("needs >=2 frames and one uv map per frame")
-    motions = uv_motion_fields(P_list, tex_w, tex_h, atlas)
+    motions = uv_motion_fields(P_list, tex_w, tex_h)
     per_pair = []
     for t, (v, valid) in enumerate(motions):
         c = pixel_center_grid(frames[t].width, frames[t].height)
@@ -141,18 +138,22 @@ def metric_tdiff(frames, P_list, tex_w: int | None = None, tex_h: int | None = N
     return float(np.mean(per_pair)), per_pair
 
 
-def metric_tof(real, gen, cfg: FlowConfig | None = None):
-    """Mean L1 gap between block flows of real and generated pairs, in texels."""
-    if len(real) != len(gen):
-        raise ValidationError("length mismatch between sequences")
-    if len(real) < 2:
+def pair_flows(frames):
+    """Block flow of every consecutive pair of a sequence, F - 1 in all."""
+    return [block_flow(frames[t], frames[t + 1]) for t in range(len(frames) - 1)]
+
+
+def metric_tof(real_flows, gen):
+    """Mean L1 gap between block flows of real and generated pairs, in texels.
+
+    ``real_flows`` are the real sequence's ``pair_flows``, computed once so
+    several generated sequences can be scored against them."""
+    if len(gen) < 2:
         raise ValidationError("needs >=2 frames")
-    cfg = cfg or FlowConfig()
-    per_pair = []
-    for t in range(len(real) - 1):
-        fr = block_flow(real[t], real[t + 1], cfg)
-        fg = block_flow(gen[t], gen[t + 1], cfg)
-        per_pair.append(float(np.mean(np.abs(fr.texels() - fg.texels()))))
+    if len(real_flows) != len(gen) - 1:
+        raise ValidationError("length mismatch between sequences")
+    per_pair = [float(np.mean(np.abs(fr.texels() - fg.texels())))
+                for fr, fg in zip(real_flows, pair_flows(gen))]
     return float(np.mean(per_pair)), per_pair
 
 

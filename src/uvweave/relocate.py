@@ -23,7 +23,7 @@ import scipy.ndimage as ndi
 
 from .errors import ValidationError
 from .fields import Field2, pixel_center_grid, sample_bilinear
-from .warpmap import AtlasLayout, UVMap, chart_positions, image_grid, texture_grid, warp
+from .warpmap import UVMap, texture_grid, texture_positions, warp
 
 
 @dataclass
@@ -316,24 +316,17 @@ def patch_fill(Q: Correspondence, T_o: Field2, T_t: Field2, Q0: Correspondence,
     return Correspondence(Field2(target), Q.valid | filled)
 
 
-def to_image_uv(Qt: Correspondence, P_o: UVMap,
-                atlas: AtlasLayout | None = None) -> UVMap:
+def to_image_uv(Qt: Correspondence, P_o: UVMap) -> UVMap:
     """Rewrite image UVs so they address the reference texture directly.
 
     Each foreground pixel looks up its texture position, reads the
     correspondence there, and stores the displacement to the corresponded
     reference position instead.
     """
-    u_glob, _ = chart_positions(P_o, atlas)
-    q, _ = sample_bilinear(Qt.target, u_glob)
-    if P_o.part is not None:
-        if atlas is None:
-            atlas = AtlasLayout()
-        part = np.where(P_o.silhouette, P_o.part, 1)
-        q = atlas.to_local(q, part)
+    q, _ = sample_bilinear(Qt.target, texture_positions(P_o))
     uv = pixel_center_grid(P_o.width, P_o.height) - q
     uv[~P_o.silhouette] = 0.0
-    return UVMap(uv, P_o.silhouette, P_o.part)
+    return UVMap(uv, P_o.silhouette)
 
 
 @dataclass
@@ -348,10 +341,9 @@ class RelocateConfig:
             raise ValidationError("tau must be non-negative")
 
 
-def frame_zero_products(P_o0: UVMap, I0: Field2, tex_w: int, tex_h: int,
-                        atlas: AtlasLayout | None = None):
+def frame_zero_products(P_o0: UVMap, I0: Field2, tex_w: int, tex_h: int):
     """Reference texture and identity correspondence from frame 0."""
-    g = texture_grid(P_o0, tex_w, tex_h, atlas)
+    g = texture_grid(P_o0, tex_w, tex_h)
     T_o = warp(I0, g)
     Q0 = identity_correspondence(tex_w, tex_h, valid=g.coverage > 0)
     return T_o, Q0
@@ -359,17 +351,16 @@ def frame_zero_products(P_o0: UVMap, I0: Field2, tex_w: int, tex_h: int,
 
 def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Correspondence,
                    cfg: RelocateConfig | None = None,
-                   atlas: AtlasLayout | None = None,
                    external_flow: FlowField | None = None):
     """Full relocation of one frame; returns (P_f, Q_t, flow, T_t)."""
     cfg = cfg or RelocateConfig()
     tex_w, tex_h = Q0.width, Q0.height
-    g = texture_grid(P_o, tex_w, tex_h, atlas)
+    g = texture_grid(P_o, tex_w, tex_h)
     T_t = warp(I, g)
     flow = external_flow if external_flow is not None else block_flow(T_t, T_o, cfg.flow)
     Qr = init_correspondence(Q0, flow)
     Qr.valid &= g.coverage > 0
     Qc = prune_mismatch(Qr, T_o, T_t, cfg.tau)
     Qt = patch_fill(Qc, T_o, T_t, Q0, cfg.patch, cfg.window, domain=g.coverage > 0)
-    P_f = to_image_uv(Qt, P_o, atlas)
+    P_f = to_image_uv(Qt, P_o)
     return P_f, Qt, flow, T_t

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .fields import Field2, _bilinear_corners, _lerp_corners
-from .warpmap import AtlasLayout, UVMap, chart_positions
+from .warpmap import UVMap, texture_positions
 
 # One bilinear fetch: 4 corner reads; per channel 4 multiplies + 3 adds,
 # plus the 4 shared weight products amortized over the channels.
@@ -45,11 +44,10 @@ class LookupRenderer:
     no per-frame state, so several threads may share it.
     """
 
-    def __init__(self, T: Field2, atlas: AtlasLayout | None = None):
+    def __init__(self, T: Field2):
         self.width = T.width
         self.height = T.height
         self.channels = T.channels
-        self.atlas = atlas
         self._planes = np.ascontiguousarray(T.data.reshape(-1, T.channels).T)
 
     def __call__(self, P: UVMap):
@@ -62,7 +60,7 @@ class LookupRenderer:
         columns = [out[:, c] for c in range(self.channels)]
         for start in range(0, idx.size, RENDER_BLOCK):
             block = idx[start:start + RENDER_BLOCK]
-            u, _ = chart_positions(P, self.atlas, block)
+            u = texture_positions(P, block)
             corners, fx, fy = _bilinear_corners(u[:, 0] * self.width - 0.5,
                                                 u[:, 1] * self.height - 0.5,
                                                 self.width, self.height)
@@ -76,28 +74,11 @@ class LookupRenderer:
         return img, LookupStats(foreground_pixels=n, fetches=n)
 
 
-def render_lookup(T: Field2, P: UVMap, atlas: AtlasLayout | None = None):
+def render_lookup(T: Field2, P: UVMap):
     """Render a frame from a texture; returns (Field2, LookupStats).
 
-    One-off form of ``LookupRenderer(T, atlas)(P)``; to render many frames
-    from one texture, build the renderer once.
+    One-off form of ``LookupRenderer(T)(P)``; to render many frames from
+    one texture, build the renderer once.
     """
-    return LookupRenderer(T, atlas)(P)
+    return LookupRenderer(T)(P)
 
-
-def composite_parts(P: UVMap, T_const: Field2, T_frame: Field2,
-                    reuse_parts) -> Field2:
-    """Render with per-part texture selection.
-
-    Pixels whose part is listed in ``reuse_parts`` sample the per-frame
-    texture; all others sample the constant one.
-    """
-    if P.part is None:
-        raise ValidationError("part compositing requires a part channel")
-    if T_const.channels != T_frame.channels:
-        raise ValidationError("textures must share a channel count")
-    reuse = np.isin(P.part, np.asarray(list(reuse_parts), dtype=np.int64))
-    const_img, _ = render_lookup(T_const, P)
-    frame_img, _ = render_lookup(T_frame, P)
-    out = np.where(reuse[..., None], frame_img.data, const_img.data)
-    return Field2(out, valid=P.silhouette.copy())

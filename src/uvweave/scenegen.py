@@ -246,11 +246,8 @@ def corrupt(fs: FrameSet, cfg: CorruptConfig) -> FrameSet:
             uv += rng.uniform(-cfg.jitter, cfg.jitter, size=2) * eroded[..., None]
 
         uv[~eroded] = 0.0
-        part_raw = None
-        if fr.uv_gt.part is not None:
-            part_raw = np.where(eroded, fr.uv_gt.part, 0)
         out.frames.append(FrameRecord(
             index=fr.index, image=fr.image.copy(), mask=fr.mask.copy(),
             uv_gt=fr.uv_gt.copy(), corr_gt=fr.corr_gt.copy() if fr.corr_gt else None,
-            uv_raw=UVMap(uv, eroded, part_raw), mask_raw=eroded))
+            uv_raw=UVMap(uv, eroded), mask_raw=eroded))
     return out

@@ -21,8 +21,8 @@ from .fields import Field2
 from .formats import read_pfm, read_ppm, write_ppm
 from .gradcore import fd_probe_check
 from .manifest import Manifest, config_dict
-from .metrics import MetricReport, metric_psnr, metric_tdiff, metric_tof
-from .relocate import (FlowConfig, RelocateConfig, frame_zero_products, read_flo,
+from .metrics import MetricReport, metric_psnr, metric_tdiff, metric_tof, pair_flows
+from .relocate import (RelocateConfig, frame_zero_products, read_flo,
                        relocate_frame, write_flo)
 from .render import LookupRenderer
 from .scenegen import CorruptConfig, SceneConfig, corrupt, gen_sequence
@@ -37,11 +37,19 @@ def _map_frames(fn, indices, threads: int):
         return list(pool.map(fn, indices))
 
 
+def _write_trace(m: Manifest, index: int, stage: str, record: dict):
+    """Write one frame's stage record as sorted-key JSON, item ``<stage>_trace``."""
+    rel = f"traces/f{index:04d}_{stage}.json"
+    with open(m.root / rel, "w") as fh:
+        json.dump(record, fh, sort_keys=True)
+        fh.write("\n")
+    m.set_frame_item(index, f"{stage}_trace", rel)
+
+
 def stage_gen(out_dir, cfg: SceneConfig) -> Manifest:
     fs = gen_sequence(cfg)
     m = Manifest.create(out_dir, (cfg.image_w, cfg.image_h),
                         (cfg.tex_w, cfg.tex_h), cfg.frames)
-    m.data["has_parts"] = False
     m.write_texture("texture_gt", fs.texture)
     for fr in fs.frames:
         m.write_image(fr.index, "image", fr.image)
@@ -76,17 +84,24 @@ def stage_extend(root, cfg: SpringConfig | None = None, threads: int = 1) -> Man
         tw, th = m.texture_size
         cfg = SpringConfig(**{**config_dict(cfg), "tex_w": tw, "tex_h": th})
 
+    (m.root / "traces").mkdir(exist_ok=True)
+
     def run(i):
         raw = m.read_uv(i, "uv_raw")
         full = m.read_mask(i, "mask")
         labeled = label_fill(raw, full)
         extended, new_pts = extrapolate_uv(labeled, known=raw.silhouette)
-        relaxed, _ = relax_springs(extended, new_pts, cfg)
-        return relaxed
+        return relax_springs(extended, new_pts, cfg)
 
     results = _map_frames(run, range(m.n_frames), threads)
-    for i, P in enumerate(results):
+    for i, (P, res) in enumerate(results):
         m.write_uv(i, "uv_ext", P)
+        _write_trace(m, i, "ext", {
+            "converged": bool(res.converged), "push_iters": int(res.push_iters),
+            "pull_iters": int(res.pull_iters), "max_force": float(res.max_force),
+            "distortion_before": float(res.distortion_before),
+            "distortion_after": float(res.distortion_after),
+            "moved": len(res.moved), "skipped": len(res.skipped)})
     m.mark_stage("extend", config_dict(cfg))
     m.save()
     return m
@@ -109,13 +124,8 @@ def stage_optimize(root, cfg: OptConfig | None = None, threads: int = 1) -> Mani
     results = _map_frames(run, range(m.n_frames), threads)
     for i, (P, trace) in enumerate(results):
         m.write_uv(i, "uv_opt", P)
-        rel = f"traces/f{i:04d}_opt.json"
-        with open(m.root / rel, "w") as fh:
-            json.dump({"l_app": trace.l_app, "l_reg": trace.l_reg,
-                       "steps": trace.steps, "stop_reason": trace.stop_reason},
-                      fh, sort_keys=True)
-            fh.write("\n")
-        m.set_frame_item(i, "opt_trace", rel)
+        _write_trace(m, i, "opt", {"l_app": trace.l_app, "l_reg": trace.l_reg,
+                                   "steps": trace.steps, "stop_reason": trace.stop_reason})
     m.mark_stage("optimize", config_dict(cfg))
     m.save()
     return m
@@ -214,38 +224,36 @@ def stage_retexture(root, texture_path, tag: str = "retex", threads: int = 1) ->
     return m
 
 
-def _sequence_metrics(m: Manifest, uv_key: str, image_key: str) -> dict:
+def _sequence_metrics(m: Manifest, uv_key: str, image_key: str,
+                      reals: list, real_flows: list) -> dict:
     tw, th = m.texture_size
-    reals, gens, Ps, psnrs = [], [], [], []
-    for i in range(m.n_frames):
-        mask = m.read_mask(i, "mask")
-        real = m.read_image(i, "image", valid=mask)
-        gen = m.read_image(i, image_key)
-        gen.valid = mask
-        P = m.read_uv(i, uv_key)
-        reals.append(real)
+    gens, Ps, psnrs = [], [], []
+    for i, real in enumerate(reals):
+        gen = m.read_image(i, image_key, valid=real.valid)
         gens.append(gen)
-        Ps.append(P)
+        Ps.append(m.read_uv(i, uv_key))
         psnrs.append(metric_psnr(gen, real))
     rep = MetricReport(psnr_mean=float(np.mean(psnrs)), psnr_per_frame=psnrs)
     if m.n_frames >= 2:
         rep.t_diff, rep.t_diff_per_pair = metric_tdiff(gens, Ps, tw, th)
-        rep.t_of, rep.t_of_per_pair = metric_tof(reals, gens)
+        rep.t_of, rep.t_of_per_pair = metric_tof(real_flows, gens)
     return rep.to_dict()
 
 
 def stage_metrics(root, threads: int = 1) -> Manifest:
     m = Manifest.load(root)
     m.require_stage("synth")
-    report = {"recovered": _sequence_metrics(m, "uv_final", "synth")}
+    # Both reports score against the same real frames and real-frame flows.
+    reals = [m.read_image(i, "image", valid=m.read_mask(i, "mask"))
+             for i in range(m.n_frames)]
+    real_flows = pair_flows(reals)
+    report = {"recovered": _sequence_metrics(m, "uv_final", "synth", reals, real_flows)}
 
     # When the sequence was corrupted, also score a baseline rendered
     # straight from the raw UVs so the recovery margin is visible.
     if "corrupt" in m.data["stages"]:
         tw, th = m.texture_size
-        P0 = m.read_uv(0, "uv_raw")
-        I0 = m.read_image(0, "image", valid=m.read_mask(0, "mask"))
-        T_raw, _ = frame_zero_products(P0, I0, tw, th)
+        T_raw, _ = frame_zero_products(m.read_uv(0, "uv_raw"), reals[0], tw, th)
         render = LookupRenderer(T_raw)
 
         def run(i):
@@ -254,7 +262,8 @@ def stage_metrics(root, threads: int = 1) -> Manifest:
 
         for i, img in enumerate(_map_frames(run, range(m.n_frames), threads)):
             m.write_image(i, "baseline", img)
-        report["corrupted_baseline"] = _sequence_metrics(m, "uv_raw", "baseline")
+        report["corrupted_baseline"] = _sequence_metrics(m, "uv_raw", "baseline",
+                                                         reals, real_flows)
 
     with open(m.root / "metrics.json", "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
@@ -280,8 +289,6 @@ def run_grad_check(seeds=(0, 1, 2), size: int = 8, probes: int = 20,
 
     Raises NumericalError when any seed exceeds the tolerance.
     """
-    from .fields import pixel_center_grid  # local import keeps cli light
-
     worst = 0.0
     for seed in seeds:
         rng = np.random.default_rng(seed)

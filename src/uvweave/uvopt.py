@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .fields import Field2
 from .gradcore import grad_app, grad_reg, loss_app, loss_reg
-from .warpmap import AtlasLayout, UVMap
+from .warpmap import UVMap
 
 UV_CLAMP = (-1.0, 2.0)
 
@@ -66,8 +66,7 @@ def _check_divergence(totals, initial, factor, patience) -> bool:
     return all(t > bound for t in totals[-patience:])
 
 
-def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None,
-                atlas: AtlasLayout | None = None):
+def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
     """Refine a UV map on one frame; returns (UVMap, OptTrace)."""
     cfg = cfg or OptConfig()
     if (P_init.height, P_init.width) != (I.height, I.width):
@@ -85,11 +84,11 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None,
     clamped = 0
 
     def evaluate(arr):
-        Q = UVMap(arr, sil, P_init.part)
-        return (loss_app(Q, I, tw, th, atlas), loss_reg(Q, cfg.alpha1, cfg.alpha2))
+        Q = UVMap(arr, sil)
+        return (loss_app(Q, I, tw, th), loss_reg(Q, cfg.alpha1, cfg.alpha2))
 
-    P = UVMap(uv, sil, P_init.part)
-    rep_a = grad_app(P, I, tw, th, atlas)
+    P = UVMap(uv, sil)
+    rep_a = grad_app(P, I, tw, th)
     rep_r = grad_reg(P, cfg.alpha1, cfg.alpha2)
     la, lr_loss = rep_a.l_app, rep_r.l_reg
     initial = la + lr_loss
@@ -125,8 +124,8 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None,
         clamped += int(np.sum((uv - lr * g < UV_CLAMP[0]) | (uv - lr * g > UV_CLAMP[1])))
         uv = cand
         la, lr_loss = ca, cr
-        P = UVMap(uv, sil, P_init.part)
-        rep_a = grad_app(P, I, tw, th, atlas)
+        P = UVMap(uv, sil)
+        rep_a = grad_app(P, I, tw, th)
         rep_r = grad_reg(P, cfg.alpha1, cfg.alpha2)
     else:
         trace.l_app.append(la)
@@ -137,4 +136,4 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None,
     trace.stop_reason = stop
     trace.clamped = clamped
     trace.wall_time = time.perf_counter() - t0
-    return UVMap(uv, sil, P_init.part), trace
+    return UVMap(uv, sil), trace

@@ -2,9 +2,9 @@
 
 A UV map assigns every foreground pixel a texture coordinate through the
 displacement convention ``u = x - uv(x)``: the stored value is the offset
-from the pixel's own normalized position to its texture position.  When a
-part channel is present, ``u`` is a per-chart coordinate that gets routed
-into the chart's tile of the texture atlas.
+from the pixel's own normalized position to its texture position.  The
+texture is one chart over the whole silhouette, so ``u`` is the texture
+coordinate itself.
 
 Two grids are derived from a UV map:
 
@@ -27,59 +27,16 @@ from .fields import Field2, _axis_split, pixel_center_grid, sample_bilinear
 COVER_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class AtlasLayout:
-    """Regular tiling of the unit square into per-part chart rectangles.
-
-    Part indices are 1-based; part p occupies tile ((p-1) % tiles_x,
-    (p-1) // tiles_x), row-major from the top-left.  The default 6 x 4
-    layout holds 24 body-part charts.
-    """
-
-    tiles_x: int = 6
-    tiles_y: int = 4
-
-    def __post_init__(self):
-        if self.tiles_x < 1 or self.tiles_y < 1:
-            raise ValidationError("atlas must have at least one tile per axis")
-
-    @property
-    def parts(self) -> int:
-        return self.tiles_x * self.tiles_y
-
-    def tile_origin(self, part: np.ndarray) -> np.ndarray:
-        """(..., 2) tile origins for 1-based part indices."""
-        idx = np.asarray(part, dtype=np.int64) - 1
-        out = np.empty(idx.shape + (2,), dtype=np.float64)
-        out[..., 0] = (idx % self.tiles_x) / self.tiles_x
-        out[..., 1] = (idx // self.tiles_x) / self.tiles_y
-        return out
-
-    @property
-    def tile_scale(self) -> np.ndarray:
-        return np.array([1.0 / self.tiles_x, 1.0 / self.tiles_y])
-
-    def to_global(self, u_local: np.ndarray, part: np.ndarray) -> np.ndarray:
-        """Route per-chart coordinates (clamped to [0, 1]) into atlas tiles."""
-        u = np.clip(np.asarray(u_local, dtype=np.float64), 0.0, 1.0)
-        return self.tile_origin(part) + u * self.tile_scale
-
-    def to_local(self, u_global: np.ndarray, part: np.ndarray) -> np.ndarray:
-        u = (np.asarray(u_global, dtype=np.float64) - self.tile_origin(part)) / self.tile_scale
-        return np.clip(u, 0.0, 1.0)
-
-
 class UVMap:
     """Dense UV assignment over an image grid.
 
-    ``uv`` is a 2-channel displacement field (zero outside the silhouette),
-    ``silhouette`` marks foreground pixels, and ``part`` is an optional
-    integer chart label, 0 on background and 1-based on the silhouette.
+    ``uv`` is a 2-channel displacement field (zero outside the silhouette)
+    and ``silhouette`` marks foreground pixels.
     """
 
-    __slots__ = ("uv", "silhouette", "part")
+    __slots__ = ("uv", "silhouette")
 
-    def __init__(self, uv, silhouette, part=None):
+    def __init__(self, uv, silhouette):
         if not isinstance(uv, Field2):
             uv = Field2(uv)
         if uv.channels != 2:
@@ -92,23 +49,10 @@ class UVMap:
         # fresh array, zero off-silhouette; a same-shape mask runs as one
         # flat loop and gives the broadcast product's bits, signed zeros too
         data = uv.data * np.stack((sil, sil), axis=2)
-        if part is not None:
-            part = np.asarray(part)
-            if part.shape != sil.shape:
-                raise ValidationError("part channel shape does not match silhouette")
-            if not np.issubdtype(part.dtype, np.integer):
-                part = np.rint(part).astype(np.int64)
-            else:
-                part = part.astype(np.int64)
-            if part.min() < 0:
-                raise ValidationError("part indices must be non-negative")
-            if np.any((part == 0) != ~sil):
-                raise ValidationError("part must be 0 exactly where the silhouette is false")
         # the product of validated-finite data with a 0/1 mask needs no
         # second validation pass
         self.uv = Field2._wrap(data)
         self.silhouette = sil
-        self.part = part
 
     @property
     def width(self) -> int:
@@ -119,8 +63,7 @@ class UVMap:
         return self.uv.height
 
     def copy(self) -> "UVMap":
-        return UVMap(self.uv.copy(), self.silhouette.copy(),
-                     None if self.part is None else self.part.copy())
+        return UVMap(self.uv.copy(), self.silhouette.copy())
 
 
 @dataclass
@@ -152,17 +95,11 @@ class WarpGrid:
         return self.target.height
 
 
-def chart_positions(P: UVMap, atlas: AtlasLayout | None = None,
-                    index: np.ndarray | None = None):
-    """Global texture coordinates for every pixel, plus the local slopes.
-
-    Returns ``(u_glob, slope)`` where ``u_glob`` is (H, W, 2) and ``slope``
-    is the per-pixel derivative d(u_glob)/d(u_local): the atlas tile scale
-    where routing is active (zeroed where the per-chart clamp binds), ones
-    for part-free maps.  ``d(u_glob)/d(uv) = -slope``.
+def texture_positions(P: UVMap, index: np.ndarray | None = None) -> np.ndarray:
+    """Texture coordinates ``c - uv`` of every pixel, (H, W, 2).
 
     With ``index`` (flat row-major pixel indices) only those pixels are
-    evaluated and both arrays are (n, 2), row for row equal to the
+    evaluated and the result is (n, 2), row for row equal to the
     full-frame result at those pixels.
     """
     c = pixel_center_grid(P.width, P.height)
@@ -170,30 +107,12 @@ def chart_positions(P: UVMap, atlas: AtlasLayout | None = None,
     if index is not None:
         c = c.reshape(-1, 2).take(index, axis=0)
         uv = uv.reshape(-1, 2).take(index, axis=0)
-    u_local = c - uv
-    if P.part is None:
-        return u_local, np.broadcast_to(np.float64(1.0), u_local.shape)
-    part, sil = P.part, P.silhouette
-    if index is not None:
-        part = part.reshape(-1).take(index)
-        sil = sil.reshape(-1).take(index)
-    if atlas is None:
-        atlas = AtlasLayout()
-    if part.size and part.max() > atlas.parts:
-        raise ValidationError(
-            f"part index {part.max()} exceeds atlas capacity {atlas.parts}"
-        )
-    part = np.where(sil, part, 1)
-    clamped = (u_local < 0.0) | (u_local > 1.0)
-    u_glob = atlas.tile_origin(part) + np.clip(u_local, 0.0, 1.0) * atlas.tile_scale
-    slope = np.where(clamped, 0.0, atlas.tile_scale)
-    return u_glob, slope
+    return c - uv
 
 
-def image_grid(P: UVMap, atlas: AtlasLayout | None = None) -> WarpGrid:
+def image_grid(P: UVMap) -> WarpGrid:
     """Grid over the image whose targets are texture-space positions."""
-    u_glob, _ = chart_positions(P, atlas)
-    return WarpGrid(Field2(u_glob), P.silhouette.astype(np.float64))
+    return WarpGrid(Field2(texture_positions(P)), P.silhouette.astype(np.float64))
 
 
 @dataclass
@@ -214,22 +133,18 @@ class SplatRecord:
     weights: np.ndarray     # (n, 4)
     fx: np.ndarray
     fy: np.ndarray
-    slope: np.ndarray       # (n, 2) d(u_glob)/d(u_local) per pixel
     wsum: np.ndarray        # (tex_h * tex_w,)
     covered: np.ndarray     # (tex_h * tex_w,) bool
 
 
-def splat_record(P: UVMap, tex_w: int, tex_h: int,
-                 atlas: AtlasLayout | None = None) -> SplatRecord:
+def splat_record(P: UVMap, tex_w: int, tex_h: int) -> SplatRecord:
     if tex_w < 2 or tex_h < 2:
         raise ValidationError("texture grid must be at least 2x2")
     sil = P.silhouette
     if not sil.any():
         raise ValidationError("empty silhouette")
     pix_y, pix_x = np.nonzero(sil)
-    u_glob, slope = chart_positions(P, atlas)
-    u = u_glob[pix_y, pix_x]
-    s = slope[pix_y, pix_x]
+    u = texture_positions(P)[pix_y, pix_x]
     c = pixel_center_grid(P.width, P.height)[pix_y, pix_x]
     gx = u[:, 0] * tex_w - 0.5
     gy = u[:, 1] * tex_h - 0.5
@@ -243,7 +158,7 @@ def splat_record(P: UVMap, tex_w: int, tex_h: int,
     np.add.at(wsum, corners.ravel(), weights.ravel())
     return SplatRecord(tex_w=tex_w, tex_h=tex_h, pix_y=pix_y, pix_x=pix_x,
                        values=c, corners=corners, weights=weights, fx=fx, fy=fy,
-                       slope=s, wsum=wsum, covered=wsum > COVER_EPS)
+                       wsum=wsum, covered=wsum > COVER_EPS)
 
 
 def splat_average(rec: SplatRecord, values: np.ndarray):
@@ -266,9 +181,7 @@ def fill_from_nearest(data: np.ndarray, covered: np.ndarray) -> np.ndarray:
     return data[inds[0], inds[1]]
 
 
-def texture_grid(P: UVMap, tex_w: int, tex_h: int,
-                 atlas: AtlasLayout | None = None,
-                 record: SplatRecord | None = None) -> WarpGrid:
+def texture_grid(P: UVMap, tex_w: int, tex_h: int) -> WarpGrid:
     """Forward-splatted inverse grid: per-texel image-space positions.
 
     Each foreground pixel deposits its own center coordinate at its texture
@@ -276,7 +189,7 @@ def texture_grid(P: UVMap, tex_w: int, tex_h: int,
     texels hit by several pixels average them.  Texels no pixel touched are
     filled from the nearest covered texel and keep coverage 0.
     """
-    rec = record if record is not None else splat_record(P, tex_w, tex_h, atlas)
+    rec = splat_record(P, tex_w, tex_h)
     avg, cov = splat_average(rec, rec.values)
     tgt = avg.reshape(tex_h, tex_w, 2)
     cov2 = cov.reshape(tex_h, tex_w)

@@ -261,7 +261,6 @@ def test_render_budget_and_retexture_speed(tmp_path):
     root = tmp_path / "big"
     w = h = 512
     m = Manifest.create(root, (w, h), (w, h), 16)
-    m.data["has_parts"] = False
     c = pixel_center_grid(w, h)
     x, y = c[..., 0], c[..., 1]
     sil = ((x - 0.5) / 0.36) ** 2 + ((y - 0.5) / 0.40) ** 2 <= 1.0

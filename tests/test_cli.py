@@ -135,6 +135,34 @@ def test_optimize_traces_recorded(piped):
         assert tr["steps"] == len(tr["l_app"])
 
 
+def test_extend_traces_recorded(piped):
+    piped, _ = piped
+    man = json.loads((piped / "manifest.json").read_text())
+    keys = ["converged", "distortion_after", "distortion_before", "max_force",
+            "moved", "pull_iters", "push_iters", "skipped"]
+    for i in range(3):
+        rel = man["frames"][i]["ext_trace"]
+        assert rel == f"traces/f{i:04d}_ext.json"
+        text = (piped / rel).read_text()
+        tr = json.loads(text)
+        assert list(tr) == keys and text.endswith("\n")
+        assert isinstance(tr["converged"], bool)
+        assert tr["moved"] > 0 and tr["skipped"] >= 0
+        assert tr["push_iters"] + tr["pull_iters"] > 0
+
+
+def test_rerun_drops_downstream_stages(piped, tmp_path, capsys):
+    d = tmp_path / "rerun"
+    shutil.copytree(piped[0], d)
+    assert {"optimize", "relocate"} <= set(json.loads((d / "manifest.json").read_text())["stages"])
+    assert main(["extend", str(d), "--max-iters", "400"]) == 0
+    man = json.loads((d / "manifest.json").read_text())
+    assert sorted(man["stages"]) == ["corrupt", "extend", "gen"]
+    rc = main(["relocate", str(d)])
+    assert rc == 2
+    assert "stage 'optimize' must run before" in capsys.readouterr().err
+
+
 def test_grad_check_command(capsys):
     assert main(["grad-check", "--seeds", "0", "1", "--size", "8",
                  "--probes", "12"]) == 0

@@ -6,52 +6,22 @@ import pytest
 from uvweave import (CorruptConfig, SceneConfig, SpringConfig, SpringSystem, UVMap,
                      ValidationError, corrupt, extrapolate_uv, gen_sequence, label_fill,
                      relax_springs)
+from uvweave.extend import _known_neighbors
 from uvweave.fields import pixel_center_grid
 
 
 def test_label_fill_identity_when_mask_equals_sil():
     sil = np.zeros((6, 6), dtype=bool)
     sil[2:4, 2:4] = True
-    part = np.where(sil, 3, 0).astype(np.int64)
-    P = UVMap(np.full((6, 6, 2), 0.1) * sil[..., None], sil, part=part)
+    P = UVMap(np.full((6, 6, 2), 0.1) * sil[..., None], sil)
     out = label_fill(P, sil)
-    assert (out.part == P.part).all()
+    assert (out.uv.data == P.uv.data).all()
     assert (out.silhouette == sil).all()
-
-
-def test_label_fill_single_label_floods():
-    sil = np.zeros((5, 5), dtype=bool)
-    sil[2, 2] = True
-    part = np.where(sil, 7, 0).astype(np.int64)
-    P = UVMap(np.zeros((5, 5, 2)), sil, part=part)
-    out = label_fill(P, np.ones((5, 5), dtype=bool))
-    assert (out.part == 7).all()
-
-
-def test_label_fill_halfplane_bisector_and_tiebreak():
-    sil = np.zeros((5, 8), dtype=bool)
-    sil[:, 0] = True
-    sil[:, 7] = True
-    part = np.zeros((5, 8), dtype=np.int64)
-    part[:, 0] = 2
-    part[:, 7] = 5
-    P = UVMap(np.zeros((5, 8, 2)), sil, part=part)
-    out = label_fill(P, np.ones((5, 8), dtype=bool))
-    assert (out.part[:, 1:4] == 2).all()
-    assert (out.part[:, 4:] == 5).all() or (out.part[:, 5:] == 5).all()
-    # midpoint column 3.5 has no tie; engineered tie at equal distance:
-    sil2 = np.zeros((1, 3), dtype=bool)
-    sil2[0, 0] = sil2[0, 2] = True
-    part2 = np.array([[4, 0, 1]], dtype=np.int64)
-    P2 = UVMap(np.zeros((1, 3, 2)), sil2, part=part2)
-    out2 = label_fill(P2, np.ones((1, 3), dtype=bool))
-    assert out2.part[0, 1] == 1      # tie broken toward the lower part index
 
 
 def test_label_fill_mask_must_contain_sil():
     sil = np.ones((4, 4), dtype=bool)
-    part = np.ones((4, 4), dtype=np.int64)
-    P = UVMap(np.zeros((4, 4, 2)), sil, part=part)
+    P = UVMap(np.zeros((4, 4, 2)), sil)
     with pytest.raises(ValidationError, match="must contain the raw silhouette"):
         label_fill(P, np.zeros((4, 4), dtype=bool))
 
@@ -59,12 +29,14 @@ def test_label_fill_mask_must_contain_sil():
 def test_label_fill_idempotent():
     sil = np.zeros((6, 6), dtype=bool)
     sil[1:3, 1:3] = True
-    part = np.where(sil, 2, 0).astype(np.int64)
-    P = UVMap(np.zeros((6, 6, 2)), sil, part=part)
+    P = UVMap(np.full((6, 6, 2), 0.1) * sil[..., None], sil)
     full = np.ones((6, 6), dtype=bool)
     once = label_fill(P, full)
+    assert once.silhouette.all()
+    assert (once.uv.data[~sil] == 0.0).all()      # new pixels carry zero UVs
+    assert (once.uv.data[sil] == 0.1).all()
     twice = label_fill(once, full)
-    assert (once.part == twice.part).all()
+    assert (once.silhouette == twice.silhouette).all()
     assert (once.uv.data == twice.uv.data).all()
 
 
@@ -120,13 +92,27 @@ def test_extrapolate_fully_known_noop():
 
 def test_extrapolate_missing_part_error():
     sil = np.ones((6, 6), dtype=bool)
-    part = np.ones((6, 6), dtype=np.int64)
-    part[:, 3:] = 2
-    P = UVMap(np.full((6, 6, 2), 0.1), sil, part=part)
-    known = np.zeros((6, 6), dtype=bool)
-    known[:, :2] = True                  # part 2 has no known entries
-    with pytest.raises(ValidationError, match="part"):
+    P = UVMap(np.full((6, 6, 2), 0.1), sil)
+    known = np.zeros((6, 6), dtype=bool)  # nothing to extrapolate from
+    with pytest.raises(ValidationError, match="no known UVs on the silhouette"):
         extrapolate_uv(P, known=known)
+
+
+def test_known_neighbors_matches_shift_reference():
+    # reference: sum of the known mask shifted by each 3x3 offset, with
+    # nothing shifted in from outside the image
+    rng = np.random.default_rng(7)
+    for h, w in ((1, 1), (1, 5), (4, 1), (6, 7), (9, 4)):
+        known = rng.uniform(size=(h, w)) < 0.5
+        ref = np.zeros((h, w), dtype=np.int64)
+        for oy in (-1, 0, 1):
+            for ox in (-1, 0, 1):
+                if (oy, ox) == (0, 0):
+                    continue
+                pad = np.zeros((h + 2, w + 2), dtype=np.int64)
+                pad[1:-1, 1:-1] = known
+                ref += pad[1 + oy:1 + oy + h, 1 + ox:1 + ox + w]
+        assert np.array_equal(_known_neighbors(known), ref)
 
 
 def test_extrapolate_new_points_sorted():
@@ -209,9 +195,7 @@ def test_springs_help_under_noise():
     fr = fs_c.frames[1]
     labeled = label_fill(fr.uv_raw, fr.mask)
     ext, new_pts = extrapolate_uv(labeled, known=fr.uv_raw.silhouette)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        relaxed, res = relax_springs(ext, new_pts, SpringConfig(tex_w=96, tex_h=96))
+    relaxed, res = relax_springs(ext, new_pts, SpringConfig(tex_w=96, tex_h=96))
     P_star = fs.frames[1].uv_gt
     ys, xs = new_pts[:, 0], new_pts[:, 1]
     e_ext = np.linalg.norm((ext.uv.data[ys, xs] - P_star.uv.data[ys, xs]) * 96, axis=-1)
@@ -219,6 +203,21 @@ def test_springs_help_under_noise():
     # relaxation regularizes the tail: more points land near ground truth
     assert (e_rel <= 2.0).mean() > (e_ext <= 2.0).mean()
     assert np.percentile(e_rel, 90) < np.percentile(e_ext, 90)
+
+
+def test_springs_record_nonconvergence():
+    # a budget too small for the pull phase is reported in the result, not
+    # as a warning
+    fs, fs_c = cropped_scene(uv_noise=0.01)
+    fr = fs_c.frames[1]
+    labeled = label_fill(fr.uv_raw, fr.mask)
+    ext, new_pts = extrapolate_uv(labeled, known=fr.uv_raw.silhouette)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, res = relax_springs(ext, new_pts, SpringConfig(max_iters=50, tex_w=96, tex_h=96))
+    assert res.converged is False
+    assert res.max_force >= 1e-3
+    assert res.pull_iters == 50
 
 
 def test_springs_empty_new_points_noop():

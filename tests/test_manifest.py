@@ -7,7 +7,7 @@ import pytest
 
 from uvweave.errors import ValidationError
 from uvweave.fields import Field2
-from uvweave.formats import write_pfm
+from uvweave.formats import read_pfm, write_pfm
 from uvweave.manifest import Manifest, config_dict
 from uvweave.relocate import Correspondence
 from uvweave.scenegen import SceneConfig
@@ -88,6 +88,21 @@ def test_require_stage_message(tmp_path):
     m.require_stage("extend")
 
 
+def test_mark_stage_drops_downstream_tags(tmp_path):
+    m = fresh(tmp_path)
+    for s in ("gen", "corrupt", "extend", "optimize", "relocate", "synth",
+              "retexture", "metrics"):
+        m.mark_stage(s)
+    m.mark_stage("retexture")          # nothing depends on retexture
+    assert len(m.data["stages"]) == 8
+    m.mark_stage("relocate", {"tau": 0.1})
+    assert sorted(m.data["stages"]) == ["corrupt", "extend", "gen", "optimize",
+                                        "relocate"]
+    assert m.data["stages"]["relocate"] == {"config": {"tau": 0.1}}
+    m.mark_stage("corrupt")
+    assert sorted(m.data["stages"]) == ["corrupt", "gen"]
+
+
 def test_frame_item_and_item_errors(tmp_path):
     m = fresh(tmp_path)
     with pytest.raises(ValidationError, match="frame 1 has no 'uv_opt'"):
@@ -109,25 +124,21 @@ def test_uv_roundtrip_without_parts(tmp_path):
     back = m.read_uv(0, "uv_raw")
     assert np.array_equal(back.uv.data, P.uv.data)
     assert np.array_equal(back.silhouette, sil)
-    assert back.part is None
+    # the third channel stores the silhouette as 0/1
+    assert np.array_equal(read_pfm(m.frame_item(0, "uv_raw"))[..., 2], sil.astype(np.float64))
 
 
-def test_uv_roundtrip_with_parts(tmp_path):
+def test_load_rejects_has_parts(tmp_path):
     m = fresh(tmp_path)
+    m.save()
+    Manifest.load(tmp_path / "seq")            # no key: one chart
+    m.data["has_parts"] = False
+    m.save()
+    Manifest.load(tmp_path / "seq")            # older directories write false
     m.data["has_parts"] = True
-    sil = np.zeros((6, 8), dtype=bool)
-    sil[1:5, 2:7] = True
-    part = np.where(sil, 3, 0)
-    part[2, 3] = 17
-    uv = np.full((6, 8, 2), 0.25) * sil[..., None]
-    P = UVMap(uv, sil, part)
-    m.write_uv(1, "uv_ext", P)
-    back = m.read_uv(1, "uv_ext")
-    assert np.array_equal(back.part, part)
-    assert np.array_equal(back.silhouette, sil)
-    back2 = m.read_uv(1, "uv_ext", has_parts=False)
-    assert back2.part is None
-
+    m.save()
+    with pytest.raises(ValidationError, match="has_parts is not supported"):
+        Manifest.load(tmp_path / "seq")
 
 
 def test_uv_read_accepts_big_endian_files(tmp_path):

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from uvweave import (Field2, MetricReport, SceneConfig, UVMap, ValidationError,
-                     gen_sequence, loss_ce, loss_img_s, loss_l2, loss_smo,
-                     metric_psnr, metric_tdiff, metric_tof, render_lookup)
+import uvweave.metrics as metrics
+import uvweave.stages as stages
+from uvweave import (CorruptConfig, Field2, Manifest, MetricReport, SceneConfig, UVMap,
+                     ValidationError, block_flow, gen_sequence, loss_ce, loss_img_s,
+                     loss_l2, loss_smo, metric_psnr, metric_tdiff, metric_tof, pair_flows,
+                     render_lookup)
 from uvweave.gradcore import loss_app
 
 
@@ -203,14 +206,44 @@ def test_tdiff_errors():
 
 def test_tof_cases():
     _, _, rendered = scene_render(frames=3)
-    self_val, per = metric_tof(rendered, rendered)
+    flows = pair_flows(rendered)
+    assert len(flows) == 2
+    self_val, per = metric_tof(flows, rendered)
     assert self_val == 0.0 and all(p == 0.0 for p in per)
-    rev, _ = metric_tof(rendered, rendered[::-1])
+    rev, _ = metric_tof(flows, rendered[::-1])
     assert rev > 0.0
     with pytest.raises(ValidationError, match="length"):
-        metric_tof(rendered, rendered[:2])
+        metric_tof(flows, rendered[:2])
     with pytest.raises(ValidationError, match="frames"):
-        metric_tof(rendered[:1], rendered[:1])
+        metric_tof(flows[:0], rendered[:1])
+
+
+def test_stage_metrics_computes_real_flows_once(tmp_path, monkeypatch):
+    # one real-frame flow per pair, shared by the recovered and the
+    # corrupted-baseline reports, plus one per pair for each report
+    frames = 4
+    root = tmp_path / "seq"
+    stages.stage_gen(root, SceneConfig(image_w=32, image_h=32, tex_w=32, tex_h=32,
+                                       frames=frames, seed=3))
+    stages.stage_corrupt(root, CorruptConfig(margin=2, uv_noise=0.01, seed=1))
+    m = Manifest.load(root)
+    for i in range(frames):
+        m.write_uv(i, "uv_final", m.read_uv(i, "uv_gt"))
+        m.write_image(i, "synth", m.read_image(i, "image"))
+    for s in ("extend", "optimize", "relocate", "synth"):
+        m.mark_stage(s)
+    m.save()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return block_flow(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "block_flow", counted)
+    stages.stage_metrics(root)
+    rep = json.loads((root / "metrics.json").read_text())
+    assert set(rep) == {"recovered", "corrupted_baseline"}
+    assert len(calls) == 3 * (frames - 1)
 
 
 def test_metric_report_serialization():

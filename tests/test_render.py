@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from uvweave import (Field2, LookupRenderer, LookupStats, SceneConfig, UVMap,
-                     ValidationError, composite_parts, gen_sequence, render_lookup)
+                     gen_sequence, render_lookup)
 from uvweave.fields import pixel_center_grid
 from uvweave.render import MADDS_PER_CHANNEL, RENDER_BLOCK, TEXEL_READS_PER_PIXEL
 
@@ -77,32 +76,3 @@ def test_render_constant_texture():
     assert np.allclose(out.data[sil], 0.7, atol=1e-12)
     assert (out.data[~sil] == 0.0).all()
     assert stats.fetches == int(sil.sum())
-
-
-def test_composite_parts_selects_textures():
-    h = w = 24
-    sil = np.zeros((h, w), dtype=bool)
-    sil[4:20, 4:20] = True
-    part = np.zeros((h, w), dtype=np.int64)
-    part[sil] = 1
-    part[4:20, 12:20] = 2
-    c = pixel_center_grid(w, h)
-    uv = np.where(sil[..., None], c - 0.5, 0.0)     # chart centers everywhere
-    P = UVMap(uv, sil, part=part)
-    T_const = Field2(np.full((32, 48, 3), [1.0, 0.0, 0.0]))
-    T_frame = Field2(np.full((32, 48, 3), [0.0, 1.0, 0.0]))
-    out = composite_parts(P, T_const, T_frame, reuse_parts=[2])
-    assert np.allclose(out.data[part == 1], [1.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(out.data[part == 2], [0.0, 1.0, 0.0], atol=1e-12)
-    assert (out.data[~sil] == 0.0).all()
-
-
-def test_composite_parts_errors():
-    sil = np.ones((8, 8), dtype=bool)
-    P_free = UVMap(np.zeros((8, 8, 2)), sil)
-    T = Field2(np.zeros((8, 8, 3)))
-    with pytest.raises(ValidationError, match="part"):
-        composite_parts(P_free, T, T, reuse_parts=[1])
-    P = UVMap(np.zeros((8, 8, 2)), sil, part=np.ones((8, 8), dtype=np.int64))
-    with pytest.raises(ValidationError, match="channel count"):
-        composite_parts(P, T, Field2(np.zeros((8, 8, 1))), reuse_parts=[1])

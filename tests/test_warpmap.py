@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from uvweave import (AtlasLayout, Field2, UVMap, ValidationError, WarpGrid,
-                     chart_positions, image_grid, pixel_center_grid, texture_grid, warp)
+from uvweave import (Field2, UVMap, ValidationError, WarpGrid, image_grid,
+                     pixel_center_grid, texture_grid, texture_positions, warp)
 from uvweave.warpmap import fill_from_nearest, splat_average, splat_record
 
 
@@ -16,12 +16,8 @@ def test_uvmap_validation():
     sil = np.ones((4, 4), dtype=bool)
     with pytest.raises(ValidationError):
         UVMap(np.zeros((4, 4, 1)), sil)
-    part = np.zeros((4, 4), dtype=np.int64)
-    with pytest.raises(ValidationError, match="part"):
-        UVMap(np.zeros((4, 4, 2)), sil, part=part)  # part 0 on silhouette
-    part[:] = 3
-    p = UVMap(np.zeros((4, 4, 2)), sil, part=part)
-    assert p.part is not None
+    with pytest.raises(ValidationError, match="silhouette shape"):
+        UVMap(np.zeros((4, 4, 2)), sil[:3])
     # uv zeroed outside silhouette
     sil2 = sil.copy()
     sil2[0, 0] = False
@@ -76,70 +72,26 @@ def test_warp_linearity():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_atlas_routing():
-    atlas = AtlasLayout()
-    assert atlas.parts == 24
-    for part in (1, 7, 24):
-        ox, oy = atlas.tile_origin(part)
-        sx, sy = atlas.tile_scale
-        g = atlas.to_global(np.array([0.5, 0.5]), part)
-        assert g[0] == pytest.approx(ox + 0.5 * sx)
-        assert g[1] == pytest.approx(oy + 0.5 * sy)
-        back = atlas.to_local(g, part)
-        assert np.allclose(back, [0.5, 0.5])
-    # clamping binds out-of-range locals
-    g = atlas.to_global(np.array([1.7, -0.3]), 1)
-    assert np.allclose(g, atlas.to_global(np.array([1.0, 0.0]), 1))
-
-
-def test_chart_positions_parts_land_in_tiles():
-    sil = np.ones((4, 4), dtype=bool)
-    part = np.ones((4, 4), dtype=np.int64)
-    part[2:] = 2
-    P = UVMap(np.zeros((4, 4, 2)) + 0.25, sil, part=part)
-    atlas = AtlasLayout()
-    u, slope = chart_positions(P, atlas)
-    sx, sy = atlas.tile_scale
-    assert (u[:2, :, 0] < sx).all()          # part 1 tile starts at origin
-    assert (u[2:, :, 1] < sy).all() and (u[2:, :, 0] >= sx).all()
-    assert slope.shape == (4, 4, 2)
-
-
-def test_chart_positions_clamp_zero_slope():
-    sil = np.ones((3, 3), dtype=bool)
-    part = np.ones((3, 3), dtype=np.int64)
-    uv = pixel_center_grid(3, 3) - 1.5      # local coords clamp at 1
-    P = UVMap(uv, sil, part=part)
-    _, slope = chart_positions(P, AtlasLayout())
-    assert (slope == 0).all()
-    # interior locals keep the tile-scale slope
-    P2 = UVMap(pixel_center_grid(3, 3) - 0.5, sil, part=part)
-    _, slope2 = chart_positions(P2, AtlasLayout())
-    assert np.allclose(slope2, AtlasLayout().tile_scale)
-
-
-
 def test_chart_positions_index_matches_full_frame():
     rng = np.random.default_rng(5)
     sil = rng.uniform(size=(9, 11)) < 0.7
-    part = np.where(sil, rng.integers(1, 25, size=(9, 11)), 0)
     uv = np.where(sil[..., None], rng.normal(0, 0.6, size=(9, 11, 2)), 0.0)
     index = np.sort(rng.choice(99, size=40, replace=False))
-    for P, atlas in ((UVMap(uv, sil), None), (UVMap(uv, sil, part=part), AtlasLayout())):
-        u_full, s_full = chart_positions(P, atlas)
-        u, s = chart_positions(P, atlas, index)
-        assert u.shape == s.shape == (40, 2)
-        assert np.array_equal(u, u_full.reshape(-1, 2)[index])
-        assert np.array_equal(s, s_full.reshape(-1, 2)[index])
-        u0, _ = chart_positions(P, atlas, index[:0])
-        assert u0.shape == (0, 2)
+    P = UVMap(uv, sil)
+    u_full = texture_positions(P)
+    assert np.array_equal(u_full, pixel_center_grid(11, 9) - P.uv.data)
+    u = texture_positions(P, index)
+    assert u.shape == (40, 2)
+    assert np.array_equal(u, u_full.reshape(-1, 2)[index])
+    assert texture_positions(P, index[:0]).shape == (0, 2)
+
 
 def brute_splat(P, I, tw, th):
     """Reference forward splat: average I values per texel, bilinear weights."""
     h, w = I.data.shape[:2]
     acc = np.zeros((th, tw, I.data.shape[2] + 2))
     wsum = np.zeros((th, tw))
-    u, _ = chart_positions(P, None)
+    u = pixel_center_grid(w, h) - P.uv.data
     for y in range(h):
         for x in range(w):
             if not P.silhouette[y, x]:
