@@ -11,7 +11,8 @@ matching, and finally render with a constant-cost per-pixel lookup.
 from .errors import NumericalError, ValidationError
 from .fields import Field2, pixel_center_grid, sample_bilinear, sobel_gradient
 from .warpmap import UVMap, WarpGrid, image_grid, texture_grid, texture_positions, warp
-from .gradcore import LossReport, fd_probe_check, grad_app, grad_reg, loss_app, loss_reg
+from .gradcore import (AppForward, LossReport, fd_probe_check, forward_app, grad_app,
+                       grad_reg, loss_app, loss_reg)
 from .extend import (RelaxResult, SpringConfig, SpringSystem, extrapolate_uv,
                      label_fill, relax_springs)
 from .uvopt import OptConfig, OptTrace, optimize_uv
@@ -30,13 +31,13 @@ from .manifest import Manifest
 __version__ = "0.1.0"
 
 __all__ = [
-    "Correspondence", "CorruptConfig", "Field2", "FlowConfig", "FlowField",
+    "AppForward", "Correspondence", "CorruptConfig", "Field2", "FlowConfig", "FlowField",
     "FrameRecord", "FrameSet", "LookupRenderer", "LookupStats",
     "LossReport", "Manifest", "MetricReport", "NumericalError",
     "OptConfig", "OptTrace", "RelaxResult", "RelocateConfig",
     "SceneConfig", "SpringConfig", "SpringSystem", "UVMap",
     "ValidationError", "WarpGrid", "block_flow", "corrupt",
-    "extrapolate_uv", "fd_probe_check", "frame_zero_products",
+    "extrapolate_uv", "fd_probe_check", "forward_app", "frame_zero_products",
     "gen_sequence", "grad_app", "grad_reg", "identity_correspondence",
     "image_grid", "init_correspondence", "label_fill", "loss_app",
     "loss_ce", "loss_img_s", "loss_l2", "loss_reg", "loss_smo",

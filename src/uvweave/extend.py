@@ -20,7 +20,7 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from .errors import ValidationError
-from .fields import pixel_center_grid
+from .fields import pixel_center_grid, scatter_add
 from .warpmap import UVMap, texture_positions
 
 
@@ -163,9 +163,7 @@ class SpringSystem:
         else:
             raise ValidationError(f"unknown spring mode {mode!r}")
         f = (mag / safe)[:, None] * d
-        out = np.zeros_like(self.points)
-        np.add.at(out, self.spring_point, f)
-        return out
+        return scatter_add(self.spring_point, f, len(self.points))
 
     def distortion(self) -> float:
         """Mean relative deviation of spring lengths from rest."""

@@ -107,6 +107,18 @@ def pixel_center_grid(width: int, height: int) -> np.ndarray:
     return cached
 
 
+def scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of ``values`` (m, C) into ``n`` zero rows at ``index``.
+
+    One ``np.bincount`` per channel.  bincount adds in input order, as
+    ``np.add.at`` does, so every sum is bitwise the scatter-add's.
+    """
+    out = np.empty((n, values.shape[1]), dtype=np.float64)
+    for ch in range(values.shape[1]):
+        out[:, ch] = np.bincount(index, weights=values[:, ch], minlength=n)
+    return out
+
+
 def _axis_split(g: np.ndarray, n: int):
     """Split grid coordinates into clamped low/high indices and a fraction.
 

@@ -7,24 +7,31 @@ inverse grid, then renders it back through the per-pixel grid:
     I' = warp(T, image_grid(P))          # re-render
     l_app = sum over foreground of |I' - I|^2
 
-``grad_app`` backpropagates the residual through both dependencies on P:
-the direct path (the re-render samples T at a P-dependent location) and
-the texture path (the splat weights that built T are themselves functions
-of P).  The adjoint reuses the recorded splat weights, so it is the exact
-derivative of the discrete forward computation; the only dropped term is
-the nearest-neighbor fill of uncovered texels, whose values are
-extrapolations rather than data.
+``forward_app`` runs this chain once and returns an ``AppForward`` record
+holding the loss and every intermediate the adjoint needs; ``loss_app`` is
+its ``l_app``.  ``grad_app`` backpropagates the residual through both
+dependencies on P: the direct path (the re-render samples T at a
+P-dependent location) and the texture path (the splat weights that built T
+are themselves functions of P).  Given the record of a forward pass it
+already ran (``fwd=``), it runs the adjoint alone, so a line search that
+evaluated a candidate pays no second forward pass for its gradient.  The
+adjoint reuses the recorded splat weights, so it is the exact derivative
+of the discrete forward computation; the only dropped term is the
+nearest-neighbor fill of uncovered texels, whose values are extrapolations
+rather than data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .fields import Field2, _bilinear_gather
-from .warpmap import UVMap, fill_from_nearest, splat_average, splat_record
+from .fields import Field2, _bilinear_gather, scatter_add
+from .warpmap import (SplatRecord, UVMap, fill_from_nearest, splat_average,
+                      splat_record)
 
 
 @dataclass
@@ -41,8 +48,27 @@ def _check_pair(P: UVMap, I: Field2):
         )
 
 
-def _forward(P: UVMap, I: Field2, tex_w: int, tex_h: int):
-    """Shared forward pass; returns everything the adjoint needs."""
+class AppForward(NamedTuple):
+    """One forward pass of the appearance loss: the loss and what the
+    adjoint needs."""
+
+    rec: SplatRecord
+    tgt: np.ndarray         # (n_tex, 2) splat-averaged image positions
+    cov: np.ndarray         # (n_tex,) covered texels
+    T: np.ndarray           # (n_tex, C) unwrapped texture
+    dT_dqx: np.ndarray
+    dT_dqy: np.ndarray
+    T_at: np.ndarray        # (n, 4, C) texture at each pixel's splat corners
+    res: np.ndarray         # (n, C) re-render residual
+    l_app: float
+
+
+def forward_app(P: UVMap, I: Field2, tex_w: int | None = None,
+                tex_h: int | None = None) -> AppForward:
+    """Run the unwrap and re-render once; the record feeds ``grad_app``."""
+    _check_pair(P, I)
+    tex_w = tex_w or I.width
+    tex_h = tex_h or I.height
     rec = splat_record(P, tex_w, tex_h)
     tgt, cov = splat_average(rec, rec.values)          # (n_tex, 2) normalized
     tgt_filled = fill_from_nearest(tgt.reshape(tex_h, tex_w, 2),
@@ -60,26 +86,30 @@ def _forward(P: UVMap, I: Field2, tex_w: int, tex_h: int):
     I_fg = I.data[rec.pix_y, rec.pix_x]
     res = I_prime - I_fg
     l_app = float(np.sum(res * res))
-    return rec, tgt, cov, T, dT_dqx, dT_dqy, T_at, res, l_app
+    return AppForward(rec, tgt, cov, T, dT_dqx, dT_dqy, T_at, res, l_app)
 
 
 def loss_app(P: UVMap, I: Field2, tex_w: int | None = None,
              tex_h: int | None = None) -> float:
     """Summed squared round-trip error over foreground pixels."""
-    _check_pair(P, I)
-    tex_w = tex_w or I.width
-    tex_h = tex_h or I.height
-    return _forward(P, I, tex_w, tex_h)[-1]
+    return forward_app(P, I, tex_w, tex_h).l_app
 
 
 def grad_app(P: UVMap, I: Field2, tex_w: int | None = None,
-             tex_h: int | None = None) -> LossReport:
-    """Appearance loss and its exact gradient with respect to the UV field."""
+             tex_h: int | None = None, fwd: AppForward | None = None) -> LossReport:
+    """Appearance loss and its exact gradient with respect to the UV field.
+
+    ``fwd`` is the record of ``forward_app(P, I, tex_w, tex_h)`` when the
+    caller already has it; the forward pass is then not repeated.
+    """
     _check_pair(P, I)
     tex_w = tex_w or I.width
     tex_h = tex_h or I.height
-    rec, tgt, cov, T, dT_dqx, dT_dqy, T_at, res, l_app = _forward(
-        P, I, tex_w, tex_h)
+    if fwd is None:
+        fwd = forward_app(P, I, tex_w, tex_h)
+    elif (fwd.rec.tex_w, fwd.rec.tex_h) != (tex_w, tex_h):
+        raise ValidationError("forward record was made for another texture size")
+    rec, tgt, cov, T, dT_dqx, dT_dqy, T_at, res, l_app = fwd
 
     r = 2.0 * res                                      # dl/dI' per pixel, (n, C)
     fx, fy, w = rec.fx, rec.fy, rec.weights
@@ -92,8 +122,8 @@ def grad_app(P: UVMap, I: Field2, tex_w: int | None = None,
     dgy = np.einsum("nk,nk->n", dw_dgy, rT)
 
     # Texture path, step 1: residual -> texel values of T.
-    Tbar = np.zeros_like(T)
-    np.add.at(Tbar, rec.corners, r[:, None, :] * w[:, :, None])
+    Tbar = scatter_add(rec.corners.ravel(),
+                       (r[:, None, :] * w[:, :, None]).reshape(-1, T.shape[1]), T.shape[0])
 
     # Step 2: texel values -> splat-averaged positions.  Uncovered texels
     # hold extrapolated fills and contribute no gradient.

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.ndimage as ndi
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .fields import Field2, pixel_center_grid, sample_bilinear
@@ -281,31 +282,32 @@ def patch_fill(Q: Correspondence, T_o: Field2, T_t: Field2, Q0: Correspondence,
     offs = [(dy, dx) for dy in range(-reach, reach + 1)
             for dx in range(-reach, reach + 1)]
     offs.sort(key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
+    off_y, off_x = np.array(offs, dtype=np.int64).T
 
     acc = np.zeros((h, w, 2))
     cnt = np.zeros((h, w))
     stride = max(patch // 2, 1)
     ctx = domain
+    ref = T_o.data
     for ty in range(0, h, stride):
         for tx in range(0, w, stride):
             y1, x1 = min(ty + patch, h), min(tx + patch, w)
             tile_fill = fill[ty:y1, tx:x1]
             if not tile_fill.any():
                 continue
+            ph, pw = y1 - ty, x1 - tx
             a = T_t.data[ty:y1, tx:x1]
             a_mask = ctx[ty:y1, tx:x1]
-            best, best_cost = (0, 0), np.inf
-            for dy, dx in offs:
-                by, bx = ty + dy, tx + dx
-                if by < 0 or bx < 0 or by + (y1 - ty) > h or bx + (x1 - tx) > w:
-                    continue
-                bpatch = T_o.data[by:by + (y1 - ty), bx:bx + (x1 - tx)]
-                d = (a - bpatch) * a_mask[..., None]
-                cost = float(np.sum(d * d))
-                if cost < best_cost:
-                    best_cost = cost
-                    best = (dy, dx)
-            dy, dx = best
+            # Every in-bounds offset at once, in the sorted order, so argmin's
+            # first minimum is the nearest offset among equal costs.  The
+            # (ph, pw, C) window is summed as one row, as a single patch is.
+            by, bx = ty + off_y, tx + off_x
+            keep = (by >= 0) & (bx >= 0) & (by + ph <= h) & (bx + pw <= w)
+            wins = sliding_window_view(ref, (ph, pw, ref.shape[2]))
+            d = (a - wins[by[keep], bx[keep], 0]) * a_mask[..., None]
+            cost = (d * d).reshape(len(d), -1).sum(axis=1)
+            k = int(np.argmin(cost))
+            dy, dx = int(off_y[keep][k]), int(off_x[keep][k])
             donated = Q0.target.data[ty + dy:y1 + dy, tx + dx:x1 + dx]
             acc[ty:y1, tx:x1][tile_fill] += donated[tile_fill]
             cnt[ty:y1, tx:x1][tile_fill] += 1.0

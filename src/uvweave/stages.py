@@ -125,7 +125,9 @@ def stage_optimize(root, cfg: OptConfig | None = None, threads: int = 1) -> Mani
     for i, (P, trace) in enumerate(results):
         m.write_uv(i, "uv_opt", P)
         _write_trace(m, i, "opt", {"l_app": trace.l_app, "l_reg": trace.l_reg,
-                                   "steps": trace.steps, "stop_reason": trace.stop_reason})
+                                   "steps": trace.steps, "stop_reason": trace.stop_reason,
+                                   "lr_final": trace.lr_final, "clamped": trace.clamped,
+                                   "rejected": trace.rejected})
     m.mark_stage("optimize", config_dict(cfg))
     m.save()
     return m

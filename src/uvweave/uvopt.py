@@ -3,8 +3,10 @@
 Plain descent on the appearance loss plus the smoothness regularizer.
 The default learning rate is deliberately aggressive and scene-tuned; a
 backtracking guard halves it whenever a step would increase the loss, so
-the recorded trace is non-increasing on every accepted step.  Frames are
-independent, so callers can optimize them in parallel.
+the recorded trace is non-increasing on every accepted step.  Each
+candidate costs one forward pass of the appearance loss, and the gradient
+of an accepted candidate reuses that pass.  Frames are independent, so
+callers can optimize them in parallel.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fields import Field2
-from .gradcore import grad_app, grad_reg, loss_app, loss_reg
+from .gradcore import forward_app, grad_app, grad_reg, loss_reg
 from .warpmap import UVMap
 
 UV_CLAMP = (-1.0, 2.0)
@@ -50,7 +52,8 @@ class OptTrace:
     steps: int = 0
     lr_final: float = 0.0
     stop_reason: str = ""
-    clamped: int = 0
+    clamped: int = 0          # UV components the accepted steps clipped
+    rejected: int = 0         # line-search candidates that raised the loss
     wall_time: float = 0.0     # informational only; never serialized
 
     @property
@@ -81,22 +84,19 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
     uv = P_init.uv.data.copy()
     trace = OptTrace()
     lr = cfg.lr
-    clamped = 0
-
-    def evaluate(arr):
-        Q = UVMap(arr, sil)
-        return (loss_app(Q, I, tw, th), loss_reg(Q, cfg.alpha1, cfg.alpha2))
+    clamped = rejected = 0
 
     P = UVMap(uv, sil)
     rep_a = grad_app(P, I, tw, th)
     rep_r = grad_reg(P, cfg.alpha1, cfg.alpha2)
     la, lr_loss = rep_a.l_app, rep_r.l_reg
     initial = la + lr_loss
+    totals = []
     stop = "max_steps"
     for step in range(cfg.max_steps):
         trace.l_app.append(la)
         trace.l_reg.append(lr_loss)
-        totals = trace.total
+        totals.append(la + lr_loss)
         if _check_divergence(totals, initial, cfg.divergence_factor,
                              cfg.divergence_patience):
             raise NumericalError("divergence; reduce lr")
@@ -110,23 +110,26 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
         cur = la + lr_loss
         accepted = False
         while lr >= cfg.lr_floor:
-            cand = uv - lr * g
-            np.clip(cand, UV_CLAMP[0], UV_CLAMP[1], out=cand)
+            raw = uv - lr * g
+            cand = np.clip(raw, UV_CLAMP[0], UV_CLAMP[1])
             cand[~sil] = 0.0
-            ca, cr = evaluate(cand)
+            Q = UVMap(cand, sil)
+            fwd = forward_app(Q, I, tw, th)
+            ca, cr = fwd.l_app, loss_reg(Q, cfg.alpha1, cfg.alpha2)
             if ca + cr <= cur:
                 accepted = True
                 break
+            rejected += 1
             lr *= 0.5
         if not accepted:
             # Even the smallest step increases the loss: hold position.
             continue
-        clamped += int(np.sum((uv - lr * g < UV_CLAMP[0]) | (uv - lr * g > UV_CLAMP[1])))
+        clamped += int(np.count_nonzero((raw < UV_CLAMP[0]) | (raw > UV_CLAMP[1])))
         uv = cand
         la, lr_loss = ca, cr
-        P = UVMap(uv, sil)
-        rep_a = grad_app(P, I, tw, th)
-        rep_r = grad_reg(P, cfg.alpha1, cfg.alpha2)
+        # The accepted candidate's forward pass feeds its gradient.
+        rep_a = grad_app(Q, I, tw, th, fwd=fwd)
+        rep_r = grad_reg(Q, cfg.alpha1, cfg.alpha2)
     else:
         trace.l_app.append(la)
         trace.l_reg.append(lr_loss)
@@ -135,5 +138,6 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
     trace.lr_final = lr
     trace.stop_reason = stop
     trace.clamped = clamped
+    trace.rejected = rejected
     trace.wall_time = time.perf_counter() - t0
     return UVMap(uv, sil), trace

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from .errors import ValidationError
-from .fields import Field2, _axis_split, pixel_center_grid, sample_bilinear
+from .fields import Field2, _axis_split, pixel_center_grid, sample_bilinear, scatter_add
 
 COVER_EPS = 1e-12
 
@@ -154,8 +154,7 @@ def splat_record(P: UVMap, tex_w: int, tex_h: int) -> SplatRecord:
                         y1 * tex_w + x0, y1 * tex_w + x1], axis=1)
     weights = np.stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
                         (1.0 - fx) * fy, fx * fy], axis=1)
-    wsum = np.zeros(tex_w * tex_h, dtype=np.float64)
-    np.add.at(wsum, corners.ravel(), weights.ravel())
+    wsum = scatter_add(corners.ravel(), weights.reshape(-1, 1), tex_w * tex_h)[:, 0]
     return SplatRecord(tex_w=tex_w, tex_h=tex_h, pix_y=pix_y, pix_x=pix_x,
                        values=c, corners=corners, weights=weights, fx=fx, fy=fy,
                        wsum=wsum, covered=wsum > COVER_EPS)
@@ -164,8 +163,9 @@ def splat_record(P: UVMap, tex_w: int, tex_h: int) -> SplatRecord:
 def splat_average(rec: SplatRecord, values: np.ndarray):
     """Weight-normalized splat of per-pixel values; returns (flat avg, covered)."""
     ch = values.shape[1]
-    acc = np.zeros((rec.tex_w * rec.tex_h, ch), dtype=np.float64)
-    np.add.at(acc, rec.corners, rec.weights[:, :, None] * values[:, None, :])
+    acc = scatter_add(rec.corners.ravel(),
+                      (rec.weights[:, :, None] * values[:, None, :]).reshape(-1, ch),
+                      rec.tex_w * rec.tex_h)
     out = np.zeros_like(acc)
     cov = rec.covered
     out[cov] = acc[cov] / rec.wsum[cov, None]

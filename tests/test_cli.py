@@ -135,6 +135,17 @@ def test_optimize_traces_recorded(piped):
         assert tr["steps"] == len(tr["l_app"])
 
 
+def test_optimize_traces_record_line_search(piped):
+    piped, _ = piped
+    man = json.loads((piped / "manifest.json").read_text())
+    for i in range(3):
+        tr = json.loads((piped / man["frames"][i]["opt_trace"]).read_text())
+        assert isinstance(tr["clamped"], int) and tr["clamped"] >= 0
+        assert isinstance(tr["rejected"], int) and tr["rejected"] >= 0
+        # the step size starts at 10 and halves exactly once per rejection
+        assert tr["lr_final"] == 10.0 * 0.5 ** tr["rejected"]
+
+
 def test_extend_traces_recorded(piped):
     piped, _ = piped
     man = json.loads((piped / "manifest.json").read_text())

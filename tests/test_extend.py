@@ -241,3 +241,27 @@ def test_springs_skip_anchorless_points():
     out, res = relax_springs(P, new_pts, SpringConfig(region=10, tex_w=128, tex_h=128))
     assert (out.uv.data[1, 1] == P.uv.data[1, 1]).all()
     assert len(res.skipped) == 1
+
+
+def test_net_forces_match_add_at_reference():
+    # 3 points share 400 springs, so each point's sum has over a hundred
+    # terms; the sums must keep the scatter-add's order bit for bit.
+    rng = np.random.default_rng(21)
+    s = 400
+    sys = SpringSystem(points=rng.uniform(0, 10, size=(3, 2)),
+                       anchors=rng.uniform(0, 10, size=(s, 2)),
+                       spring_point=rng.integers(0, 3, size=s),
+                       rest=rng.uniform(0.5, 6.0, size=s))
+    for mode in ("push", "pull"):
+        d = sys.points[sys.spring_point] - sys.anchors
+        length = np.sqrt(np.sum(d * d, axis=1))
+        mag = sys.rest - length
+        mag = np.maximum(mag, 0.0) if mode == "push" else np.minimum(mag, 0.0)
+        ref = np.zeros_like(sys.points)
+        np.add.at(ref, sys.spring_point, (mag / np.maximum(length, 1e-12))[:, None] * d)
+        out = sys.net_forces(mode)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+    empty = SpringSystem(points=np.zeros((2, 2)), anchors=np.zeros((0, 2)),
+                         spring_point=np.zeros(0, dtype=np.int64), rest=np.zeros(0))
+    assert (empty.net_forces("pull") == 0.0).all() and empty.net_forces("pull").shape == (2, 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uvweave import (Field2, SceneConfig, UVMap, ValidationError, fd_probe_check,
-                     gen_sequence, grad_app, grad_reg, loss_app, loss_reg)
+                     forward_app, gen_sequence, grad_app, grad_reg, loss_app, loss_reg)
 
 
 def rand_scene(seed, size=8):
@@ -153,3 +153,16 @@ def test_loss_report_fields():
     assert rep.grad.data.shape == (8, 8, 2)
     assert rep.l_app >= 0.0
     assert rep.l_app == pytest.approx(loss_app(P, I))
+
+
+def test_grad_app_reuses_forward_record_bitwise():
+    P, I, _ = scene_fixture()
+    for tw, th in ((48, 48), (20, 30)):
+        fwd = forward_app(P, I, tw, th)
+        assert fwd.l_app == loss_app(P, I, tw, th)
+        fused = grad_app(P, I, tw, th, fwd=fwd)
+        fresh = grad_app(P, I, tw, th)
+        assert fused.l_app == fresh.l_app == fwd.l_app
+        assert fused.grad.data.tobytes() == fresh.grad.data.tobytes()
+    with pytest.raises(ValidationError, match="texture size"):
+        grad_app(P, I, 48, 48, fwd=forward_app(P, I, 20, 30))

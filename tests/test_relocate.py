@@ -300,3 +300,77 @@ def test_frame_zero_products_and_self_relocation():
                        Q0.target.data[Qt.valid & Q0.valid], atol=1e-12)
     sil = f0.uv_gt.silhouette
     assert np.allclose(P_f.uv.data[sil], f0.uv_gt.uv.data[sil], atol=1e-9)
+
+
+def loop_patch_fill(Q, T_o, T_t, Q0, patch=8, window=21, domain=None):
+    """Reference: one masked SSD per tile and in-bounds offset, nearest
+    offset first, keeping the first strictly smaller cost."""
+    h, w = Q.height, Q.width
+    if domain is None:
+        domain = T_t.valid if T_t.valid is not None else np.ones((h, w), dtype=bool)
+    fill = domain & ~Q.valid
+    reach = window // 2
+    offs = [(dy, dx) for dy in range(-reach, reach + 1)
+            for dx in range(-reach, reach + 1)]
+    offs.sort(key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
+    acc = np.zeros((h, w, 2))
+    cnt = np.zeros((h, w))
+    stride = max(patch // 2, 1)
+    for ty in range(0, h, stride):
+        for tx in range(0, w, stride):
+            y1, x1 = min(ty + patch, h), min(tx + patch, w)
+            tile_fill = fill[ty:y1, tx:x1]
+            if not tile_fill.any():
+                continue
+            a = T_t.data[ty:y1, tx:x1]
+            a_mask = domain[ty:y1, tx:x1]
+            best, best_cost = (0, 0), np.inf
+            for dy, dx in offs:
+                by, bx = ty + dy, tx + dx
+                if by < 0 or bx < 0 or by + (y1 - ty) > h or bx + (x1 - tx) > w:
+                    continue
+                bpatch = T_o.data[by:by + (y1 - ty), bx:bx + (x1 - tx)]
+                d = (a - bpatch) * a_mask[..., None]
+                cost = float(np.sum(d * d))
+                if cost < best_cost:
+                    best_cost = cost
+                    best = (dy, dx)
+            dy, dx = best
+            donated = Q0.target.data[ty + dy:y1 + dy, tx + dx:x1 + dx]
+            acc[ty:y1, tx:x1][tile_fill] += donated[tile_fill]
+            cnt[ty:y1, tx:x1][tile_fill] += 1.0
+    target = Q.target.data.copy()
+    filled = fill & (cnt > 0)
+    target[filled] = acc[filled] / cnt[filled][:, None]
+    return target, Q.valid | filled
+
+
+def test_patch_fill_matches_offset_loop():
+    rng = np.random.default_rng(4)
+    # 37x29: neither side is a multiple of the stride, so edge tiles are
+    # partial, and windows around border tiles run off the texture.
+    h, w = 37, 29
+    noisy = noise_texture(h, w, seed=3)
+    # Piecewise-constant texture: many offsets tie exactly, so the choice
+    # among equal costs (the nearest offset first) decides the result.
+    flat = np.zeros((h, w, 2))
+    flat[:, w // 2:, 0] = 0.5
+    flat[h // 3:, :, 1] = 0.25
+    ident = identity_correspondence(w, h)
+    Q0 = Correspondence(Field2(ident.target.data + rng.normal(0, 1e-3, size=(h, w, 2))),
+                        ident.valid)
+    cases = [
+        (Field2(noisy), Field2(np.roll(noisy, (2, -3), axis=(0, 1))), None, 8, 21),
+        (Field2(flat), Field2(flat), None, 8, 21),
+        (Field2(flat), Field2(np.roll(flat, 1, axis=1)), rng.uniform(size=(h, w)) < 0.8, 5, 9),
+        (Field2(noisy[..., :1]), Field2(noisy[..., 1:2]), None, 3, 6),
+    ]
+    for T_o, T_t, domain, patch, window in cases:
+        Q = Q0.copy()
+        Q.valid &= rng.uniform(size=(h, w)) >= 0.3
+        Q.valid[:, -3:] = False                    # holes along two borders
+        Q.valid[-2:] = False
+        out = patch_fill(Q, T_o, T_t, Q0, patch=patch, window=window, domain=domain)
+        target, valid = loop_patch_fill(Q, T_o, T_t, Q0, patch, window, domain)
+        assert (out.valid == valid).all()
+        assert out.target.data.tobytes() == target.tobytes()
