@@ -3,6 +3,8 @@
 Exit codes: 0 on success, 2 for input/validation problems, 3 for numerical
 failures.  `--threads` (or the UVWEAVE_THREADS environment variable) sets
 the frame-level worker count; outputs are bit-identical for any value.
+`extend`, `optimize`, `relocate` and `pipeline` print one summary line per
+stage, built from the per-frame traces.
 """
 
 from __future__ import annotations
@@ -75,6 +77,11 @@ def _add_reloc_args(p):
                    help="directory of externally computed f%%04d.flo files")
 
 
+def _summarize(root, *names):
+    for name in names:
+        print(stages.stage_summary(root, name))
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="uvweave",
                                  description="UV-map temporal consistency toolkit")
@@ -105,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="fill and relax UVs over the full silhouette")
     p.add_argument("dir")
     p.add_argument("--region", type=int, default=40)
-    p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--max-iters", type=int, default=2000)
     _add_threads(p)
 
@@ -138,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_opt_args(p)
     _add_reloc_args(p)
     p.add_argument("--region", type=int, default=40)
-    p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--max-iters", type=int, default=2000)
     _add_threads(p)
 
@@ -161,14 +166,16 @@ def main(argv=None) -> int:
                                 jitter=args.jitter, seed=args.seed)
             stages.stage_corrupt(args.dir, cfg)
         elif args.command == "extend":
-            cfg = SpringConfig(region=args.region, step=args.step,
-                               max_iters=args.max_iters)
+            cfg = SpringConfig(region=args.region, max_iters=args.max_iters)
             stages.stage_extend(args.dir, cfg, _threads(args))
+            _summarize(args.dir, "extend")
         elif args.command == "optimize":
             stages.stage_optimize(args.dir, _opt_config(args), _threads(args))
+            _summarize(args.dir, "optimize")
         elif args.command == "relocate":
             stages.stage_relocate(args.dir, _reloc_config(args), _threads(args),
                                   flow_dir=args.flow_dir)
+            _summarize(args.dir, "relocate")
         elif args.command == "synth":
             stages.stage_synth(args.dir, _threads(args))
         elif args.command == "retexture":
@@ -176,10 +183,10 @@ def main(argv=None) -> int:
         elif args.command == "metrics":
             stages.stage_metrics(args.dir, _threads(args))
         elif args.command == "pipeline":
-            ext = SpringConfig(region=args.region, step=args.step,
-                               max_iters=args.max_iters)
+            ext = SpringConfig(region=args.region, max_iters=args.max_iters)
             stages.stage_pipeline(args.dir, ext, _opt_config(args),
                                   _reloc_config(args), _threads(args))
+            _summarize(args.dir, "extend", "optimize", "relocate")
         elif args.command == "grad-check":
             worst = stages.run_grad_check(seeds=tuple(args.seeds), size=args.size,
                                           probes=args.probes, tol=args.tol)

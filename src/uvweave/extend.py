@@ -9,7 +9,11 @@ Three steps, run in order by the pipeline:
 3. ``relax_springs`` connects every extrapolated point to nearby original
    points in texture space with Hooke springs whose rest lengths encode the
    local image-to-texture scale, then relaxes with a push phase (overlaps
-   spread apart) followed by a pull phase (stretch contracts back).
+   spread apart) followed by a pull phase (stretch contracts back).  Every
+   spring ties a movable point to a fixed anchor, so each iteration is a
+   local/global step (Liu et al. 2013, "Fast Simulation of Mass-Spring
+   Systems"): every point moves to the mean of its active springs'
+   rest-length projections.  There is no step size to choose.
 """
 
 from __future__ import annotations
@@ -126,7 +130,6 @@ def extrapolate_uv(P_labeled: UVMap, known: np.ndarray | None = None):
 @dataclass
 class SpringConfig:
     region: int = 40          # texel window for anchor gathering
-    step: float = 0.1         # explicit Euler step, texel units
     force_tol: float = 1e-3   # convergence: max net force below this, texels
     max_iters: int = 2000     # per phase
     max_anchors: int = 12     # nearest anchors kept per movable point
@@ -134,7 +137,7 @@ class SpringConfig:
     tex_h: int | None = None
 
     def __post_init__(self):
-        if self.region < 2 or self.step <= 0 or self.force_tol <= 0:
+        if self.region < 2 or self.force_tol <= 0:
             raise ValidationError("bad spring configuration")
         if self.max_iters < 1 or self.max_anchors < 1:
             raise ValidationError("bad spring configuration")
@@ -149,21 +152,30 @@ class SpringSystem:
     spring_point: np.ndarray  # (s,) index into points
     rest: np.ndarray          # (s,) rest lengths, texels
 
-    def net_forces(self, mode: str) -> np.ndarray:
-        """Per-point force sums; 'push' acts on compressed springs only,
-        'pull' on stretched ones."""
+    def _forces(self, mode: str):
+        """Per-point force sums and active-spring counts.  'push' acts on
+        compressed springs only, 'pull' on stretched ones."""
         d = self.points[self.spring_point] - self.anchors
         length = np.sqrt(np.sum(d * d, axis=1))
         safe = np.maximum(length, 1e-12)
         mag = self.rest - length          # >0 compressed: pushes outward
         if mode == "push":
+            active = mag > 0.0
             mag = np.maximum(mag, 0.0)
         elif mode == "pull":
+            active = mag < 0.0
             mag = np.minimum(mag, 0.0)
         else:
             raise ValidationError(f"unknown spring mode {mode!r}")
         f = (mag / safe)[:, None] * d
-        return scatter_add(self.spring_point, f, len(self.points))
+        n = len(self.points)
+        return scatter_add(self.spring_point, f, n), \
+            np.bincount(self.spring_point[active], minlength=n)
+
+    def net_forces(self, mode: str) -> np.ndarray:
+        """Per-point force sums; 'push' acts on compressed springs only,
+        'pull' on stretched ones."""
+        return self._forces(mode)[0]
 
     def distortion(self) -> float:
         """Mean relative deviation of spring lengths from rest."""
@@ -171,23 +183,22 @@ class SpringSystem:
         length = np.sqrt(np.sum(d * d, axis=1))
         return float(np.mean(np.abs(length - self.rest) / np.maximum(self.rest, 1e-12)))
 
-    def relax_phase(self, mode: str, step: float, force_tol: float, max_iters: int):
-        """Integrate one phase; returns (iterations, max net force, converged)."""
-        # Summed Hooke forces give an effective stiffness near the anchor
-        # count, so cap the step to keep explicit Euler stable.
-        counts = np.bincount(self.spring_point, minlength=len(self.points))
-        step = min(step, 1.5 / max(int(counts.max()), 1))
+    def relax_phase(self, mode: str, force_tol: float, max_iters: int):
+        """Run one phase; returns (iterations, max net force, converged).
+
+        Each iteration moves every point by its net force over its count of
+        active springs.  A spring's force is its rest-length projection
+        minus the point, so this puts the point at the mean of those
+        projections: the local/global step, stable without a step size.
+        """
         it = 0
-        while it < max_iters:
-            f = self.net_forces(mode)
+        while True:
+            f, n = self._forces(mode)
             fmax = float(np.abs(f).max()) if len(f) else 0.0
-            if fmax < force_tol:
-                return it, fmax, True
-            self.points += step * f
+            if fmax < force_tol or it == max_iters:
+                return it, fmax, fmax < force_tol
+            self.points += f / np.maximum(n, 1)[:, None]
             it += 1
-        f = self.net_forces(mode)
-        fmax = float(np.abs(f).max()) if len(f) else 0.0
-        return it, fmax, fmax < force_tol
 
 
 @dataclass
@@ -224,18 +235,98 @@ def _known_scale(tex_pos, known):
     return 1.0
 
 
-def _local_scale(apos, ay, ax, fallback, min_baseline=4.0):
-    """Median pairwise texture/image distance ratio among one point's anchors."""
-    n = len(apos)
-    if n < 2:
-        return fallback
-    ii, jj = np.triu_indices(n, k=1)
-    img = np.hypot(ay[ii] - ay[jj], ax[ii] - ax[jj]).astype(np.float64)
-    keep = img >= min_baseline
-    if not keep.any():
-        return fallback
-    tex = np.linalg.norm(apos[ii[keep]] - apos[jj[keep]], axis=1)
-    return float(np.median(tex / img[keep]))
+# Movable points per pass of the spring build.  A pass holds (points,
+# anchors) and (points, scale pairs) temporaries; at 64 points the build of
+# a 128x128 acceptance frame (~6k anchors) peaks near 12 MB.
+_BUILD_CHUNK = 64
+# A point's local scale comes from up to this many of its candidate anchors,
+# spread over its distance order, and every pair of them.
+_SCALE_SAMPLES = 48
+_PAIR_I, _PAIR_J = np.triu_indices(_SCALE_SAMPLES, k=1)
+
+
+def build_springs(tex_pos, original, new_points, region, max_anchors):
+    """Tie each new point to its nearest original anchors; returns
+    (SpringSystem, moved, skipped).
+
+    A point's candidates are the original pixels whose texture positions
+    lie in the ``region`` box around it; it keeps the ``max_anchors``
+    nearest (ties in row-major pixel order).  Points without candidates are
+    ``skipped``; ``moved`` lists the rest, both in ``new_points`` order.
+    Rest lengths are image distances times a local texels-per-pixel ratio:
+    the chart scale varies spatially, so a global median would bake
+    systematic strain into every rest length.  The ratio is the median over
+    pairs of sampled candidates at least 8 pixels apart, so per-entry UV
+    noise averages out; with no such pair it is the known region's ratio.
+    """
+    oy, ox = np.nonzero(original)
+    anchor_pos = tex_pos[oy, ox]
+    anchor_u, anchor_v = anchor_pos[:, 0].copy(), anchor_pos[:, 1].copy()
+    known_scale = _known_scale(tex_pos, original)
+    half = region / 2.0
+    no_points = np.zeros((0, 2), dtype=np.int64)
+    moved, skipped = [no_points], [no_points]
+    anchors, spring_point = [np.zeros((0, 2))], [np.zeros(0, dtype=np.int64)]
+    rests = [np.zeros(0)]
+    n_moved = 0
+    for c0 in range(0, len(new_points), _BUILD_CHUNK):
+        pts = new_points[c0:c0 + _BUILD_CHUNK]
+        pos0 = tex_pos[pts[:, 0], pts[:, 1]]
+        box = (np.abs(anchor_u - pos0[:, :1]) <= half) \
+            & (np.abs(anchor_v - pos0[:, 1:]) <= half)
+        has = box.any(axis=1)
+        skipped.append(pts[~has])
+        pts, pos0, box = pts[has], pos0[has], box[has]
+        if len(pts) == 0:
+            continue
+
+        # One row of candidates per point, nearest first.  Anchors come
+        # row-major from np.nonzero, so the stable sort breaks distance ties
+        # by (oy, ox); padding sorts last.
+        pi, ai = np.nonzero(box)
+        count = np.bincount(pi, minlength=len(pts))
+        col = np.arange(len(pi)) - (np.cumsum(count) - count)[pi]
+        du = anchor_u[ai] - pos0[pi, 0]
+        dv = anchor_v[ai] - pos0[pi, 1]
+        d2 = np.full((len(pts), count.max()), np.inf)
+        d2[pi, col] = du * du + dv * dv
+        cand = np.zeros(d2.shape, dtype=np.int64)
+        cand[pi, col] = ai
+        cand = np.take_along_axis(cand, np.argsort(d2, axis=1, kind="stable"), axis=1)
+        rows = np.arange(len(pts))
+
+        # Local scale from every stride-th candidate, all pairs among them.
+        scol = np.arange(_SCALE_SAMPLES) * np.maximum(1, count // _SCALE_SAMPLES)[:, None]
+        used = scol < count[:, None]
+        sa = cand[rows[:, None], np.minimum(scol, count[:, None] - 1)]
+        sy, sx, su, sv = oy[sa], ox[sa], anchor_u[sa], anchor_v[sa]
+        img = np.hypot(sy[:, _PAIR_I] - sy[:, _PAIR_J], sx[:, _PAIR_I] - sx[:, _PAIR_J])
+        ok = used[:, _PAIR_I] & used[:, _PAIR_J] & (img >= 8.0)
+        du = su[:, _PAIR_I] - su[:, _PAIR_J]
+        dv = sv[:, _PAIR_I] - sv[:, _PAIR_J]
+        ratio = np.divide(np.sqrt(du * du + dv * dv), img,
+                          out=np.full(img.shape, np.inf), where=ok)
+        ratio.sort(axis=1)
+        k = ok.sum(axis=1)
+        # np.median's arithmetic: the middle value, or the mean of the two.
+        med = (ratio[rows, (k - 1) // 2] + ratio[rows, k // 2]) / 2.0
+        scale = np.where(k > 0, med, known_scale)
+
+        pn, cn = np.nonzero(np.arange(min(max_anchors, cand.shape[1])) < count[:, None])
+        an = cand[pn, cn]
+        img_d = np.sqrt((oy[an] - pts[pn, 0]) ** 2.0 + (ox[an] - pts[pn, 1]) ** 2.0)
+        anchors.append(anchor_pos[an])
+        spring_point.append(n_moved + pn)
+        rests.append(img_d * scale[pn])
+        moved.append(pts)
+        n_moved += len(pts)
+
+    moved = np.concatenate(moved)
+    sys = SpringSystem(points=tex_pos[moved[:, 0], moved[:, 1]].copy(),
+                       anchors=np.concatenate(anchors),
+                       spring_point=np.concatenate(spring_point),
+                       rest=np.maximum(np.concatenate(rests), 1e-6))
+    return sys, moved, np.concatenate(skipped)
 
 
 def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None = None):
@@ -260,51 +351,14 @@ def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None
 
     original = sil.copy()
     original[new_points[:, 0], new_points[:, 1]] = False
-    oy, ox = np.nonzero(original)
-    anchor_pos = tex_pos[oy, ox]
-    known_scale = _known_scale(tex_pos, original)
+    sys, pidx, skipped = build_springs(tex_pos, original, new_points,
+                                       cfg.region, cfg.max_anchors)
+    if len(pidx) == 0:
+        return P_ext.copy(), RelaxResult(system=None, moved=pidx, skipped=skipped)
 
-    half = cfg.region / 2.0
-    pts, springs_a, springs_p, rests, skipped = [], [], [], [], []
-    for y, x in new_points:
-        pos0 = tex_pos[y, x]
-        box = (np.abs(anchor_pos[:, 0] - pos0[0]) <= half) \
-            & (np.abs(anchor_pos[:, 1] - pos0[1]) <= half)
-        cand = np.nonzero(box)[0]
-        if len(cand) == 0:
-            skipped.append((y, x))
-            continue
-        d = anchor_pos[cand] - pos0
-        d2 = np.sum(d * d, axis=1)
-        order = np.lexsort((ox[cand], oy[cand], d2))
-        sel = cand[order[: cfg.max_anchors]]
-        k = len(pts)
-        pts.append((y, x))
-        # Local texels-per-pixel ratio from anchor pairs near this point;
-        # the chart scale varies spatially, so a global median would bake
-        # systematic strain into every rest length.  Pairs span the whole
-        # region at long baselines so per-entry UV noise averages out.
-        ssel = cand[order[:: max(1, len(order) // 48)][:48]]
-        scale = _local_scale(anchor_pos[ssel], oy[ssel], ox[ssel],
-                             known_scale, min_baseline=8.0)
-        img_d = np.sqrt((oy[sel] - y) ** 2.0 + (ox[sel] - x) ** 2.0)
-        springs_a.extend(anchor_pos[sel])
-        springs_p.extend([k] * len(sel))
-        rests.extend(img_d * scale)
-
-    if not pts:
-        res = RelaxResult(system=None, moved=np.zeros((0, 2), dtype=np.int64),
-                          skipped=np.array(skipped, dtype=np.int64).reshape(-1, 2))
-        return P_ext.copy(), res
-
-    pidx = np.array(pts, dtype=np.int64)
-    sys = SpringSystem(points=tex_pos[pidx[:, 0], pidx[:, 1]].copy(),
-                       anchors=np.array(springs_a),
-                       spring_point=np.array(springs_p, dtype=np.int64),
-                       rest=np.maximum(np.array(rests), 1e-6))
     d_before = sys.distortion()
-    push_it, _, ok1 = sys.relax_phase("push", cfg.step, cfg.force_tol, cfg.max_iters)
-    pull_it, fmax, ok2 = sys.relax_phase("pull", cfg.step, cfg.force_tol, cfg.max_iters)
+    push_it, _, ok1 = sys.relax_phase("push", cfg.force_tol, cfg.max_iters)
+    pull_it, fmax, ok2 = sys.relax_phase("pull", cfg.force_tol, cfg.max_iters)
     d_after = sys.distortion()
     converged = ok1 and ok2
 
@@ -316,5 +370,5 @@ def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None
     res = RelaxResult(system=sys, moved=pidx, distortion_before=d_before,
                       distortion_after=d_after, push_iters=push_it,
                       pull_iters=pull_it, max_force=fmax, converged=converged,
-                      skipped=np.array(skipped, dtype=np.int64).reshape(-1, 2))
+                      skipped=skipped)
     return out, res

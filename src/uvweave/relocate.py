@@ -101,12 +101,15 @@ def _downsample(img: np.ndarray) -> np.ndarray:
     return img[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2, -1).mean(axis=(1, 3))
 
 
-def _shift(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """out[q] = img[q + (dy, dx)] with edge clamping."""
-    h, w = img.shape[:2]
-    ys = np.clip(np.arange(h) + dy, 0, h - 1)
-    xs = np.clip(np.arange(w) + dx, 0, w - 1)
-    return img[ys[:, None], xs[None, :]]
+def _edge_pad(img: np.ndarray, pad: int) -> np.ndarray:
+    """``img`` with its border rows and columns repeated ``pad`` times."""
+    return np.pad(img, ((pad, pad), (pad, pad)) + ((0, 0),) * (img.ndim - 2), mode="edge")
+
+
+def _shifted(padded: np.ndarray, pad: int, h: int, w: int, dy: int, dx: int) -> np.ndarray:
+    """View with out[q] = img[q + (dy, dx)], edges clamped, for
+    ``padded = _edge_pad(img, pad)`` and |dy|, |dx| <= pad."""
+    return padded[pad + dy:pad + dy + h, pad + dx:pad + dx + w]
 
 
 def _candidates(radius: int):
@@ -164,9 +167,11 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None) -> FlowF
         keys = sorted({(int(g[0]) + dy, int(g[1]) + dx)
                        for g in uniq for dy, dx in offs})
         kidx = {d: i for i, d in enumerate(keys)}
+        pad = max(max(abs(dy), abs(dx)) for dy, dx in keys)
+        b_pad = _edge_pad(b, pad)
         vols = np.empty((len(keys), h, w), dtype=np.float64)
         for i, (dy, dx) in enumerate(keys):
-            diff = a - _shift(b, dy, dx)
+            diff = a - _shifted(b_pad, pad, h, w, dy, dx)
             ssd = np.sum(diff * diff, axis=2)
             vols[i] = ndi.uniform_filter(ssd, size=cfg.block, mode="nearest")
         lut = np.empty((len(uniq), len(offs)), dtype=np.int64)
@@ -353,16 +358,34 @@ def frame_zero_products(P_o0: UVMap, I0: Field2, tex_w: int, tex_h: int):
 
 def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Correspondence,
                    cfg: RelocateConfig | None = None,
-                   external_flow: FlowField | None = None):
-    """Full relocation of one frame; returns (P_f, Q_t, flow, T_t)."""
+                   external_flow: FlowField | None = None,
+                   record: dict | None = None):
+    """Full relocation of one frame; returns (P_f, Q_t, flow, T_t).
+
+    A ``record`` dict, when given, receives the flow magnitude over the
+    texels the frame covers (``flow_mean_texels``, ``flow_max_texels``)
+    and how those texels ended: ``matched`` (valid after flow and prune),
+    ``pruned``, ``filled`` by patch matching, or still ``unfilled``.
+    """
     cfg = cfg or RelocateConfig()
     tex_w, tex_h = Q0.width, Q0.height
     g = texture_grid(P_o, tex_w, tex_h)
+    covered = g.coverage > 0
     T_t = warp(I, g)
     flow = external_flow if external_flow is not None else block_flow(T_t, T_o, cfg.flow)
     Qr = init_correspondence(Q0, flow)
-    Qr.valid &= g.coverage > 0
+    Qr.valid &= covered
     Qc = prune_mismatch(Qr, T_o, T_t, cfg.tau)
-    Qt = patch_fill(Qc, T_o, T_t, Q0, cfg.patch, cfg.window, domain=g.coverage > 0)
+    Qt = patch_fill(Qc, T_o, T_t, Q0, cfg.patch, cfg.window, domain=covered)
     P_f = to_image_uv(Qt, P_o)
+    if record is not None:
+        d = flow.texels()[covered]
+        mag = np.sqrt(np.sum(d * d, axis=1))
+        record.update({
+            "flow_mean_texels": float(mag.mean()) if len(mag) else 0.0,
+            "flow_max_texels": float(mag.max()) if len(mag) else 0.0,
+            "covered": int(covered.sum()), "matched": int(Qc.valid.sum()),
+            "pruned": int((Qr.valid & ~Qc.valid).sum()),
+            "filled": int((Qt.valid & ~Qc.valid).sum()),
+            "unfilled": int((covered & ~Qt.valid).sum())})
     return P_f, Qt, flow, T_t

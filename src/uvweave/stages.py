@@ -151,6 +151,8 @@ def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
     m.write_texture("texture_o", T_o)
     m.write_corr("corr0", Q0)
 
+    (m.root / "traces").mkdir(exist_ok=True)
+
     def run(i):
         P, I = load(i)
         ext = None
@@ -159,10 +161,12 @@ def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
             if not p.is_file():
                 raise ValidationError(f"missing external flow {p}")
             ext = read_flo(p)
-        return relocate_frame(P, I, T_o, Q0, cfg, external_flow=ext)
+        record = {}
+        return relocate_frame(P, I, T_o, Q0, cfg, external_flow=ext, record=record), record
 
     results = _map_frames(run, range(m.n_frames), threads)
-    for i, (P_f, Qt, flow, T_t) in enumerate(results):
+    for i, ((P_f, Qt, flow, T_t), record) in enumerate(results):
+        _write_trace(m, i, "rel", record)
         m.write_uv(i, "uv_final", P_f)
         m.write_corr("corr", Qt, frame=i)
         m.write_texture("texframe", T_t, frame=i)
@@ -283,6 +287,41 @@ def stage_pipeline(root, extend_cfg=None, opt_cfg=None, reloc_cfg=None,
     stage_relocate(root, reloc_cfg, threads)
     stage_synth(root, threads)
     return stage_metrics(root, threads)
+
+
+def _read_traces(m: Manifest, stage: str) -> list:
+    out = []
+    for i in range(m.n_frames):
+        with open(m.frame_item(i, f"{stage}_trace")) as fh:
+            out.append(json.load(fh))
+    return out
+
+
+def stage_summary(root, stage: str) -> str:
+    """One line summing the per-frame traces of ``extend``, ``optimize`` or
+    ``relocate``."""
+    m = Manifest.load(root)
+    m.require_stage(stage)
+    tr = _read_traces(m, {"extend": "ext", "optimize": "opt", "relocate": "rel"}[stage])
+
+    def total(key):
+        return sum(t[key] for t in tr)
+
+    head = f"{stage}: {len(tr)} frames"
+    if stage == "extend":
+        return (f"{head}, {total('moved')} moved, {total('skipped')} skipped, "
+                f"{total('push_iters') + total('pull_iters')} spring iterations, "
+                f"{sum(not t['converged'] for t in tr)} unconverged")
+    if stage == "optimize":
+        return (f"{head}, {total('steps')} steps, {total('rejected')} rejected, "
+                f"{total('clamped')} clamped, "
+                f"{sum(t['stop_reason'] == 'converged' for t in tr)} converged")
+    covered = total("covered")
+    mean = sum(t["flow_mean_texels"] * t["covered"] for t in tr) / max(covered, 1)
+    return (f"{head}, flow mean {mean:.3f} max {max(t['flow_max_texels'] for t in tr):.3f} "
+            f"texels, {covered} covered, {total('matched')} matched, "
+            f"{total('pruned')} pruned, {total('filled')} filled, "
+            f"{total('unfilled')} unfilled")
 
 
 def run_grad_check(seeds=(0, 1, 2), size: int = 8, probes: int = 20,

@@ -4,8 +4,9 @@ Plain descent on the appearance loss plus the smoothness regularizer.
 The default learning rate is deliberately aggressive and scene-tuned; a
 backtracking guard halves it whenever a step would increase the loss, so
 the recorded trace is non-increasing on every accepted step.  Each
-candidate costs one forward pass of the appearance loss, and the gradient
-of an accepted candidate reuses that pass.  Frames are independent, so
+candidate costs one forward pass of the appearance loss and one
+evaluation of the regularizer with its gradient; an accepted candidate
+reuses both.  Frames are independent, so
 callers can optimize them in parallel.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fields import Field2
-from .gradcore import forward_app, grad_app, grad_reg, loss_reg
+from .gradcore import forward_app, grad_app, grad_reg
 from .warpmap import UVMap
 
 UV_CLAMP = (-1.0, 2.0)
@@ -115,7 +116,8 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
             cand[~sil] = 0.0
             Q = UVMap(cand, sil)
             fwd = forward_app(Q, I, tw, th)
-            ca, cr = fwd.l_app, loss_reg(Q, cfg.alpha1, cfg.alpha2)
+            reg_c = grad_reg(Q, cfg.alpha1, cfg.alpha2)
+            ca, cr = fwd.l_app, reg_c.l_reg
             if ca + cr <= cur:
                 accepted = True
                 break
@@ -127,9 +129,10 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
         clamped += int(np.count_nonzero((raw < UV_CLAMP[0]) | (raw > UV_CLAMP[1])))
         uv = cand
         la, lr_loss = ca, cr
-        # The accepted candidate's forward pass feeds its gradient.
+        # The accepted candidate's forward pass feeds its gradient, and its
+        # regularizer report is already whole.
         rep_a = grad_app(Q, I, tw, th, fwd=fwd)
-        rep_r = grad_reg(Q, cfg.alpha1, cfg.alpha2)
+        rep_r = reg_c
     else:
         trace.l_app.append(la)
         trace.l_reg.append(lr_loss)

@@ -162,6 +162,53 @@ def test_extend_traces_recorded(piped):
         assert tr["push_iters"] + tr["pull_iters"] > 0
 
 
+def test_relocate_traces_recorded(piped):
+    piped, _ = piped
+    man = json.loads((piped / "manifest.json").read_text())
+    keys = ["covered", "filled", "flow_max_texels", "flow_mean_texels", "matched",
+            "pruned", "unfilled"]
+    for i in range(3):
+        rel = man["frames"][i]["rel_trace"]
+        assert rel == f"traces/f{i:04d}_rel.json"
+        text = (piped / rel).read_text()
+        tr = json.loads(text)
+        assert list(tr) == keys and text.endswith("\n")
+        assert tr["covered"] > 0 and min(tr.values()) >= 0
+        # every covered texel is matched, filled or left unfilled
+        assert tr["matched"] + tr["filled"] + tr["unfilled"] == tr["covered"]
+        assert tr["flow_max_texels"] >= tr["flow_mean_texels"]
+        if i == 0:
+            # frame 0 is the reference: it matches itself everywhere
+            assert tr["flow_max_texels"] == 0.0 and tr["pruned"] == 0
+
+
+def test_stage_commands_print_trace_summaries(piped, tmp_path, capsys):
+    d = tmp_path / "summary"
+    shutil.copytree(piped[0], d)
+    capsys.readouterr()
+    assert main(["relocate", str(d), "--window", "11"]) == 0
+    rel = [json.loads((d / f"traces/f{i:04d}_rel.json").read_text()) for i in range(3)]
+    covered = sum(t["covered"] for t in rel)
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("relocate: 3 frames, flow mean ")
+    assert line.endswith(f"texels, {covered} covered, {sum(t['matched'] for t in rel)} "
+                         f"matched, {sum(t['pruned'] for t in rel)} pruned, "
+                         f"{sum(t['filled'] for t in rel)} filled, "
+                         f"{sum(t['unfilled'] for t in rel)} unfilled")
+    assert main(["extend", str(d), "--max-iters", "400"]) == 0
+    ext = [json.loads((d / f"traces/f{i:04d}_ext.json").read_text()) for i in range(3)]
+    iters = sum(t["push_iters"] + t["pull_iters"] for t in ext)
+    assert capsys.readouterr().out == (
+        f"extend: 3 frames, {sum(t['moved'] for t in ext)} moved, "
+        f"{sum(t['skipped'] for t in ext)} skipped, {iters} spring iterations, 0 unconverged\n")
+    assert main(["optimize", str(d), "--max-steps", "5"]) == 0
+    opt = [json.loads((d / f"traces/f{i:04d}_opt.json").read_text()) for i in range(3)]
+    assert capsys.readouterr().out == (
+        f"optimize: 3 frames, {sum(t['steps'] for t in opt)} steps, "
+        f"{sum(t['rejected'] for t in opt)} rejected, {sum(t['clamped'] for t in opt)} "
+        f"clamped, 0 converged\n")
+
+
 def test_rerun_drops_downstream_stages(piped, tmp_path, capsys):
     d = tmp_path / "rerun"
     shutil.copytree(piped[0], d)

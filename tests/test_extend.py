@@ -6,8 +6,9 @@ import pytest
 from uvweave import (CorruptConfig, SceneConfig, SpringConfig, SpringSystem, UVMap,
                      ValidationError, corrupt, extrapolate_uv, gen_sequence, label_fill,
                      relax_springs)
-from uvweave.extend import _known_neighbors
+from uvweave.extend import _BUILD_CHUNK, _known_neighbors, _known_scale, build_springs
 from uvweave.fields import pixel_center_grid
+from uvweave.warpmap import texture_positions
 
 
 def test_label_fill_identity_when_mask_equals_sil():
@@ -154,7 +155,7 @@ def test_spring_two_anchor_symmetry():
     f_push = sys.net_forces("push")
     f_pull = sys.net_forces("pull")
     assert np.allclose(f_push, 0.0) and np.allclose(f_pull, 0.0)
-    sys.relax_phase("push", 0.1, 1e-3, 500)
+    sys.relax_phase("push", 1e-3, 500)
     assert np.allclose(sys.points, [[5.0, 5.0]])
 
 
@@ -163,7 +164,7 @@ def test_spring_compressed_push_to_rest():
                        anchors=np.array([[5.0, 4.0]]),
                        spring_point=np.array([0]),
                        rest=np.array([2.0]))
-    sys.relax_phase("push", 0.1, 1e-3, 2000)
+    sys.relax_phase("push", 1e-3, 2000)
     sep = np.linalg.norm(sys.points[0] - [5.0, 4.0])
     assert sep == pytest.approx(2.0, abs=2e-3)
 
@@ -265,3 +266,146 @@ def test_net_forces_match_add_at_reference():
     empty = SpringSystem(points=np.zeros((2, 2)), anchors=np.zeros((0, 2)),
                          spring_point=np.zeros(0, dtype=np.int64), rest=np.zeros(0))
     assert (empty.net_forces("pull") == 0.0).all() and empty.net_forces("pull").shape == (2, 2)
+
+
+def test_spring_compressed_reaches_rest_in_one_push_iteration():
+    sys = SpringSystem(points=np.array([[5.0, 4.5]]),
+                       anchors=np.array([[5.0, 4.0]]),
+                       spring_point=np.array([0]),
+                       rest=np.array([2.0]))
+    iters, fmax, converged = sys.relax_phase("push", 1e-3, 2000)
+    assert (iters, converged) == (1, True) and fmax == 0.0
+    assert (sys.points == [[5.0, 6.0]]).all()
+
+
+def _local_scale(apos, ay, ax, fallback, min_baseline=4.0):
+    """Median pairwise texture/image distance ratio among one point's anchors."""
+    n = len(apos)
+    if n < 2:
+        return fallback
+    ii, jj = np.triu_indices(n, k=1)
+    img = np.hypot(ay[ii] - ay[jj], ax[ii] - ax[jj]).astype(np.float64)
+    keep = img >= min_baseline
+    if not keep.any():
+        return fallback
+    tex = np.linalg.norm(apos[ii[keep]] - apos[jj[keep]], axis=1)
+    return float(np.median(tex / img[keep]))
+
+
+def loop_build_springs(tex_pos, original, new_points, region, max_anchors):
+    """Reference: the per-point spring build, one box test and sort per point."""
+    oy, ox = np.nonzero(original)
+    anchor_pos = tex_pos[oy, ox]
+    known_scale = _known_scale(tex_pos, original)
+    half = region / 2.0
+    pts, springs_a, springs_p, rests, skipped = [], [], [], [], []
+    for y, x in new_points:
+        pos0 = tex_pos[y, x]
+        box = (np.abs(anchor_pos[:, 0] - pos0[0]) <= half) \
+            & (np.abs(anchor_pos[:, 1] - pos0[1]) <= half)
+        cand = np.nonzero(box)[0]
+        if len(cand) == 0:
+            skipped.append((y, x))
+            continue
+        d = anchor_pos[cand] - pos0
+        d2 = np.sum(d * d, axis=1)
+        order = np.lexsort((ox[cand], oy[cand], d2))
+        sel = cand[order[:max_anchors]]
+        k = len(pts)
+        pts.append((y, x))
+        ssel = cand[order[:: max(1, len(order) // 48)][:48]]
+        scale = _local_scale(anchor_pos[ssel], oy[ssel], ox[ssel],
+                             known_scale, min_baseline=8.0)
+        img_d = np.sqrt((oy[sel] - y) ** 2.0 + (ox[sel] - x) ** 2.0)
+        springs_a.extend(anchor_pos[sel])
+        springs_p.extend([k] * len(sel))
+        rests.extend(img_d * scale)
+    moved = np.array(pts, dtype=np.int64).reshape(-1, 2)
+    return (np.array(springs_a).reshape(-1, 2), np.array(springs_p, dtype=np.int64),
+            np.maximum(np.array(rests), 1e-6), moved,
+            np.array(skipped, dtype=np.int64).reshape(-1, 2))
+
+
+def assert_build_matches_loop(tex_pos, original, new_points, region=40, max_anchors=12):
+    sys, moved, skipped = build_springs(tex_pos, original, new_points, region, max_anchors)
+    anchors, spring_point, rest, ref_moved, ref_skipped = loop_build_springs(
+        tex_pos, original, new_points, region, max_anchors)
+    for got, ref in ((sys.anchors, anchors), (sys.spring_point, spring_point),
+                     (sys.rest, rest), (moved, ref_moved), (skipped, ref_skipped),
+                     (sys.points, tex_pos[ref_moved[:, 0], ref_moved[:, 1]])):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    return sys, moved, skipped
+
+
+def scene_build_inputs(fr, tex=96):
+    labeled = label_fill(fr.uv_raw, fr.mask)
+    ext, new_pts = extrapolate_uv(labeled, known=fr.uv_raw.silhouette)
+    tex_pos = texture_positions(ext) * np.array([tex, tex])
+    original = ext.silhouette.copy()
+    original[new_pts[:, 0], new_pts[:, 1]] = False
+    return tex_pos, original, new_pts
+
+
+def test_spring_build_matches_per_point_loop(monkeypatch):
+    # the cropped scene, with the noise that makes distance ties rare and
+    # then a piecewise-constant chart that makes them common
+    fs, fs_c = cropped_scene(uv_noise=0.01)
+    tex_pos, original, new_pts = scene_build_inputs(fs_c.frames[1])
+    assert len(new_pts) > 4 * _BUILD_CHUNK     # several passes
+    sys, _, _ = assert_build_matches_loop(tex_pos, original, new_pts)
+    counts = np.bincount(sys.spring_point)
+    assert counts.max() == 12
+    assert_build_matches_loop(np.round(tex_pos / 4.0) * 4.0, original, new_pts)
+    # small passes: chunk boundaries fall inside the point list
+    monkeypatch.setattr("uvweave.extend._BUILD_CHUNK", 7)
+    assert_build_matches_loop(tex_pos, original, new_pts)
+
+    # a ramp chart: from 1 candidate per point (stride 1, fewer than 48) to
+    # hundreds (stride > 1, more than 96), next to anchorless points
+    h, w = 40, 40
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    tex_pos = np.stack([1.5 * xx + 0.1 * yy, 0.5 * yy], axis=-1)
+    original = np.zeros((h, w), dtype=bool)
+    original[:, :20] = True
+    new_pts = np.argwhere(~original)
+    for region, max_anchors in ((4, 12), (30, 2000)):
+        sys, moved, skipped = assert_build_matches_loop(tex_pos, original, new_pts,
+                                                        region, max_anchors)
+        assert len(skipped) > 0 and len(moved) > 0
+    counts = np.bincount(sys.spring_point)     # every candidate is a spring
+    assert counts.min() == 1 and counts.max() > 96 and len(moved) > _BUILD_CHUNK
+
+
+def test_spring_build_skipped_point_and_scale_fallback():
+    # a 3x3 anchor block, 2 texels per pixel: no two anchors lie 8 pixels
+    # apart, so the local scale falls back to the known region's ratio, 2
+    h, w = 12, 12
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    tex_pos = np.stack([2.0 * xx, 2.0 * yy], axis=-1)
+    tex_pos[11, 11] = [500.0, 500.0]          # no anchor within the region
+    original = np.zeros((h, w), dtype=bool)
+    original[0:3, 0:3] = True
+    new_pts = np.array([[3, 3], [11, 11]])
+    sys, moved, skipped = assert_build_matches_loop(tex_pos, original, new_pts,
+                                                    region=40, max_anchors=4)
+    assert moved.tolist() == [[3, 3]] and skipped.tolist() == [[11, 11]]
+    # nearest first, the tie between (1, 2) and (2, 1) in row-major order
+    assert sys.anchors.tolist() == [[4.0, 4.0], [4.0, 2.0], [2.0, 4.0], [2.0, 2.0]]
+    assert np.allclose(sys.rest, 2.0 * np.sqrt([2.0, 5.0, 5.0, 8.0]), rtol=0, atol=1e-12)
+    # fewer candidates than max_anchors: all 9 become springs
+    sys, _, _ = assert_build_matches_loop(tex_pos, original, new_pts[:1],
+                                          region=40, max_anchors=20)
+    assert len(sys.rest) == 9
+
+
+def test_spring_iterations_cut_to_a_third():
+    # explicit Euler with the step capped by the largest anchor count took
+    # 330 push + 873 pull iterations on this frame
+    fs, fs_c = cropped_scene()
+    fr = fs_c.frames[1]
+    labeled = label_fill(fr.uv_raw, fr.mask)
+    ext, new_pts = extrapolate_uv(labeled, known=fr.uv_raw.silhouette)
+    _, res = relax_springs(ext, new_pts, SpringConfig(tex_w=96, tex_h=96))
+    assert res.converged
+    assert 3 * (res.push_iters + res.pull_iters) < 330 + 873

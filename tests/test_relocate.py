@@ -7,7 +7,8 @@ from uvweave import (Correspondence, Field2, FlowConfig, FlowField, SceneConfig,
                      init_correspondence, patch_fill, prune_mismatch, read_flo,
                      to_image_uv, write_flo)
 from uvweave.fields import pixel_center_grid
-from uvweave.relocate import _candidates, frame_zero_products, relocate_frame
+from uvweave.relocate import (_candidates, _edge_pad, _shifted, frame_zero_products,
+                              relocate_frame)
 from uvweave.warpmap import UVMap, texture_grid, warp
 
 
@@ -63,6 +64,31 @@ def test_candidates_prefer_small_displacements():
     offs = _candidates(1)
     assert offs == [(0, 0), (-1, 0), (0, -1), (0, 1), (1, 0),
                     (-1, -1), (-1, 1), (1, -1), (1, 1)]
+
+
+def loop_shift(img, dy, dx):
+    """Reference: out[q] = img[q + (dy, dx)] with edge clamping, by index."""
+    h, w = img.shape[:2]
+    ys = np.clip(np.arange(h) + dy, 0, h - 1)
+    xs = np.clip(np.arange(w) + dx, 0, w - 1)
+    return img[ys[:, None], xs[None, :]]
+
+
+def test_padded_slice_matches_clamped_shift():
+    rng = np.random.default_rng(4)
+    for shape in ((5, 7, 3), (6, 4), (1, 3, 2)):
+        img = rng.uniform(0, 1, shape)
+        h, w = shape[:2]
+        reach = 2 * max(h, w)
+        padded = _edge_pad(img, reach)
+        for dy in range(-reach, reach + 1):
+            for dx in range(-reach, reach + 1):
+                out = _shifted(padded, reach, h, w, dy, dx)
+                assert out.tobytes() == loop_shift(img, dy, dx).tobytes()
+        # the pad a level uses is its largest displacement, not more
+        pad = max(abs(-3), abs(2))
+        assert (_shifted(_edge_pad(img, pad), pad, h, w, -3, 2)
+                == loop_shift(img, -3, 2)).all()
 
 
 def test_block_flow_identical_is_zero():

@@ -208,3 +208,22 @@ def test_one_forward_pass_per_candidate_and_reference_loop_bitwise(monkeypatch):
     # the cases reach convergence, clipping, rejection and a held position
     assert {s[0] for s in seen} == {"max_steps", "converged"}
     assert any(s[1] for s in seen) and any(s[2] for s in seen) and any(s[3] for s in seen)
+
+
+def test_one_regularizer_evaluation_per_candidate(monkeypatch):
+    # each candidate's grad_reg report serves both its line-search test and,
+    # once accepted, the next step's gradient
+    _, fr = noisy_frame()
+    for cfg in (OptConfig(max_steps=12, lr=1e6),
+                OptConfig(max_steps=6, lr=1e6, lr_floor=1e4)):
+        candidates = reference_optimize(fr.uv_raw, fr.image, cfg)[5]
+        calls = []
+
+        def counting(*args, _f=gradcore._reg_terms, **kwargs):
+            calls.append(1)
+            return _f(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(gradcore, "_reg_terms", counting)
+            optimize_uv(fr.uv_raw, fr.image, cfg)
+        assert len(calls) == 1 + candidates
