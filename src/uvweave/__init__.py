@@ -3,13 +3,13 @@
 The package turns per-frame UV maps (displacement convention: texture
 coordinate = pixel position minus stored offset) into a consistent
 sequence: extend UVs past the silhouette with a mass-spring relaxation,
-refine them against the frames by gradient descent on a differentiable
-warp chain, re-anchor every frame to the frame-0 texture with block
-matching, and finally render with a constant-cost per-pixel lookup.
+smooth them with one sparse regularized solve per frame, re-anchor every
+frame to the frame-0 texture with block matching, and finally render with
+a constant-cost per-pixel lookup.
 """
 
 from .errors import NumericalError, ValidationError
-from .fields import Field2, pixel_center_grid, sample_bilinear, sobel_gradient
+from .fields import Field2, pixel_center_grid, sample_bilinear
 from .warpmap import UVMap, WarpGrid, image_grid, texture_grid, texture_positions, warp
 from .gradcore import (AppForward, LossReport, fd_probe_check, forward_app, grad_app,
                        grad_reg, loss_app, loss_reg)
@@ -44,7 +44,7 @@ __all__ = [
     "metric_psnr", "metric_tdiff", "metric_tof", "optimize_uv",
     "pair_flows", "patch_fill", "pixel_center_grid", "prune_mismatch",
     "read_flo", "read_pfm", "read_ppm", "relax_springs", "relocate_frame",
-    "render_lookup", "sample_bilinear", "sobel_gradient", "texture_grid",
+    "render_lookup", "sample_bilinear", "texture_grid",
     "texture_positions", "to_image_uv", "warp", "write_flo", "write_pfm",
     "write_ppm", "uv_motion_fields",
 ]

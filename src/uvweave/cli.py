@@ -50,8 +50,7 @@ def _scene_config(args) -> SceneConfig:
 
 
 def _opt_config(args) -> OptConfig:
-    return OptConfig(alpha1=args.alpha1, alpha2=args.alpha2, lr=args.lr,
-                     max_steps=args.max_steps)
+    return OptConfig(alpha1=args.alpha1, alpha2=args.alpha2)
 
 
 def _reloc_config(args) -> RelocateConfig:
@@ -63,8 +62,8 @@ def _reloc_config(args) -> RelocateConfig:
 def _add_opt_args(p):
     p.add_argument("--alpha1", type=float, default=100.0)
     p.add_argument("--alpha2", type=float, default=10.0)
-    p.add_argument("--lr", type=float, default=10.0)
-    p.add_argument("--max-steps", type=int, default=16500)
+    p.add_argument("--max-steps", type=int, default=None,
+                   help="ignored: optimize is one solve per frame, with no steps")
 
 
 def _add_reloc_args(p):
@@ -115,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=2000)
     _add_threads(p)
 
-    p = sub.add_parser("optimize", help="gradient-descend the appearance loss")
+    p = sub.add_parser("optimize",
+                       help="smooth the extended UVs with one sparse solve per frame")
     p.add_argument("dir")
     _add_opt_args(p)
     _add_threads(p)

@@ -219,30 +219,3 @@ def sample_bilinear(f: Field2, p):
         vmask = f.valid.astype(np.float64)[:, :, None]
         validity = _bilinear_gather(vmask, gx, gy)[..., 0]
     return vals, validity
-
-
-def sobel_gradient(f: Field2) -> Field2:
-    """Per-channel spatial gradient field, 2*C channels.
-
-    Central differences in the interior, one-sided on the boundary, in
-    normalized-coordinate units.  Output channel 2c is d(channel c)/dx and
-    channel 2c + 1 is d(channel c)/dy.
-    """
-    if f.width < 3 or f.height < 3:
-        raise ValidationError(f"gradient needs at least a 3x3 field, got {f.width}x{f.height}")
-    if 2 * f.channels > MAX_CHANNELS:
-        raise ValidationError(f"gradient output would exceed {MAX_CHANNELS} channels")
-    d = f.data
-    h, w, c = d.shape
-    dx = np.empty_like(d)
-    dx[:, 1:-1] = (d[:, 2:] - d[:, :-2]) * (w / 2.0)
-    dx[:, 0] = (d[:, 1] - d[:, 0]) * w
-    dx[:, -1] = (d[:, -1] - d[:, -2]) * w
-    dy = np.empty_like(d)
-    dy[1:-1] = (d[2:] - d[:-2]) * (h / 2.0)
-    dy[0] = (d[1] - d[0]) * h
-    dy[-1] = (d[-1] - d[-2]) * h
-    out = np.empty((h, w, 2 * c), dtype=np.float64)
-    out[..., 0::2] = dx
-    out[..., 1::2] = dy
-    return Field2(out, valid=None if f.valid is None else f.valid.copy())

@@ -12,13 +12,13 @@ holding the loss and every intermediate the adjoint needs; ``loss_app`` is
 its ``l_app``.  ``grad_app`` backpropagates the residual through both
 dependencies on P: the direct path (the re-render samples T at a
 P-dependent location) and the texture path (the splat weights that built T
-are themselves functions of P).  Given the record of a forward pass it
-already ran (``fwd=``), it runs the adjoint alone, so a line search that
-evaluated a candidate pays no second forward pass for its gradient.  The
-adjoint reuses the recorded splat weights, so it is the exact derivative
-of the discrete forward computation; the only dropped term is the
-nearest-neighbor fill of uncovered texels, whose values are extrapolations
-rather than data.
+are themselves functions of P).  The adjoint reuses the recorded splat
+weights, so it is the exact derivative of the discrete forward
+computation; the only dropped term is the nearest-neighbor fill of
+uncovered texels, whose values are extrapolations rather than data.
+
+``reg_matrix`` writes the smoothness regularizer ``l_reg`` as the sparse
+quadratic form that ``uvopt`` solves with.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ValidationError
 from .fields import Field2, _bilinear_gather, scatter_add
@@ -96,20 +97,11 @@ def loss_app(P: UVMap, I: Field2, tex_w: int | None = None,
 
 
 def grad_app(P: UVMap, I: Field2, tex_w: int | None = None,
-             tex_h: int | None = None, fwd: AppForward | None = None) -> LossReport:
-    """Appearance loss and its exact gradient with respect to the UV field.
-
-    ``fwd`` is the record of ``forward_app(P, I, tex_w, tex_h)`` when the
-    caller already has it; the forward pass is then not repeated.
-    """
-    _check_pair(P, I)
+             tex_h: int | None = None) -> LossReport:
+    """Appearance loss and its exact gradient with respect to the UV field."""
     tex_w = tex_w or I.width
     tex_h = tex_h or I.height
-    if fwd is None:
-        fwd = forward_app(P, I, tex_w, tex_h)
-    elif (fwd.rec.tex_w, fwd.rec.tex_h) != (tex_w, tex_h):
-        raise ValidationError("forward record was made for another texture size")
-    rec, tgt, cov, T, dT_dqx, dT_dqy, T_at, res, l_app = fwd
+    rec, tgt, cov, T, dT_dqx, dT_dqy, T_at, res, l_app = forward_app(P, I, tex_w, tex_h)
 
     r = 2.0 * res                                      # dl/dI' per pixel, (n, C)
     fx, fy, w = rec.fx, rec.fy, rec.weights
@@ -198,6 +190,46 @@ def _reg_terms(P: UVMap, alpha1: float, alpha2: float, want_grad: bool):
         g[:-1, 1:] -= t
         g[:-1, :-1] += t
     return float(l), g
+
+
+def reg_matrix(sil: np.ndarray, alpha1: float, alpha2: float) -> sp.csc_matrix:
+    """The quadratic form of the regularizer over the silhouette pixels.
+
+    ``l_reg(P) = sum over channels of v' H v``, where ``v`` holds one UV
+    channel at the silhouette pixels in row-major order, so ``2 H v`` is
+    ``grad_reg``.  ``H = sum of weight * D' D`` over the five difference
+    stencils of ``_reg_terms``, each stencil kept where all its taps lie in
+    the silhouette.
+    """
+    h, w = sil.shape
+    if w < 5 or h < 5:
+        raise ValidationError(f"regularizer needs at least a 5x5 grid, got {w}x{h}")
+    n = int(sil.sum())
+    index = np.full((h, w), -1, dtype=np.int64)
+    index[sil] = np.arange(n)
+    # (weight, scale, taps as (dy, dx, coefficient))
+    stencils = [
+        (alpha1, w, [(0, 0, -1.0), (0, 1, 1.0)]),
+        (alpha1, h, [(0, 0, -1.0), (1, 0, 1.0)]),
+        (alpha2, w * w, [(0, 0, 1.0), (0, 1, -2.0), (0, 2, 1.0)]),
+        (alpha2, h * h, [(0, 0, 1.0), (1, 0, -2.0), (2, 0, 1.0)]),
+        (2.0 * alpha2, w * h, [(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 1.0)]),
+    ]
+    blocks, weights = [], []
+    for weight, scale, taps in stencils:
+        sy = h - max(t[0] for t in taps)
+        sx = w - max(t[1] for t in taps)
+        ok = np.ones((sy, sx), dtype=bool)
+        for dy, dx, _ in taps:
+            ok &= sil[dy:dy + sy, dx:dx + sx]
+        ys, xs = np.nonzero(ok)
+        cols = np.stack([index[ys + dy, xs + dx] for dy, dx, _ in taps], axis=1)
+        vals = np.tile([c * scale for _, _, c in taps], len(ys))
+        rows = np.repeat(np.arange(len(ys)), len(taps))
+        blocks.append(sp.csr_matrix((vals, (rows, cols.ravel())), shape=(len(ys), n)))
+        weights.append(np.full(len(ys), weight))
+    D = sp.vstack(blocks)
+    return (D.T @ sp.diags(np.concatenate(weights)) @ D).tocsc()
 
 
 def loss_reg(P: UVMap, alpha1: float, alpha2: float) -> float:

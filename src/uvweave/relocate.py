@@ -151,7 +151,7 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None) -> FlowF
             if hh < h:
                 base[hh:] = base[hh - 1]
             if ww < w:
-                base[:, ww:] = base[:, ww - 1]
+                base[:, ww:] = base[:, ww - 1:ww]
         # Smooth the carried-over estimate so neighboring blocks search
         # around consistent centers.
         base = ndi.uniform_filter(base, size=(cfg.block, cfg.block, 1), mode="nearest")

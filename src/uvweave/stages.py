@@ -125,9 +125,7 @@ def stage_optimize(root, cfg: OptConfig | None = None, threads: int = 1) -> Mani
     for i, (P, trace) in enumerate(results):
         m.write_uv(i, "uv_opt", P)
         _write_trace(m, i, "opt", {"l_app": trace.l_app, "l_reg": trace.l_reg,
-                                   "steps": trace.steps, "stop_reason": trace.stop_reason,
-                                   "lr_final": trace.lr_final, "clamped": trace.clamped,
-                                   "rejected": trace.rejected})
+                                   "steps": trace.steps, "residual": trace.residual})
     m.mark_stage("optimize", config_dict(cfg))
     m.save()
     return m
@@ -313,9 +311,10 @@ def stage_summary(root, stage: str) -> str:
                 f"{total('push_iters') + total('pull_iters')} spring iterations, "
                 f"{sum(not t['converged'] for t in tr)} unconverged")
     if stage == "optimize":
-        return (f"{head}, {total('steps')} steps, {total('rejected')} rejected, "
-                f"{total('clamped')} clamped, "
-                f"{sum(t['stop_reason'] == 'converged' for t in tr)} converged")
+        before = sum(t["l_app"][0] for t in tr)
+        after = sum(t["l_app"][-1] for t in tr)
+        return (f"{head}, l_app {before:.4g} -> {after:.4g}, "
+                f"max residual {max(t['residual'] for t in tr):.1e}")
     covered = total("covered")
     mean = sum(t["flow_mean_texels"] * t["covered"] for t in tr) / max(covered, 1)
     return (f"{head}, flow mean {mean:.3f} max {max(t['flow_max_texels'] for t in tr):.3f} "

@@ -1,13 +1,17 @@
-"""Gradient-descent refinement of a UV map against its frame.
+"""Refinement of a UV map by one sparse smoothing solve per frame.
 
-Plain descent on the appearance loss plus the smoothness regularizer.
-The default learning rate is deliberately aggressive and scene-tuned; a
-backtracking guard halves it whenever a step would increase the loss, so
-the recorded trace is non-increasing on every accepted step.  Each
-candidate costs one forward pass of the appearance loss and one
-evaluation of the regularizer with its gradient; an accepted candidate
-reuses both.  Frames are independent, so
-callers can optimize them in parallel.
+The appearance loss cannot tell a right chart from a wrong one: any
+smooth, injective map reproduces its frame up to resampling blur.  What
+refinement supplies is smoothness, so it minimizes
+
+    mu * |uv - uv_init|^2 + l_reg(uv)
+
+over the silhouette pixels.  ``l_reg`` is the quadratic form ``H`` of
+``gradcore.reg_matrix``, so the minimizer solves ``(H + mu I) uv = mu
+uv_init`` (a Whittaker smoother, Eilers 2003); one sparse LU factorization
+serves both UV channels.  ``mu`` follows the image size, because the
+second differences of ``l_reg`` grow as its fourth power.  Frames are
+independent, so callers can optimize them in parallel.
 """
 
 from __future__ import annotations
@@ -16,58 +20,47 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import identity
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .fields import Field2
-from .gradcore import forward_app, grad_app, grad_reg
+from .gradcore import loss_app, loss_reg, reg_matrix
 from .warpmap import UVMap
 
-UV_CLAMP = (-1.0, 2.0)
+MU_64 = 1.2e7   # data weight at a 64x64 image
 
 
 @dataclass
 class OptConfig:
     alpha1: float = 100.0
     alpha2: float = 10.0
-    lr: float = 10.0
-    max_steps: int = 16500
-    rel_tol: float = 1e-6
-    window: int = 100          # steps between the two points of the rel_tol test
     tex_w: int | None = None   # texture resolution; image size when None
     tex_h: int | None = None
-    lr_floor: float = 1e-14
-    divergence_factor: float = 10.0
-    divergence_patience: int = 50
 
     def __post_init__(self):
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValidationError("regularizer weights must be non-negative")
-        if self.lr <= 0 or self.max_steps < 1 or self.rel_tol < 0 or self.window < 1:
-            raise ValidationError("bad optimizer configuration")
 
 
 @dataclass
 class OptTrace:
-    l_app: list = field(default_factory=list)
+    l_app: list = field(default_factory=list)   # [before, after]
     l_reg: list = field(default_factory=list)
-    steps: int = 0
-    lr_final: float = 0.0
-    stop_reason: str = ""
-    clamped: int = 0          # UV components the accepted steps clipped
-    rejected: int = 0         # line-search candidates that raised the loss
-    wall_time: float = 0.0     # informational only; never serialized
+    residual: float = 0.0     # max |A uv - b| / max |b| of the solve
+    wall_time: float = 0.0    # informational only; never serialized
+
+    @property
+    def steps(self) -> int:
+        return len(self.l_app)
 
     @property
     def total(self) -> list:
         return [a + r for a, r in zip(self.l_app, self.l_reg)]
 
 
-def _check_divergence(totals, initial, factor, patience) -> bool:
-    """True when the loss has exceeded factor * initial for `patience` steps."""
-    if len(totals) < patience:
-        return False
-    bound = factor * max(initial, 1e-300)
-    return all(t > bound for t in totals[-patience:])
+def data_weight(width: int, height: int) -> float:
+    """``mu`` for a ``width x height`` image."""
+    return MU_64 * (width * height / 64.0 ** 2) ** 2
 
 
 def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
@@ -77,70 +70,27 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
         raise ValidationError("uv map and image resolutions differ")
     if I.valid is not None and (I.valid & ~P_init.silhouette).any():
         raise ValidationError("uv map does not cover the frame's foreground")
-    tw = cfg.tex_w or I.width
-    th = cfg.tex_h or I.height
+
+    # Imported here: scipy.sparse.linalg loads scipy.linalg, about 8 MB of
+    # resident memory that a process which never optimizes need not pay.
+    from scipy.sparse.linalg import splu
 
     t0 = time.perf_counter()
     sil = P_init.silhouette
-    uv = P_init.uv.data.copy()
-    trace = OptTrace()
-    lr = cfg.lr
-    clamped = rejected = 0
-
+    mu = data_weight(I.width, I.height)
+    H = reg_matrix(sil, cfg.alpha1, cfg.alpha2)
+    A = H + mu * identity(H.shape[0], format="csc")
+    b = mu * P_init.uv.data[sil]                      # (n, 2), one column per channel
+    x = splu(A).solve(b)
+    uv = np.zeros_like(P_init.uv.data)
+    uv[sil] = x
     P = UVMap(uv, sil)
-    rep_a = grad_app(P, I, tw, th)
-    rep_r = grad_reg(P, cfg.alpha1, cfg.alpha2)
-    la, lr_loss = rep_a.l_app, rep_r.l_reg
-    initial = la + lr_loss
-    totals = []
-    stop = "max_steps"
-    for step in range(cfg.max_steps):
-        trace.l_app.append(la)
-        trace.l_reg.append(lr_loss)
-        totals.append(la + lr_loss)
-        if _check_divergence(totals, initial, cfg.divergence_factor,
-                             cfg.divergence_patience):
-            raise NumericalError("divergence; reduce lr")
-        if step >= cfg.window:
-            ref = totals[step - cfg.window]
-            if ref - totals[step] < cfg.rel_tol * max(ref, 1e-300):
-                stop = "converged"
-                break
 
-        g = rep_a.grad.data + rep_r.grad.data
-        cur = la + lr_loss
-        accepted = False
-        while lr >= cfg.lr_floor:
-            raw = uv - lr * g
-            cand = np.clip(raw, UV_CLAMP[0], UV_CLAMP[1])
-            cand[~sil] = 0.0
-            Q = UVMap(cand, sil)
-            fwd = forward_app(Q, I, tw, th)
-            reg_c = grad_reg(Q, cfg.alpha1, cfg.alpha2)
-            ca, cr = fwd.l_app, reg_c.l_reg
-            if ca + cr <= cur:
-                accepted = True
-                break
-            rejected += 1
-            lr *= 0.5
-        if not accepted:
-            # Even the smallest step increases the loss: hold position.
-            continue
-        clamped += int(np.count_nonzero((raw < UV_CLAMP[0]) | (raw > UV_CLAMP[1])))
-        uv = cand
-        la, lr_loss = ca, cr
-        # The accepted candidate's forward pass feeds its gradient, and its
-        # regularizer report is already whole.
-        rep_a = grad_app(Q, I, tw, th, fwd=fwd)
-        rep_r = reg_c
-    else:
-        trace.l_app.append(la)
-        trace.l_reg.append(lr_loss)
-
-    trace.steps = len(trace.l_app)
-    trace.lr_final = lr
-    trace.stop_reason = stop
-    trace.clamped = clamped
-    trace.rejected = rejected
+    trace = OptTrace()
+    for Q in (P_init, P):
+        trace.l_app.append(loss_app(Q, I, cfg.tex_w, cfg.tex_h))
+        trace.l_reg.append(loss_reg(Q, cfg.alpha1, cfg.alpha2))
+    trace.residual = float(np.abs(A @ x - b).max(initial=0.0)
+                           / max(np.abs(b).max(initial=0.0), 1e-300))
     trace.wall_time = time.perf_counter() - t0
-    return UVMap(uv, sil), trace
+    return P, trace

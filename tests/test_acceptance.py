@@ -56,7 +56,7 @@ def recovery(tmp_path_factory):
     stages.stage_corrupt(root, CorruptConfig(margin=4, dup_blocks=8, dup_size=8,
                                              uv_noise=0.01, seed=1))
     t0 = time.perf_counter()
-    stages.stage_pipeline(root, None, OptConfig(max_steps=250), None, threads=4)
+    stages.stage_pipeline(root, None, OptConfig(), None, threads=4)
     elapsed = time.perf_counter() - t0
     return Manifest.load(root), elapsed
 
@@ -322,7 +322,7 @@ def test_bitwise_determinism(tmp_path):
         stages.stage_corrupt(root, CorruptConfig(margin=2, dup_blocks=2,
                                                  dup_size=6, uv_noise=0.01,
                                                  seed=1))
-        stages.stage_pipeline(root, None, OptConfig(max_steps=120), None,
+        stages.stage_pipeline(root, None, OptConfig(), None,
                               threads=threads)
         return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
                 for pat in ("*.pfm", "*.ppm", "*.flo", "*.json")

@@ -1,15 +1,17 @@
 """The benchmark's span tracer still fits the library's API.
 
 ``perfbench/tracer.py`` patches uvweave functions and methods by name.  A
-renamed or deleted traced function would otherwise break only the traced
-benchmark run, so installing and uninstalling the tracer is checked here.
+renamed or deleted traced function, or a renamed result field that a
+count reader reads, would otherwise break only the traced benchmark run,
+so installing and uninstalling the tracer, and its count readers on a
+small pipeline, are checked here.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-import uvweave.cli  # noqa: F401  (binds every module the tracer patches)
+import uvweave.cli  # binds every module the tracer patches
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,3 +52,24 @@ def test_tracer_installs_and_restores_every_name():
     after = bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_tracer_counts_a_pipeline(tmp_path):
+    # Every count reader runs on the result it is written for, so a renamed
+    # result field fails here rather than in a traced benchmark run.
+    main = uvweave.cli.main
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    d = tmp_path / "seq"
+    try:
+        t.install()
+        assert main(["gen", str(d), "--width", "32", "--height", "32", "--tex-width", "32",
+                     "--tex-height", "32", "--frames", "2", "--seed", "1"]) == 0
+        assert main(["corrupt", str(d), "--margin", "2", "--uv-noise", "0.01"]) == 0
+        assert main(["pipeline", str(d), "--max-iters", "200", "--window", "7"]) == 0
+        assert main(["retexture", str(d), str(d / "frames" / "f0000_synth.ppm")]) == 0
+    finally:
+        t.uninstall()
+    counted = {s[1] for s in t.spans if s[7] is not None}
+    readers = {name for _, _, name, count in tracer.TARGETS if count is not None}
+    assert readers <= counted, f"never counted: {sorted(readers - counted)}"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uvweave import Field2, ValidationError, pixel_center_grid, sample_bilinear, sobel_gradient
+from uvweave import Field2, ValidationError, pixel_center_grid, sample_bilinear
 from uvweave.fields import MAX_CHANNELS
 
 
@@ -94,28 +94,3 @@ def test_pixel_center_grid_formula():
     assert g[1, 3, 0] == pytest.approx(3.5 / 4)
     assert g[1, 3, 1] == pytest.approx(1.5 / 2)
 
-
-def test_sobel_gradient_linear_ramp():
-    w, h = 8, 6
-    gx, gy = np.meshgrid(np.arange(w), np.arange(h))
-    ramp = ((gx + 0.5) / w * 2.0 + (gy + 0.5) / h * 3.0)[..., None]
-    g = sobel_gradient(Field2(ramp))
-    assert g.channels == 2
-    inner = g.data[1:-1, 1:-1]
-    assert np.allclose(inner[..., 0], 2.0, atol=1e-9)
-    assert np.allclose(inner[..., 1], 3.0, atol=1e-9)
-
-
-def test_sobel_gradient_channel_interleave():
-    rng = np.random.default_rng(2)
-    f = Field2(rng.uniform(size=(6, 6, 3)))
-    g = sobel_gradient(f)
-    assert g.channels == 6
-    single = sobel_gradient(Field2(f.data[..., 1:2]))
-    assert np.allclose(g.data[..., 2], single.data[..., 0])
-    assert np.allclose(g.data[..., 3], single.data[..., 1])
-
-
-def test_sobel_gradient_min_size():
-    with pytest.raises(ValidationError):
-        sobel_gradient(Field2(np.zeros((2, 5, 1))))

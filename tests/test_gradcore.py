@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from uvweave import (Field2, SceneConfig, UVMap, ValidationError, fd_probe_check,
-                     forward_app, gen_sequence, grad_app, grad_reg, loss_app, loss_reg)
+                     gen_sequence, grad_app, grad_reg, loss_app, loss_reg)
+from uvweave.gradcore import _reg_terms, reg_matrix
 
 
 def rand_scene(seed, size=8):
@@ -103,6 +104,8 @@ def test_reg_min_size_error():
     P = UVMap(np.zeros((4, 4, 2)), sil)
     with pytest.raises(ValidationError):
         loss_reg(P, 1.0, 1.0)
+    with pytest.raises(ValidationError):
+        reg_matrix(sil, 1.0, 1.0)
 
 
 def test_texture_size_defaults_to_image():
@@ -155,14 +158,20 @@ def test_loss_report_fields():
     assert rep.l_app == pytest.approx(loss_app(P, I))
 
 
-def test_grad_app_reuses_forward_record_bitwise():
-    P, I, _ = scene_fixture()
-    for tw, th in ((48, 48), (20, 30)):
-        fwd = forward_app(P, I, tw, th)
-        assert fwd.l_app == loss_app(P, I, tw, th)
-        fused = grad_app(P, I, tw, th, fwd=fwd)
-        fresh = grad_app(P, I, tw, th)
-        assert fused.l_app == fresh.l_app == fwd.l_app
-        assert fused.grad.data.tobytes() == fresh.grad.data.tobytes()
-    with pytest.raises(ValidationError, match="texture size"):
-        grad_app(P, I, 48, 48, fwd=forward_app(P, I, 20, 30))
+def test_reg_matrix_matches_reg_terms():
+    # v'Hv is the regularizer and Hv half its gradient, channel by channel
+    rng = np.random.default_rng(12)
+    yy, xx = np.mgrid[0:24, 0:20]
+    ring = (np.hypot(yy - 12, xx - 10) < 9) & (np.hypot(yy - 12, xx - 10) > 4)
+    sils = [np.ones((5, 5), dtype=bool), rng.uniform(size=(5, 5)) < 0.7,
+            rng.uniform(size=(16, 13)) < 0.75, ring, np.ones((9, 7), dtype=bool)]
+    sils[-1][3:6, 2:5] = False
+    for sil in sils:
+        for a1, a2 in ((100.0, 10.0), (0.0, 3.0), (2.0, 0.0)):
+            P = UVMap(rng.normal(size=sil.shape + (2,)), sil)
+            l, g = _reg_terms(P, a1, a2, want_grad=True)
+            H = reg_matrix(sil, a1, a2)
+            v = P.uv.data[sil]
+            Hv = H @ v
+            assert np.abs(Hv - 0.5 * g[sil]).max() <= 1e-12 * max(np.abs(g).max(), 1.0)
+            assert np.einsum("nc,nc->", v, Hv) == pytest.approx(l, rel=1e-12, abs=1e-9)
