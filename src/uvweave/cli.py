@@ -23,6 +23,8 @@ from .uvopt import OptConfig
 
 def _threads(args) -> int:
     if args.threads is not None:
+        if args.threads < 1:
+            raise ValidationError("--threads must be >= 1")
         return args.threads
     env = os.environ.get("UVWEAVE_THREADS")
     if env is not None:

@@ -106,10 +106,10 @@ def _edge_pad(img: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(img, ((pad, pad), (pad, pad)) + ((0, 0),) * (img.ndim - 2), mode="edge")
 
 
-def _shifted(padded: np.ndarray, pad: int, h: int, w: int, dy: int, dx: int) -> np.ndarray:
-    """View with out[q] = img[q + (dy, dx)], edges clamped, for
-    ``padded = _edge_pad(img, pad)`` and |dy|, |dx| <= pad."""
-    return padded[pad + dy:pad + dy + h, pad + dx:pad + dx + w]
+# Texels per batch of cost volumes.  A batch's temporaries take 24 bytes
+# a texel (1.5 MB), and numpy releases the GIL for the length of each pass,
+# which lets frame threads overlap; single-volume passes barely do.
+_BATCH_TEXELS = 1 << 16
 
 
 def _candidates(radius: int):
@@ -119,12 +119,17 @@ def _candidates(radius: int):
     return offs
 
 
-def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None) -> FlowField:
+def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
+               record: dict | None = None) -> FlowField:
     """Coarse-to-fine block-matching flow from T_a to T_b.
 
     Per-texel SSD over a block window, searched within the per-level
     radius; ties go to the smaller displacement, then scanline order.
     Parabolic refinement on the finest level yields subpixel output.
+
+    A ``record`` dict, when given, receives the work the search took,
+    summed over levels: ``flow_volumes``, the displacements scored, and
+    ``flow_volume_texels``, the texels their SSD and box filter covered.
     """
     cfg = cfg or FlowConfig()
     if (T_a.width, T_a.height) != (T_b.width, T_b.height):
@@ -138,7 +143,15 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None) -> FlowF
         pyr_a.append(_downsample(pyr_a[-1]))
         pyr_b.append(_downsample(pyr_b[-1]))
 
-    offs = _candidates(cfg.search_radius)
+    r, blk = cfg.search_radius, cfg.block
+    offs = _candidates(r)
+    off_y, off_x = np.array(offs, dtype=np.int64).T
+    # A box-filtered cost at row y reads input rows below y + reach, and
+    # uniform_filter1d's running sum starts at row 0 (likewise columns), so
+    # a crop anchored at the top-left corner that reaches that far is bit
+    # for bit exact; a crop that starts later rounds differently.
+    reach = blk - blk // 2
+    n_volumes = n_texels = 0
     base = np.zeros(pyr_a[-1].shape[:2] + (2,), dtype=np.float64)  # (dy, dx)
     for level in range(len(pyr_a) - 1, -1, -1):
         a, b = pyr_a[level], pyr_b[level]
@@ -154,32 +167,67 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None) -> FlowF
                 base[:, ww:] = base[:, ww - 1:ww]
         # Smooth the carried-over estimate so neighboring blocks search
         # around consistent centers.
-        base = ndi.uniform_filter(base, size=(cfg.block, cfg.block, 1), mode="nearest")
+        base = ndi.uniform_filter(base, size=(blk, blk, 1), mode="nearest")
         ibase = np.rint(base)
 
         # Each texel scores candidates around its own rounded base.  Costs
-        # are memoized per absolute displacement so the hypothesis a texel
-        # tests is exactly the flow it records, even where the rounded
-        # base steps between neighboring texels.
-        ibase_i = ibase.astype(np.int64)
-        uniq, inv = np.unique(ibase_i.reshape(-1, 2), axis=0, return_inverse=True)
+        # are memoized per absolute displacement (key) so the hypothesis a
+        # texel tests is exactly the flow it records, even where the rounded
+        # base steps between neighboring texels.  A displacement packs into
+        # the code (dy - lo_y) * span + (dx - lo_x), which sorts as (dy, dx).
+        ib = ibase.astype(np.int64)
+        lo_y, lo_x = int(ib[..., 0].min()) - r, int(ib[..., 1].min()) - r
+        span = int(ib[..., 1].max()) + r + 1 - lo_x
+        bases, inv = np.unique((ib[..., 0] - lo_y) * span + ib[..., 1] - lo_x,
+                               return_inverse=True)
         inv = inv.reshape(h, w)
-        keys = sorted({(int(g[0]) + dy, int(g[1]) + dx)
-                       for g in uniq for dy, dx in offs})
-        kidx = {d: i for i, d in enumerate(keys)}
-        pad = max(max(abs(dy), abs(dx)) for dy, dx in keys)
-        b_pad = _edge_pad(b, pad)
-        vols = np.empty((len(keys), h, w), dtype=np.float64)
-        for i, (dy, dx) in enumerate(keys):
-            diff = a - _shifted(b_pad, pad, h, w, dy, dx)
-            ssd = np.sum(diff * diff, axis=2)
-            vols[i] = ndi.uniform_filter(ssd, size=cfg.block, mode="nearest")
-        lut = np.empty((len(uniq), len(offs)), dtype=np.int64)
-        for gi, g in enumerate(uniq):
-            for di, (dy, dx) in enumerate(offs):
-                lut[gi, di] = kidx[(int(g[0]) + dy, int(g[1]) + dx)]
+        codes, lut = np.unique(bases[:, None] + (off_y * span + off_x),
+                               return_inverse=True)
+        lut = lut.reshape(len(bases), len(offs))
+        key_y, key_x = codes // span + lo_y, codes % span + lo_x
+
+        # Each key's crop reaches past the last row and column of any
+        # texel that tests it.
         gy, gx = np.mgrid[0:h, 0:w]
-        vol = np.moveaxis(vols[lut[inv], gy[..., None], gx[..., None]], -1, 0)
+        ymax, xmax = np.zeros((2, len(bases)), dtype=np.int64)
+        np.maximum.at(ymax, inv, gy)
+        np.maximum.at(xmax, inv, gx)
+        crop_h, crop_w = np.zeros((2, len(codes)), dtype=np.int64)
+        np.maximum.at(crop_h, lut, np.minimum(ymax + reach, h)[:, None])
+        np.maximum.at(crop_w, lut, np.minimum(xmax + reach, w)[:, None])
+
+        # Keys sorted by crop, so that keys of equal crop are scored a batch
+        # of volumes at a time.
+        crop = crop_h * (w + 1) + crop_w
+        order = np.argsort(crop, kind="stable")
+        key_y, key_x, crop = key_y[order], key_x[order], crop[order]
+        lut = np.argsort(order)[lut]
+        runs = np.flatnonzero(np.diff(crop, prepend=-1, append=-1))
+
+        pad = int(max(np.abs(key_y).max(), np.abs(key_x).max()))
+        a_c = np.ascontiguousarray(np.moveaxis(a, 2, 0))
+        b_c = np.ascontiguousarray(np.moveaxis(_edge_pad(b, pad), 2, 0))
+        # Entries outside a key's crop stay unset; no texel reads them.
+        vols = np.empty((len(codes), h, w), dtype=np.float64)
+        for r0, r1 in zip(runs[:-1], runs[1:]):
+            ch, cw = divmod(int(crop[r0]), w + 1)
+            # wins[:, pad + dy, pad + dx] is b shifted by (dy, dx), over the crop
+            wins = sliding_window_view(b_c, (ch, cw), axis=(1, 2))
+            step = max(1, _BATCH_TEXELS // (ch * cw))
+            for i0 in range(r0, r1, step):
+                i1 = min(i0 + step, r1)
+                d = wins[:, pad + key_y[i0:i1], pad + key_x[i0:i1]]
+                np.subtract(a_c[:, None, :ch, :cw], d, out=d)
+                d *= d
+                out = vols[i0:i1, :ch, :cw]
+                # (d0² + d1²) + d2², the order np.sum(d * d, axis=2) adds in
+                np.add(d[0], d[1], out=out)
+                out += d[2]
+                ndi.uniform_filter1d(out, blk, axis=1, mode="nearest", output=out)
+                ndi.uniform_filter1d(out, blk, axis=2, mode="nearest", output=out)
+        n_volumes += len(codes)
+        n_texels += int((crop_h * crop_w).sum())
+        vol = vols.reshape(-1).take(lut.T[:, inv] * (h * w) + gy * w + gx)
         # The box filter's running sums leave ~1e-18 residue where the true
         # cost is zero; snap it so exact matches tie-break in candidate
         # order and skip subpixel refinement.
@@ -209,6 +257,8 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None) -> FlowF
             flow = flow + sub
         base = flow
 
+    if record is not None:
+        record.update(flow_volumes=n_volumes, flow_volume_texels=n_texels)
     h, w = T_a.height, T_a.width
     disp = np.empty((h, w, 2))
     disp[..., 0] = base[..., 1] / w     # store as (dx, dy) normalized
@@ -346,6 +396,8 @@ class RelocateConfig:
     def __post_init__(self):
         if self.tau < 0:
             raise ValidationError("tau must be non-negative")
+        if self.patch < 1 or self.window < 1:
+            raise ValidationError("bad patch configuration")
 
 
 def frame_zero_products(P_o0: UVMap, I0: Field2, tex_w: int, tex_h: int):
@@ -363,16 +415,20 @@ def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Correspondence,
     """Full relocation of one frame; returns (P_f, Q_t, flow, T_t).
 
     A ``record`` dict, when given, receives the flow magnitude over the
-    texels the frame covers (``flow_mean_texels``, ``flow_max_texels``)
-    and how those texels ended: ``matched`` (valid after flow and prune),
-    ``pruned``, ``filled`` by patch matching, or still ``unfilled``.
+    texels the frame covers (``flow_mean_texels``, ``flow_max_texels``),
+    the work of the flow search (``flow_volumes``, ``flow_volume_texels``;
+    both 0 for an external flow) and how the covered texels ended:
+    ``matched`` (valid after flow and prune), ``pruned``, ``filled`` by
+    patch matching, or still ``unfilled``.
     """
     cfg = cfg or RelocateConfig()
     tex_w, tex_h = Q0.width, Q0.height
     g = texture_grid(P_o, tex_w, tex_h)
     covered = g.coverage > 0
     T_t = warp(I, g)
-    flow = external_flow if external_flow is not None else block_flow(T_t, T_o, cfg.flow)
+    work = {"flow_volumes": 0, "flow_volume_texels": 0}
+    flow = (external_flow if external_flow is not None
+            else block_flow(T_t, T_o, cfg.flow, record=work))
     Qr = init_correspondence(Q0, flow)
     Qr.valid &= covered
     Qc = prune_mismatch(Qr, T_o, T_t, cfg.tau)
@@ -387,5 +443,5 @@ def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Correspondence,
             "covered": int(covered.sum()), "matched": int(Qc.valid.sum()),
             "pruned": int((Qr.valid & ~Qc.valid).sum()),
             "filled": int((Qt.valid & ~Qc.valid).sum()),
-            "unfilled": int((covered & ~Qt.valid).sum())})
+            "unfilled": int((covered & ~Qt.valid).sum()), **work})
     return P_f, Qt, flow, T_t

@@ -318,9 +318,10 @@ def stage_summary(root, stage: str) -> str:
     covered = total("covered")
     mean = sum(t["flow_mean_texels"] * t["covered"] for t in tr) / max(covered, 1)
     return (f"{head}, flow mean {mean:.3f} max {max(t['flow_max_texels'] for t in tr):.3f} "
-            f"texels, {covered} covered, {total('matched')} matched, "
-            f"{total('pruned')} pruned, {total('filled')} filled, "
-            f"{total('unfilled')} unfilled")
+            f"texels, {total('flow_volumes')} flow volumes over "
+            f"{total('flow_volume_texels')} texels, {covered} covered, "
+            f"{total('matched')} matched, {total('pruned')} pruned, "
+            f"{total('filled')} filled, {total('unfilled')} unfilled")
 
 
 def run_grad_check(seeds=(0, 1, 2), size: int = 8, probes: int = 20,

@@ -95,6 +95,18 @@ def test_threads_env_validation(tmp_path, capsys, monkeypatch):
     assert main(["extend", str(d), "--max-iters", "400"]) == 0
 
 
+def test_threads_flag_validation(tmp_path, capsys):
+    d = tmp_path / "t"
+    assert main(["gen", str(d)] + SMALL) == 0
+    assert main(["corrupt", str(d)] + CORRUPT) == 0
+    for bad in ("0", "-4"):
+        rc = main(["extend", str(d), "--threads", bad])
+        assert rc == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+    assert "extend" not in json.loads((d / "manifest.json").read_text())["stages"]
+    assert main(["extend", str(d), "--max-iters", "400", "--threads", "1"]) == 0
+
+
 def test_pipeline_products(piped):
     piped, _ = piped
     man = json.loads((piped / "manifest.json").read_text())
@@ -166,8 +178,8 @@ def test_extend_traces_recorded(piped):
 def test_relocate_traces_recorded(piped):
     piped, _ = piped
     man = json.loads((piped / "manifest.json").read_text())
-    keys = ["covered", "filled", "flow_max_texels", "flow_mean_texels", "matched",
-            "pruned", "unfilled"]
+    keys = ["covered", "filled", "flow_max_texels", "flow_mean_texels",
+            "flow_volume_texels", "flow_volumes", "matched", "pruned", "unfilled"]
     for i in range(3):
         rel = man["frames"][i]["rel_trace"]
         assert rel == f"traces/f{i:04d}_rel.json"
@@ -178,6 +190,10 @@ def test_relocate_traces_recorded(piped):
         # every covered texel is matched, filled or left unfilled
         assert tr["matched"] + tr["filled"] + tr["unfilled"] == tr["covered"]
         assert tr["flow_max_texels"] >= tr["flow_mean_texels"]
+        # every level scores at least the 81 offsets of radius 4, each over
+        # at most the level's texels
+        assert tr["flow_volumes"] >= 81
+        assert tr["flow_volumes"] <= tr["flow_volume_texels"] <= 48 * 48 * tr["flow_volumes"]
         if i == 0:
             # frame 0 is the reference: it matches itself everywhere
             assert tr["flow_max_texels"] == 0.0 and tr["pruned"] == 0
@@ -192,6 +208,8 @@ def test_stage_commands_print_trace_summaries(piped, tmp_path, capsys):
     covered = sum(t["covered"] for t in rel)
     line = capsys.readouterr().out.strip()
     assert line.startswith("relocate: 3 frames, flow mean ")
+    assert (f"texels, {sum(t['flow_volumes'] for t in rel)} flow volumes over "
+            f"{sum(t['flow_volume_texels'] for t in rel)} texels, ") in line
     assert line.endswith(f"texels, {covered} covered, {sum(t['matched'] for t in rel)} "
                          f"matched, {sum(t['pruned'] for t in rel)} pruned, "
                          f"{sum(t['filled'] for t in rel)} filled, "
@@ -279,6 +297,22 @@ def test_relocate_external_flow(piped, tmp_path):
     for i in range(3):
         ext = read_pfm(piped / "frames" / f"f{i:04d}_uv_final.pfm")
         assert np.max(np.abs(ext - internal[i])) <= 1e-6
+        tr = json.loads((piped / f"traces/f{i:04d}_rel.json").read_text())
+        assert tr["flow_volumes"] == tr["flow_volume_texels"] == 0
+
+
+def test_bad_patch_flags_fail_before_any_stage(piped, tmp_path, capsys):
+    d = tmp_path / "finished"
+    shutil.copytree(piped[0], d)
+
+    def files():
+        return {str(p.relative_to(d)): p.read_bytes() for p in d.rglob("*") if p.is_file()}
+
+    before = files()
+    for flag in ("--patch", "--window"):
+        assert main(["pipeline", str(d), flag, "0"]) == 2
+        assert "bad patch configuration" in capsys.readouterr().err
+        assert files() == before
 
 
 def test_relocate_missing_external_flow(piped, tmp_path, capsys):

@@ -1,14 +1,16 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
-from uvweave import (Correspondence, Field2, FlowConfig, FlowField, SceneConfig,
-                     ValidationError, block_flow, gen_sequence, identity_correspondence,
-                     init_correspondence, patch_fill, prune_mismatch, read_flo,
-                     to_image_uv, write_flo)
+from uvweave import (Correspondence, CorruptConfig, Field2, FlowConfig, FlowField,
+                     SceneConfig, ValidationError, block_flow, corrupt, gen_sequence,
+                     identity_correspondence, init_correspondence, patch_fill,
+                     prune_mismatch, read_flo, to_image_uv, write_flo)
 from uvweave.fields import pixel_center_grid
-from uvweave.relocate import (_candidates, _edge_pad, _shifted, frame_zero_products,
-                              relocate_frame)
+from uvweave.relocate import (_candidates, _downsample, _edge_pad, RelocateConfig,
+                              frame_zero_products, relocate_frame)
 from uvweave.warpmap import UVMap, texture_grid, warp
 
 
@@ -66,6 +68,12 @@ def test_candidates_prefer_small_displacements():
                     (-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
+def _shifted(padded, pad, h, w, dy, dx):
+    """View with out[q] = img[q + (dy, dx)], edges clamped, for
+    ``padded = _edge_pad(img, pad)`` and |dy|, |dx| <= pad."""
+    return padded[pad + dy:pad + dy + h, pad + dx:pad + dx + w]
+
+
 def loop_shift(img, dy, dx):
     """Reference: out[q] = img[q + (dy, dx)] with edge clamping, by index."""
     h, w = img.shape[:2]
@@ -118,6 +126,174 @@ def test_block_flow_matches_single_level_oracle():
     want = brute_single_level(a.data, b.data, 4, 8)
     m = 12
     assert (got[m:-m, m:-m] == want[m:-m, m:-m]).all()
+
+
+def union_block_flow(T_a, T_b, cfg):
+    """Reference: the union-volume loop.  Every level scores the full-size
+    box-filtered SSD of each displacement any texel tests, then gathers
+    each texel's candidates by fancy indexing.  Returns the flow and, per
+    level, (distinct rounded bases, displacements scored, h, w)."""
+    pyr_a, pyr_b = [T_a.data], [T_b.data]
+    for _ in range(cfg.pyramid_levels - 1):
+        if min(pyr_a[-1].shape[:2]) < 2 * cfg.block:
+            break
+        pyr_a.append(_downsample(pyr_a[-1]))
+        pyr_b.append(_downsample(pyr_b[-1]))
+    offs = _candidates(cfg.search_radius)
+    levels = []
+    base = np.zeros(pyr_a[-1].shape[:2] + (2,), dtype=np.float64)
+    for level in range(len(pyr_a) - 1, -1, -1):
+        a, b = pyr_a[level], pyr_b[level]
+        h, w = a.shape[:2]
+        if base.shape[:2] != (h, w):
+            rep = np.repeat(np.repeat(base, 2, axis=0), 2, axis=1) * 2.0
+            base = np.zeros((h, w, 2))
+            hh, ww = min(h, rep.shape[0]), min(w, rep.shape[1])
+            base[:hh, :ww] = rep[:hh, :ww]
+            if hh < h:
+                base[hh:] = base[hh - 1]
+            if ww < w:
+                base[:, ww:] = base[:, ww - 1:ww]
+        base = ndi.uniform_filter(base, size=(cfg.block, cfg.block, 1), mode="nearest")
+        ibase = np.rint(base)
+        uniq, inv = np.unique(ibase.astype(np.int64).reshape(-1, 2), axis=0,
+                              return_inverse=True)
+        inv = inv.reshape(h, w)
+        keys = sorted({(int(g[0]) + dy, int(g[1]) + dx)
+                       for g in uniq for dy, dx in offs})
+        kidx = {d: i for i, d in enumerate(keys)}
+        pad = max(max(abs(dy), abs(dx)) for dy, dx in keys)
+        b_pad = _edge_pad(b, pad)
+        vols = np.empty((len(keys), h, w), dtype=np.float64)
+        for i, (dy, dx) in enumerate(keys):
+            diff = a - _shifted(b_pad, pad, h, w, dy, dx)
+            ssd = np.sum(diff * diff, axis=2)
+            vols[i] = ndi.uniform_filter(ssd, size=cfg.block, mode="nearest")
+        levels.append((len(uniq), len(keys), h, w))
+        lut = np.empty((len(uniq), len(offs)), dtype=np.int64)
+        for gi, g in enumerate(uniq):
+            for di, (dy, dx) in enumerate(offs):
+                lut[gi, di] = kidx[(int(g[0]) + dy, int(g[1]) + dx)]
+        gy, gx = np.mgrid[0:h, 0:w]
+        vol = np.moveaxis(vols[lut[inv], gy[..., None], gx[..., None]], -1, 0)
+        vol[vol < 1e-12] = 0.0
+        best = np.argmin(vol, axis=0)
+        flow = ibase + np.array(offs, dtype=np.float64)[best]
+        if level == 0 and cfg.subpixel:
+            idx_of = {d: i for i, d in enumerate(offs)}
+            c0 = vol[best, gy, gx]
+            sub = np.zeros((h, w, 2))
+            for axis, unit in ((0, (1, 0)), (1, (0, 1))):
+                lo = np.array([idx_of.get((d[0] - unit[0], d[1] - unit[1]), -1)
+                               for d in offs])[best]
+                hi = np.array([idx_of.get((d[0] + unit[0], d[1] + unit[1]), -1)
+                               for d in offs])[best]
+                ok = (lo >= 0) & (hi >= 0)
+                cm = vol[np.where(ok, lo, 0), gy, gx]
+                cp = vol[np.where(ok, hi, 0), gy, gx]
+                denom = cm - 2.0 * c0 + cp
+                ok &= (denom > 1e-9) & (c0 <= cm) & (c0 <= cp) & (c0 > 0.0)
+                off = np.where(ok, 0.5 * (cm - cp) / np.where(ok, denom, 1.0), 0.0)
+                sub[..., axis] = np.clip(off, -0.5, 0.5)
+            flow = flow + sub
+        base = flow
+    h, w = T_a.height, T_a.width
+    disp = np.empty((h, w, 2))
+    disp[..., 0] = base[..., 1] / w
+    disp[..., 1] = base[..., 0] / h
+    return FlowField(Field2(disp)), levels
+
+
+def varying_shift_pair(h, w, seed=2):
+    """A noise texture and its copy under a smooth, spatially varying
+    subpixel shift of up to about 5 texels."""
+    tex = noise_texture(h, w, seed=seed)
+    y, x = np.mgrid[0:h, 0:w].astype(np.float64)
+    sy = 3.0 * np.sin(2 * np.pi * x / w) + 1.5 * np.cos(3 * np.pi * y / h)
+    sx = 2.5 * np.cos(2 * np.pi * y / h) - 2.0 * np.sin(np.pi * (x + y) / (h + w))
+    warped = np.stack([ndi.map_coordinates(tex[..., c], [y + sy, x + sx], order=1,
+                                           mode="nearest") for c in range(3)], axis=-1)
+    return Field2(tex), Field2(warped)
+
+
+@pytest.fixture(scope="module")
+def corrupted_pairs():
+    """Relocate pairs (frame texture, reference texture) of a corrupted 64²
+    scene, unwrapped through its raw UV maps."""
+    fs = gen_sequence(SceneConfig(image_w=64, image_h=64, tex_w=64, tex_h=64,
+                                  frames=8, seed=1, amplitude=0.02, frequency=1.5))
+    fs = corrupt(fs, CorruptConfig(margin=4, dup_blocks=8, dup_size=8,
+                                   uv_noise=0.01, seed=1))
+    f0 = fs.frames[0]
+    T_o, _ = frame_zero_products(f0.uv_raw, f0.image, 64, 64)
+    return [(warp(f.image, texture_grid(f.uv_raw, 64, 64)), T_o) for f in fs.frames[1:]]
+
+
+def test_ssd_channel_order_matches_axis_sum():
+    rng = np.random.default_rng(8)
+    for shape in ((64, 64, 3), (37, 5, 3), (1, 1, 3)):
+        d = rng.normal(size=shape) * np.exp(rng.uniform(-20, 20, size=shape))
+        want = np.sum(d * d, axis=2)
+        d0, d1, d2 = (d[..., c] for c in range(3))
+        assert ((d0 * d0 + d1 * d1) + d2 * d2).tobytes() == want.tobytes()
+        if shape == (64, 64, 3):
+            # the other association rounds differently somewhere
+            assert (d0 * d0 + (d1 * d1 + d2 * d2)).tobytes() != want.tobytes()
+
+
+def test_block_flow_matches_union_reference_on_relocate_pairs(corrupted_pairs):
+    most_bases = 0
+    for T_t, T_o in corrupted_pairs:
+        want, levels = union_block_flow(T_t, T_o, FlowConfig())
+        got = block_flow(T_t, T_o)
+        assert got.displacement.data.tobytes() == want.displacement.data.tobytes()
+        most_bases = max(most_bases, levels[-1][0])
+    assert most_bases >= 50
+
+
+def test_block_flow_matches_union_reference_on_odd_sizes():
+    for h, w in ((37, 37), (40, 50), (64, 66), (96, 80)):
+        a, b = varying_shift_pair(h, w)
+        want, _ = union_block_flow(a, b, FlowConfig())
+        assert block_flow(a, b).displacement.data.tobytes() == \
+            want.displacement.data.tobytes()
+
+
+def test_block_flow_matches_union_reference_across_configs():
+    a, b = varying_shift_pair(48, 56, seed=6)
+    cases = [(3, 1, 1, False), (5, 2, 2, True), (6, 3, 3, False), (7, 4, 4, True),
+             (8, 4, 2, False), (3, 4, 4, False), (6, 1, 4, True), (7, 2, 1, True),
+             (5, 3, 4, False), (8, 1, 3, True)]
+    for blk, radius, levels, subpixel in cases:
+        cfg = FlowConfig(pyramid_levels=levels, block=blk, search_radius=radius,
+                         subpixel=subpixel)
+        want, _ = union_block_flow(a, b, cfg)
+        got = block_flow(a, b, cfg)
+        assert got.displacement.data.tobytes() == want.displacement.data.tobytes(), cfg
+
+
+def test_block_flow_records_cropped_volumes(corrupted_pairs):
+    T_t, T_o = corrupted_pairs[2]
+    rec = {}
+    block_flow(T_t, T_o, record=rec)
+    _, levels = union_block_flow(T_t, T_o, FlowConfig())
+    assert sorted(rec) == ["flow_volume_texels", "flow_volumes"]
+    assert rec["flow_volumes"] == sum(k for _, k, _, _ in levels)
+    # the crops cover well under the union loop's full-size volumes
+    assert rec["flow_volume_texels"] < 0.8 * sum(k * h * w for _, k, h, w in levels)
+    # the counts repeat across reruns and when frames run on threads
+    again = {}
+    block_flow(T_t, T_o, record=again)
+    assert again == rec
+
+    def run(pair):
+        r = {}
+        block_flow(*pair, record=r)
+        return r
+
+    serial = [run(p) for p in corrupted_pairs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(run, corrupted_pairs)) == serial
 
 
 def test_block_flow_subpixel_refinement():
@@ -300,6 +476,12 @@ def test_patch_fill_config_errors():
         patch_fill(Q, T, T, Q, patch=0)
     with pytest.raises(ValidationError, match="patch"):
         patch_fill(Q, T, T, Q, window=0)
+    # the stage's configuration rejects the same values before any work
+    for bad in ({"patch": 0}, {"window": 0}, {"patch": -1, "window": 5}):
+        with pytest.raises(ValidationError, match="patch"):
+            RelocateConfig(**bad)
+    with pytest.raises(ValidationError, match="tau"):
+        RelocateConfig(tau=-0.1)
 
 
 def test_to_image_uv_identity_and_shift():
