@@ -5,7 +5,8 @@ Three steps, run in order by the pipeline:
 1. ``label_fill`` grows the silhouette to the full mask; the new pixels
    carry zero UVs.
 2. ``extrapolate_uv`` fills empty UV entries by sweeping outward from the
-   known region, fitting a local linear model in each 3x3 window.
+   known region, fitting a local linear model in each 3x3 window; each
+   sweep fits all its pixels with one batched pseudo-inverse.
 3. ``relax_springs`` connects every extrapolated point to nearby original
    points in texture space with Hooke springs whose rest lengths encode the
    local image-to-texture scale, then relaxes with a push phase (overlaps
@@ -41,21 +42,9 @@ def label_fill(P_raw: UVMap, full_mask: np.ndarray) -> UVMap:
     return UVMap(P_raw.uv.copy(), full)
 
 
-def _fit_window(dx, dy, vals):
-    """Linear fit through neighbor offsets, evaluated at the center.
-
-    Centered least squares with minimum-norm slopes: exact for linear data
-    and well-behaved when the neighbors do not span both directions.
-    """
-    mx, my = dx.mean(), dy.mean()
-    mv = vals.mean(axis=0)
-    A = np.stack([dx - mx, dy - my], axis=1)
-    slopes, *_ = np.linalg.lstsq(A, vals - mv, rcond=None)
-    return mv - mx * slopes[0] - my * slopes[1]
-
-
-_OFFSETS = [(oy, ox) for oy in (-1, 0, 1) for ox in (-1, 0, 1) if (oy, ox) != (0, 0)]
 _NEIGHBORS = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]])
+# Row and column offsets of the 8 neighbors, in row-major order.
+_DY, _DX = np.argwhere(_NEIGHBORS).T - 1
 
 
 def _known_neighbors(known: np.ndarray) -> np.ndarray:
@@ -84,27 +73,30 @@ def extrapolate_uv(P_labeled: UVMap, known: np.ndarray | None = None):
     if sil.any() and not known.any():
         raise ValidationError("no known UVs on the silhouette")
 
-    uv = P_labeled.uv.data.copy()
-    h, w = sil.shape
-    cur = known.copy()
+    # Padded working copies, written through their interior views; the
+    # border is the image edge's unknown neighbors.
+    uvp = np.pad(P_labeled.uv.data, ((1, 1), (1, 1), (0, 0)))
+    curp = np.pad(known, 1)
+    uv, cur = uvp[1:-1, 1:-1], curp[1:-1, 1:-1]
     new_rows, new_cols = [], []
     while True:
         fillable = sil & ~cur & (_known_neighbors(cur) >= 2)
         if not fillable.any():
             break
         ys, xs = np.nonzero(fillable)
-        fits = np.empty((len(ys), 2))
-        for i, (y, x) in enumerate(zip(ys, xs)):
-            ddx, ddy, vals = [], [], []
-            for oy, ox in _OFFSETS:
-                ny, nx = y + oy, x + ox
-                if 0 <= ny < h and 0 <= nx < w and cur[ny, nx]:
-                    ddx.append(ox)
-                    ddy.append(oy)
-                    vals.append(uv[ny, nx])
-            fits[i] = _fit_window(np.array(ddx, float), np.array(ddy, float),
-                                  np.array(vals))
-        uv[ys, xs] = fits
+        ny, nx = ys[:, None] + 1 + _DY, xs[:, None] + 1 + _DX       # (n, 8)
+        wt = curp[ny, nx].astype(np.float64)        # 1 for a known neighbor
+        k = wt.sum(axis=1)
+        mx, my = (wt * _DX).sum(axis=1) / k, (wt * _DY).sum(axis=1) / k
+        vals = uvp[ny, nx] * wt[..., None]
+        mv = vals.sum(axis=1) / k[:, None]
+        # Centered linear fit through the known neighbors, evaluated at the
+        # pixel.  An unknown neighbor's row is zero, which leaves the
+        # minimum-norm least-squares slopes unchanged: exact for linear data
+        # and well-behaved when the neighbors lie on one line.
+        A = np.stack([_DX - mx[:, None], _DY - my[:, None]], axis=2) * wt[..., None]
+        slopes = np.linalg.pinv(A) @ ((vals - mv[:, None]) * wt[..., None])
+        uv[ys, xs] = mv - mx[:, None] * slopes[:, 0] - my[:, None] * slopes[:, 1]
         cur[ys, xs] = True
         new_rows.append(ys)
         new_cols.append(xs)

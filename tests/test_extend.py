@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 
 from uvweave import (CorruptConfig, SceneConfig, SpringConfig, SpringSystem, UVMap,
                      ValidationError, corrupt, extrapolate_uv, gen_sequence, label_fill,
@@ -114,6 +115,156 @@ def test_known_neighbors_matches_shift_reference():
                 pad[1:-1, 1:-1] = known
                 ref += pad[1 + oy:1 + oy + h, 1 + ox:1 + ox + w]
         assert np.array_equal(_known_neighbors(known), ref)
+
+
+_OFFSETS = [(oy, ox) for oy in (-1, 0, 1) for ox in (-1, 0, 1) if (oy, ox) != (0, 0)]
+
+
+def _fit_window(dx, dy, vals, ranks):
+    mx, my = dx.mean(), dy.mean()
+    mv = vals.mean(axis=0)
+    A = np.stack([dx - mx, dy - my], axis=1)
+    slopes, _, rank, _ = np.linalg.lstsq(A, vals - mv, rcond=None)
+    ranks.append(int(rank))
+    return mv - mx * slopes[0] - my * slopes[1]
+
+
+def loop_extrapolate_uv(P_labeled, known, ranks=None):
+    """Reference: the per-pixel extrapolation, one ``lstsq`` call per pixel.
+
+    Appends each fit's rank to ``ranks`` when given."""
+    ranks = [] if ranks is None else ranks
+    sil = P_labeled.silhouette
+    uv = P_labeled.uv.data.copy()
+    h, w = sil.shape
+    cur = np.asarray(known, dtype=bool).copy()
+    new_rows, new_cols = [], []
+    while True:
+        fillable = sil & ~cur & (_known_neighbors(cur) >= 2)
+        if not fillable.any():
+            break
+        ys, xs = np.nonzero(fillable)
+        fits = np.empty((len(ys), 2))
+        for i, (y, x) in enumerate(zip(ys, xs)):
+            ddx, ddy, vals = [], [], []
+            for oy, ox in _OFFSETS:
+                ny, nx = y + oy, x + ox
+                if 0 <= ny < h and 0 <= nx < w and cur[ny, nx]:
+                    ddx.append(ox)
+                    ddy.append(oy)
+                    vals.append(uv[ny, nx])
+            fits[i] = _fit_window(np.array(ddx, float), np.array(ddy, float),
+                                  np.array(vals), ranks)
+        uv[ys, xs] = fits
+        cur[ys, xs] = True
+        new_rows.append(ys)
+        new_cols.append(xs)
+
+    rest = sil & ~cur
+    if rest.any():
+        inds = ndi.distance_transform_edt(~cur, return_distances=False,
+                                          return_indices=True)
+        uv[rest] = uv[inds[0][rest], inds[1][rest]]
+        ys, xs = np.nonzero(rest)
+        new_rows.append(ys)
+        new_cols.append(xs)
+
+    if new_rows:
+        new_points = np.stack([np.concatenate(new_rows), np.concatenate(new_cols)], axis=1)
+        order = np.lexsort((new_points[:, 1], new_points[:, 0]))
+        new_points = new_points[order]
+    else:
+        new_points = np.zeros((0, 2), dtype=np.int64)
+    return UVMap(uv, sil), new_points
+
+
+def assert_extrapolation_matches_loop(P_labeled, known):
+    """Equal new points and UVs within 1e-12 of the ``lstsq`` loop; returns
+    the ranks of the reference's fits."""
+    ext, new_pts = extrapolate_uv(P_labeled, known=known)
+    ranks = []
+    ref, ref_pts = loop_extrapolate_uv(P_labeled, known, ranks)
+    assert new_pts.dtype == ref_pts.dtype and np.array_equal(new_pts, ref_pts)
+    assert np.abs(ext.uv.data - ref.uv.data).max() <= 1e-12
+    assert np.array_equal(ext.silhouette, ref.silhouette)
+    return ranks
+
+
+def recover_frames(seed):
+    """The frames of one scene of the benchmark's ``recover`` workload."""
+    fs = gen_sequence(SceneConfig(image_w=64, image_h=64, tex_w=64, tex_h=64, frames=8,
+                                  seed=seed, amplitude=0.02, frequency=1.5))
+    return corrupt(fs, CorruptConfig(margin=4, dup_blocks=8, dup_size=8,
+                                     uv_noise=0.01, seed=seed)).frames
+
+
+def test_extrapolate_matches_lstsq_loop_on_recover_frames():
+    ranks = []
+    for seed in (2, 3):
+        for fr in recover_frames(seed):
+            ranks += assert_extrapolation_matches_loop(label_fill(fr.uv_raw, fr.mask),
+                                                       fr.uv_raw.silhouette)
+    # fits whose known neighbors lie on one line are common, not an edge case
+    counts = np.bincount(ranks, minlength=3)
+    assert counts[0] == 0 and counts[1] > 0 and counts[2] > 0
+
+
+def test_extrapolate_matches_lstsq_loop_on_cropped_scene():
+    for extra in ({}, {"uv_noise": 0.01}):
+        fs, fs_c = cropped_scene(**extra)
+        for fr in fs_c.frames:
+            assert_extrapolation_matches_loop(label_fill(fr.uv_raw, fr.mask),
+                                              fr.uv_raw.silhouette)
+
+
+@pytest.mark.parametrize("window", [
+    [(0, 0), (0, 1)],                      # 2 neighbors in a row
+    [(0, 0), (1, 0), (2, 0)],              # 3 in a column
+    [(0, 1), (0, 0), (1, 0)],              # an L of 3
+    [(0, 0), (2, 2)],                      # a diagonal pair
+    [(0, 1), (1, 0)],                      # a pair on a short diagonal
+    [(1, 2), (2, 1), (2, 2)],              # the L a corner pixel sees
+    [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)],   # all 8
+])
+def test_extrapolate_matches_lstsq_loop_on_windows(window):
+    # the centre pixel (1, 1) of a 3x3 image, on random UVs, so no fit is
+    # exact; then the same window in the top-left corner of the image
+    rng = np.random.default_rng(len(window))
+    for h, w, oy, ox in ((3, 3, 0, 0), (5, 6, -1, -1)):
+        known = np.zeros((h, w), dtype=bool)
+        for y, x in window:
+            if 0 <= y + oy < h and 0 <= x + ox < w:
+                known[y + oy, x + ox] = True
+        if known.sum() < 2:
+            continue
+        sil = np.zeros((h, w), dtype=bool)
+        sil[1 + oy, 1 + ox] = True
+        sil |= known
+        P = UVMap(rng.uniform(-0.2, 0.2, size=(h, w, 2)) * known[..., None], sil)
+        ranks = assert_extrapolation_matches_loop(P, known)
+        assert len(ranks) == 1
+
+
+def test_extrapolate_matches_lstsq_loop_in_a_corner():
+    # a corner pixel sees 3 neighbors, 2 of them known; the whole image
+    # fills in from a diagonal of known pixels, then an island falls back
+    rng = np.random.default_rng(3)
+    h, w = 7, 9
+    known = np.zeros((h, w), dtype=bool)
+    known[0, 1] = known[1, 0] = True
+    known[np.arange(2, 7), np.arange(3, 8)] = True
+    sil = np.ones((h, w), dtype=bool)
+    P = UVMap(rng.uniform(-0.2, 0.2, size=(h, w, 2)) * known[..., None], sil)
+    ranks = assert_extrapolation_matches_loop(P, known)
+    assert 1 in ranks and 2 in ranks
+    island = known.copy()
+    island[4:, :2] = True
+    sil2 = island.copy()
+    sil2[0, 0] = True
+    sil2[:3, 5:] = True          # two pixels away from any known pixel
+    sil2[0, 8] = sil2[1, 8] = True
+    P2 = UVMap(rng.uniform(-0.2, 0.2, size=(h, w, 2)) * island[..., None], sil2)
+    assert_extrapolation_matches_loop(P2, island)
 
 
 def test_extrapolate_new_points_sorted():
