@@ -19,7 +19,6 @@ class FrameRecord:
     uv_gt: UVMap | None = None
     corr_gt: Correspondence | None = None
     uv_raw: UVMap | None = None           # corrupted input to the pipeline
-    mask_raw: np.ndarray | None = None
 
 
 @dataclass

@@ -205,49 +205,49 @@ class CorruptConfig:
             raise ValidationError("bad corruption configuration")
 
 
-def corrupt(fs: FrameSet, cfg: CorruptConfig) -> FrameSet:
-    """Degrade ground-truth UVs into raw-estimate analogues.
+def corrupt_uv(uv_gt: UVMap, cfg: CorruptConfig, rng: np.random.Generator) -> UVMap:
+    """Degrade one frame's ground-truth UVs into a raw-estimate analogue,
+    drawing from ``rng``; the zero configuration changes nothing."""
+    sil = uv_gt.silhouette
+    if cfg.margin > 0:
+        eroded = ndi.binary_erosion(sil, iterations=cfg.margin)
+        if not eroded.any():
+            raise ValidationError("silhouette vanishes under the erosion margin")
+    else:
+        eroded = sil.copy()
+    uv = uv_gt.uv.data.copy()
+    h, w = sil.shape
+    if cfg.dup_blocks > 0:
+        c = pixel_center_grid(w, h)
+        ey, ex = np.nonzero(eroded)
+        picks = rng.integers(0, len(ey), size=cfg.dup_blocks)
+        for k in picks:
+            cy, cx = int(ey[k]), int(ex[k])
+            u0 = c[cy, cx] - uv[cy, cx]
+            half = cfg.dup_size // 2
+            y0, y1 = max(cy - half, 0), min(cy - half + cfg.dup_size, h)
+            x0, x1 = max(cx - half, 0), min(cx - half + cfg.dup_size, w)
+            blk = eroded[y0:y1, x0:x1]
+            uv[y0:y1, x0:x1][blk] = (c[y0:y1, x0:x1] - u0)[blk]
+    if cfg.uv_noise > 0:
+        uv += rng.normal(0.0, cfg.uv_noise, size=uv.shape) * eroded[..., None]
+    if cfg.jitter > 0:
+        uv += rng.uniform(-cfg.jitter, cfg.jitter, size=2) * eroded[..., None]
 
-    Deterministic for a fixed seed; the zero configuration reproduces the
-    ground truth unchanged.
-    """
+    uv[~eroded] = 0.0
+    return UVMap(uv, eroded)
+
+
+def corrupt(fs: FrameSet, cfg: CorruptConfig) -> FrameSet:
+    """``corrupt_uv`` of every frame, in order, from one generator seeded
+    with ``cfg.seed``."""
     rng = np.random.default_rng(cfg.seed)
     out = FrameSet(config=fs.config, texture=fs.texture.copy())
-    c = None
     for fr in fs.frames:
         if fr.uv_gt is None:
             raise ValidationError("corrupt needs ground-truth UVs")
-        sil = fr.uv_gt.silhouette
-        if cfg.margin > 0:
-            eroded = ndi.binary_erosion(sil, iterations=cfg.margin)
-            if not eroded.any():
-                raise ValidationError("silhouette vanishes under the erosion margin")
-        else:
-            eroded = sil.copy()
-        uv = fr.uv_gt.uv.data.copy()
-        h, w = sil.shape
-        if c is None:
-            c = pixel_center_grid(w, h)
-
-        if cfg.dup_blocks > 0:
-            ey, ex = np.nonzero(eroded)
-            picks = rng.integers(0, len(ey), size=cfg.dup_blocks)
-            for k in picks:
-                cy, cx = int(ey[k]), int(ex[k])
-                u0 = c[cy, cx] - uv[cy, cx]
-                half = cfg.dup_size // 2
-                y0, y1 = max(cy - half, 0), min(cy - half + cfg.dup_size, h)
-                x0, x1 = max(cx - half, 0), min(cx - half + cfg.dup_size, w)
-                blk = eroded[y0:y1, x0:x1]
-                uv[y0:y1, x0:x1][blk] = (c[y0:y1, x0:x1] - u0)[blk]
-        if cfg.uv_noise > 0:
-            uv += rng.normal(0.0, cfg.uv_noise, size=uv.shape) * eroded[..., None]
-        if cfg.jitter > 0:
-            uv += rng.uniform(-cfg.jitter, cfg.jitter, size=2) * eroded[..., None]
-
-        uv[~eroded] = 0.0
         out.frames.append(FrameRecord(
             index=fr.index, image=fr.image.copy(), mask=fr.mask.copy(),
             uv_gt=fr.uv_gt.copy(), corr_gt=fr.corr_gt.copy() if fr.corr_gt else None,
-            uv_raw=UVMap(uv, eroded), mask_raw=eroded))
+            uv_raw=corrupt_uv(fr.uv_gt, cfg, rng)))
     return out

@@ -25,7 +25,7 @@ from .metrics import MetricReport, metric_psnr, metric_tdiff, metric_tof, pair_f
 from .relocate import (RelocateConfig, frame_zero_products, read_flo,
                        relocate_frame, write_flo)
 from .render import LookupRenderer
-from .scenegen import CorruptConfig, SceneConfig, corrupt, gen_sequence
+from .scenegen import CorruptConfig, SceneConfig, corrupt_uv, gen_sequence
 from .uvopt import OptConfig, optimize_uv
 from .warpmap import UVMap
 
@@ -64,13 +64,10 @@ def stage_gen(out_dir, cfg: SceneConfig) -> Manifest:
 def stage_corrupt(root, cfg: CorruptConfig) -> Manifest:
     m = Manifest.load(root)
     m.require_stage("gen")
-    # Rebuild the frameset from disk so corrupt composes with external data.
-    scene = SceneConfig(**m.data["stages"]["gen"]["config"])
-    fs = gen_sequence(scene)
-    fs = corrupt(fs, cfg)
-    for fr in fs.frames:
-        m.write_uv(fr.index, "uv_raw", fr.uv_raw)
-        m.write_mask(fr.index, "mask_raw", fr.mask_raw)
+    # Read the ground truth from disk so corrupt composes with external data.
+    rng = np.random.default_rng(cfg.seed)
+    for i in range(m.n_frames):
+        m.write_uv(i, "uv_raw", corrupt_uv(m.read_uv(i, "uv_gt"), cfg, rng))
     m.mark_stage("corrupt", config_dict(cfg))
     m.save()
     return m

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from uvweave.cli import main
-from uvweave.formats import read_pfm, read_ppm, write_ppm
+from uvweave.formats import read_pfm, read_ppm, write_pfm, write_ppm
 
 SMALL = ["--width", "48", "--height", "48", "--tex-width", "48",
          "--tex-height", "48", "--frames", "3", "--seed", "5",
@@ -77,6 +77,26 @@ def test_missing_manifest_exit_code(tmp_path, capsys):
     rc = main(["corrupt", str(tmp_path / "void")])
     assert rc == 2
     assert "no manifest" in capsys.readouterr().err
+
+
+def test_corrupt_reads_ground_truth_from_disk(tmp_path):
+    # an edited uv_gt file, shrunk silhouette and moved UVs alike, passes
+    # through the zero corruption byte for byte, and no mask_raw is written
+    d = tmp_path / "edited"
+    assert main(["gen", str(d)] + SMALL) == 0
+    gt = d / "frames" / "f0001_uv_gt.pfm"
+    packed = read_pfm(gt)
+    packed[..., :2] += 0.0123 * (packed[..., 2:] > 0.5)
+    packed[:, :24, 2] = 0.0
+    packed[:, :24, :2] = 0.0
+    write_pfm(gt, packed)
+    assert main(["corrupt", str(d)]) == 0
+    for i in range(3):
+        raw = d / "frames" / f"f{i:04d}_uv_raw.pfm"
+        assert raw.read_bytes() == (d / "frames" / f"f{i:04d}_uv_gt.pfm").read_bytes()
+    assert not list(d.rglob("*mask_raw*"))
+    man = json.loads((d / "manifest.json").read_text())
+    assert all("mask_raw" not in fr for fr in man["frames"])
 
 
 def test_threads_env_validation(tmp_path, capsys, monkeypatch):

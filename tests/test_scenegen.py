@@ -129,7 +129,7 @@ def test_corrupt_zero_config_is_identity():
     out = corrupt(fs, CorruptConfig())
     for fr, raw in zip(fs.frames, out.frames):
         assert np.array_equal(raw.uv_raw.uv.data, fr.uv_gt.uv.data)
-        assert np.array_equal(raw.mask_raw, fr.uv_gt.silhouette)
+        assert np.array_equal(raw.uv_raw.silhouette, fr.uv_gt.silhouette)
         assert np.array_equal(raw.uv_gt.uv.data, fr.uv_gt.uv.data)
 
 
@@ -139,7 +139,6 @@ def test_corrupt_margin_erodes_silhouette():
     for fr, raw in zip(fs.frames, out.frames):
         sil = fr.uv_gt.silhouette
         eroded = ndi.binary_erosion(sil, iterations=2)
-        assert np.array_equal(raw.mask_raw, eroded)
         assert np.array_equal(raw.uv_raw.silhouette, eroded)
         assert np.all(raw.uv_raw.uv.data[~eroded] == 0.0)
         assert np.array_equal(raw.uv_raw.uv.data[eroded], fr.uv_gt.uv.data[eroded])
@@ -168,7 +167,7 @@ def test_corrupt_deterministic():
     b = corrupt(fs, CorruptConfig(dup_blocks=3, uv_noise=0.02, jitter=0.01, seed=7))
     for fa, fb in zip(a.frames, b.frames):
         assert np.array_equal(fa.uv_raw.uv.data, fb.uv_raw.uv.data)
-        assert np.array_equal(fa.mask_raw, fb.mask_raw)
+        assert np.array_equal(fa.uv_raw.silhouette, fb.uv_raw.silhouette)
 
 
 def test_corrupt_config_validation():
