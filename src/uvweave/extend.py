@@ -195,7 +195,6 @@ class SpringSystem:
 
 @dataclass
 class RelaxResult:
-    system: SpringSystem | None
     moved: np.ndarray                 # (m, 2) pixel indices of relaxed points
     distortion_before: float = 0.0
     distortion_after: float = 0.0
@@ -332,7 +331,7 @@ def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None
     cfg = cfg or SpringConfig()
     new_points = np.asarray(new_points, dtype=np.int64).reshape(-1, 2)
     if len(new_points) == 0:
-        return P_ext.copy(), RelaxResult(system=None, moved=new_points.copy())
+        return P_ext.copy(), RelaxResult(moved=new_points.copy())
     tw = cfg.tex_w or P_ext.width
     th = cfg.tex_h or P_ext.height
 
@@ -346,7 +345,7 @@ def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None
     sys, pidx, skipped = build_springs(tex_pos, original, new_points,
                                        cfg.region, cfg.max_anchors)
     if len(pidx) == 0:
-        return P_ext.copy(), RelaxResult(system=None, moved=pidx, skipped=skipped)
+        return P_ext.copy(), RelaxResult(moved=pidx, skipped=skipped)
 
     d_before = sys.distortion()
     push_it, _, ok1 = sys.relax_phase("push", cfg.force_tol, cfg.max_iters)
@@ -359,7 +358,7 @@ def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None
     u_new = sys.points / np.array([tw, th])
     uv[pidx[:, 0], pidx[:, 1]] = c[pidx[:, 0], pidx[:, 1]] - u_new
     out = UVMap(uv, sil)
-    res = RelaxResult(system=sys, moved=pidx, distortion_before=d_before,
+    res = RelaxResult(moved=pidx, distortion_before=d_before,
                       distortion_after=d_after, push_iters=push_it,
                       pull_iters=pull_it, max_force=fmax, converged=converged,
                       skipped=skipped)

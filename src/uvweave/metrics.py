@@ -138,12 +138,13 @@ def metric_tdiff(frames, P_list, tex_w: int | None = None, tex_h: int | None = N
     return float(np.mean(per_pair)), per_pair
 
 
-def pair_flows(frames):
-    """Block flow of every consecutive pair of a sequence, F - 1 in all."""
-    return [block_flow(frames[t], frames[t + 1]) for t in range(len(frames) - 1)]
+def pair_flows(frames, map_fn=map):
+    """Block flow of every consecutive pair of a sequence, F - 1 in all,
+    computed through ``map_fn`` (a thread pool's ``map`` gives the same)."""
+    return list(map_fn(block_flow, frames[:-1], frames[1:]))
 
 
-def metric_tof(real_flows, gen):
+def metric_tof(real_flows, gen, map_fn=map):
     """Mean L1 gap between block flows of real and generated pairs, in texels.
 
     ``real_flows`` are the real sequence's ``pair_flows``, computed once so
@@ -153,7 +154,7 @@ def metric_tof(real_flows, gen):
     if len(real_flows) != len(gen) - 1:
         raise ValidationError("length mismatch between sequences")
     per_pair = [float(np.mean(np.abs(fr.texels() - fg.texels())))
-                for fr, fg in zip(real_flows, pair_flows(gen))]
+                for fr, fg in zip(real_flows, pair_flows(gen, map_fn))]
     return float(np.mean(per_pair)), per_pair
 
 

@@ -237,14 +237,15 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
         flow = ibase + delta
 
         if level == 0 and cfg.subpixel:
-            idx_of = {d: i for i, d in enumerate(offs)}
+            # Candidate index of each offset, -1 one step outside the window.
+            index_of = np.full((2 * r + 3, 2 * r + 3), -1, dtype=np.int64)
+            index_of[off_y + r + 1, off_x + r + 1] = np.arange(len(offs))
+            by, bx = off_y[best] + r + 1, off_x[best] + r + 1
             c0 = vol[best, gy, gx]
             sub = np.zeros((h, w, 2))
-            for axis, unit in ((0, (1, 0)), (1, (0, 1))):
-                lo = np.array([idx_of.get((int(d[0]) - unit[0], int(d[1]) - unit[1]), -1)
-                               for d in np.array(offs)])[best]
-                hi = np.array([idx_of.get((int(d[0]) + unit[0], int(d[1]) + unit[1]), -1)
-                               for d in np.array(offs)])[best]
+            for axis, (uy, ux) in ((0, (1, 0)), (1, (0, 1))):
+                lo = index_of[by - uy, bx - ux]
+                hi = index_of[by + uy, bx + ux]
                 ok = (lo >= 0) & (hi >= 0)
                 cm = vol[np.where(ok, lo, 0), gy, gx]
                 cp = vol[np.where(ok, hi, 0), gy, gx]
@@ -333,11 +334,7 @@ def patch_fill(Q: Correspondence, T_o: Field2, T_t: Field2, Q0: Correspondence,
     if not fill.any():
         return Q.copy()
 
-    reach = window // 2
-    offs = [(dy, dx) for dy in range(-reach, reach + 1)
-            for dx in range(-reach, reach + 1)]
-    offs.sort(key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
-    off_y, off_x = np.array(offs, dtype=np.int64).T
+    off_y, off_x = np.array(_candidates(window // 2), dtype=np.int64).T
 
     acc = np.zeros((h, w, 2))
     cnt = np.zeros((h, w))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,19 @@ from .uvopt import OptConfig, optimize_uv
 from .warpmap import UVMap
 
 
-def _map_frames(fn, indices, threads: int):
+@contextmanager
+def _frame_map(threads: int):
+    """``map``, run on a pool of ``threads`` threads when there is more than one."""
     if threads <= 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, indices))
+        yield map
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield pool.map
+
+
+def _map_frames(fn, indices, threads: int):
+    with _frame_map(threads) as map_fn:
+        return list(map_fn(fn, indices))
 
 
 def _write_trace(m: Manifest, index: int, stage: str, record: dict):
@@ -226,7 +235,7 @@ def stage_retexture(root, texture_path, tag: str = "retex", threads: int = 1) ->
 
 
 def _sequence_metrics(m: Manifest, uv_key: str, image_key: str,
-                      reals: list, real_flows: list) -> dict:
+                      reals: list, real_flows: list, map_fn) -> dict:
     tw, th = m.texture_size
     gens, Ps, psnrs = [], [], []
     for i, real in enumerate(reals):
@@ -237,7 +246,7 @@ def _sequence_metrics(m: Manifest, uv_key: str, image_key: str,
     rep = MetricReport(psnr_mean=float(np.mean(psnrs)), psnr_per_frame=psnrs)
     if m.n_frames >= 2:
         rep.t_diff, rep.t_diff_per_pair = metric_tdiff(gens, Ps, tw, th)
-        rep.t_of, rep.t_of_per_pair = metric_tof(real_flows, gens)
+        rep.t_of, rep.t_of_per_pair = metric_tof(real_flows, gens, map_fn)
     return rep.to_dict()
 
 
@@ -247,24 +256,26 @@ def stage_metrics(root, threads: int = 1) -> Manifest:
     # Both reports score against the same real frames and real-frame flows.
     reals = [m.read_image(i, "image", valid=m.read_mask(i, "mask"))
              for i in range(m.n_frames)]
-    real_flows = pair_flows(reals)
-    report = {"recovered": _sequence_metrics(m, "uv_final", "synth", reals, real_flows)}
+    with _frame_map(threads) as map_fn:
+        real_flows = pair_flows(reals, map_fn)
+        report = {"recovered": _sequence_metrics(m, "uv_final", "synth", reals,
+                                                 real_flows, map_fn)}
 
-    # When the sequence was corrupted, also score a baseline rendered
-    # straight from the raw UVs so the recovery margin is visible.
-    if "corrupt" in m.data["stages"]:
-        tw, th = m.texture_size
-        T_raw, _ = frame_zero_products(m.read_uv(0, "uv_raw"), reals[0], tw, th)
-        render = LookupRenderer(T_raw)
+        # When the sequence was corrupted, also score a baseline rendered
+        # straight from the raw UVs so the recovery margin is visible.
+        if "corrupt" in m.data["stages"]:
+            tw, th = m.texture_size
+            T_raw, _ = frame_zero_products(m.read_uv(0, "uv_raw"), reals[0], tw, th)
+            render = LookupRenderer(T_raw)
 
-        def run(i):
-            img, _ = render(m.read_uv(i, "uv_raw"))
-            return img
+            def run(i):
+                img, _ = render(m.read_uv(i, "uv_raw"))
+                return img
 
-        for i, img in enumerate(_map_frames(run, range(m.n_frames), threads)):
-            m.write_image(i, "baseline", img)
-        report["corrupted_baseline"] = _sequence_metrics(m, "uv_raw", "baseline",
-                                                         reals, real_flows)
+            for i, img in enumerate(map_fn(run, range(m.n_frames))):
+                m.write_image(i, "baseline", img)
+            report["corrupted_baseline"] = _sequence_metrics(
+                m, "uv_raw", "baseline", reals, real_flows, map_fn)
 
     with open(m.root / "metrics.json", "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)

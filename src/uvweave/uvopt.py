@@ -16,7 +16,6 @@ independent, so callers can optimize them in parallel.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +46,6 @@ class OptTrace:
     l_app: list = field(default_factory=list)   # [before, after]
     l_reg: list = field(default_factory=list)
     residual: float = 0.0     # max |A uv - b| / max |b| of the solve
-    wall_time: float = 0.0    # informational only; never serialized
 
     @property
     def steps(self) -> int:
@@ -75,7 +73,6 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
     # resident memory that a process which never optimizes need not pay.
     from scipy.sparse.linalg import splu
 
-    t0 = time.perf_counter()
     sil = P_init.silhouette
     mu = data_weight(I.width, I.height)
     H = reg_matrix(sil, cfg.alpha1, cfg.alpha2)
@@ -92,5 +89,4 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
         trace.l_reg.append(loss_reg(Q, cfg.alpha1, cfg.alpha2))
     trace.residual = float(np.abs(A @ x - b).max(initial=0.0)
                            / max(np.abs(b).max(initial=0.0), 1e-300))
-    trace.wall_time = time.perf_counter() - t0
     return P, trace

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -236,14 +237,19 @@ def test_stage_metrics_computes_real_flows_once(tmp_path, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(threading.get_ident())
         return block_flow(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "block_flow", counted)
     stages.stage_metrics(root)
-    rep = json.loads((root / "metrics.json").read_text())
-    assert set(rep) == {"recovered", "corrupted_baseline"}
-    assert len(calls) == 3 * (frames - 1)
+    text = (root / "metrics.json").read_text()
+    assert set(json.loads(text)) == {"recovered", "corrupted_baseline"}
+    assert calls == [threading.get_ident()] * (3 * (frames - 1))
+    # with a frame pool every flow runs on it, and the report keeps its bytes
+    calls.clear()
+    stages.stage_metrics(root, threads=2)
+    assert (root / "metrics.json").read_text() == text
+    assert len(calls) == 3 * (frames - 1) and threading.get_ident() not in calls
 
 
 def test_metric_report_serialization():
