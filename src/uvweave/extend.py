@@ -25,7 +25,7 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from .errors import ValidationError
-from .fields import pixel_center_grid, scatter_add
+from .fields import pixel_center_grid
 from .warpmap import UVMap, texture_positions
 
 
@@ -137,43 +137,39 @@ class SpringConfig:
 
 @dataclass
 class SpringSystem:
-    """Movable texture points tied to fixed anchors by unit-stiffness springs."""
+    """Movable texture points tied to fixed anchors by unit-stiffness springs.
+
+    One column per point, one row per anchor rank (nearest first); a point
+    with fewer anchors than rows has ``rest == 0`` in the rows it lacks.
+    """
 
     points: np.ndarray        # (m, 2) movable positions, texel units
-    anchors: np.ndarray       # (s, 2) fixed endpoints, one row per spring
-    spring_point: np.ndarray  # (s,) index into points
-    rest: np.ndarray          # (s,) rest lengths, texels
+    anchors: np.ndarray       # (k, m, 2) fixed endpoints
+    rest: np.ndarray          # (k, m) rest lengths, texels; 0 pads
 
-    def _forces(self, mode: str):
-        """Per-point force sums and active-spring counts.  'push' acts on
-        compressed springs only, 'pull' on stretched ones."""
-        d = self.points[self.spring_point] - self.anchors
-        length = np.sqrt(np.sum(d * d, axis=1))
-        safe = np.maximum(length, 1e-12)
-        mag = self.rest - length          # >0 compressed: pushes outward
+    def forces(self, mode: str, live=slice(None)):
+        """Net forces and active-spring counts of the ``live`` points.
+        'push' acts on compressed springs only, 'pull' on stretched ones."""
+        rest = self.rest[:, live]
+        d = self.points[live] - self.anchors[:, live]
+        length = np.sqrt(np.sum(d * d, axis=2))
+        mag = rest - length               # >0 compressed: pushes outward
         if mode == "push":
-            active = mag > 0.0
             mag = np.maximum(mag, 0.0)
         elif mode == "pull":
-            active = mag < 0.0
-            mag = np.minimum(mag, 0.0)
+            mag = np.where(rest > 0.0, np.minimum(mag, 0.0), 0.0)
         else:
             raise ValidationError(f"unknown spring mode {mode!r}")
-        f = (mag / safe)[:, None] * d
-        n = len(self.points)
-        return scatter_add(self.spring_point, f, n), \
-            np.bincount(self.spring_point[active], minlength=n)
-
-    def net_forces(self, mode: str) -> np.ndarray:
-        """Per-point force sums; 'push' acts on compressed springs only,
-        'pull' on stretched ones."""
-        return self._forces(mode)[0]
+        f = (mag / np.maximum(length, 1e-12))[..., None] * d
+        # Row after row, nearest anchor first.
+        return f.sum(axis=0, initial=0.0), np.count_nonzero(mag, axis=0)
 
     def distortion(self) -> float:
         """Mean relative deviation of spring lengths from rest."""
-        d = self.points[self.spring_point] - self.anchors
-        length = np.sqrt(np.sum(d * d, axis=1))
-        return float(np.mean(np.abs(length - self.rest) / np.maximum(self.rest, 1e-12)))
+        d = self.points - self.anchors
+        length = np.sqrt(np.sum(d * d, axis=2))
+        dev = np.abs(length - self.rest) / np.maximum(self.rest, 1e-12)
+        return float(np.mean(dev.T[self.rest.T > 0.0]))
 
     def relax_phase(self, mode: str, force_tol: float, max_iters: int):
         """Run one phase; returns (iterations, max net force, converged).
@@ -185,8 +181,8 @@ class SpringSystem:
         """
         it = 0
         while True:
-            f, n = self._forces(mode)
-            fmax = float(np.abs(f).max()) if len(f) else 0.0
+            f, n = self.forces(mode)
+            fmax = float(np.abs(f).max(initial=0.0))
             if fmax < force_tol or it == max_iters:
                 return it, fmax, fmax < force_tol
             self.points += f / np.maximum(n, 1)[:, None]
@@ -255,11 +251,10 @@ def build_springs(tex_pos, original, new_points, region, max_anchors):
     anchor_u, anchor_v = anchor_pos[:, 0].copy(), anchor_pos[:, 1].copy()
     known_scale = _known_scale(tex_pos, original)
     half = region / 2.0
+    k = min(max_anchors, len(oy))
     no_points = np.zeros((0, 2), dtype=np.int64)
     moved, skipped = [no_points], [no_points]
-    anchors, spring_point = [np.zeros((0, 2))], [np.zeros(0, dtype=np.int64)]
-    rests = [np.zeros(0)]
-    n_moved = 0
+    anchors, rests = [np.zeros((0, k, 2))], [np.zeros((0, k))]
     for c0 in range(0, len(new_points), _BUILD_CHUNK):
         pts = new_points[c0:c0 + _BUILD_CHUNK]
         pos0 = tex_pos[pts[:, 0], pts[:, 1]]
@@ -271,15 +266,15 @@ def build_springs(tex_pos, original, new_points, region, max_anchors):
         if len(pts) == 0:
             continue
 
-        # One row of candidates per point, nearest first.  Anchors come
-        # row-major from np.nonzero, so the stable sort breaks distance ties
-        # by (oy, ox); padding sorts last.
+        # One row of candidates per point, nearest first, at least k wide.
+        # Anchors come row-major from np.nonzero, so the stable sort breaks
+        # distance ties by (oy, ox); padding sorts last.
         pi, ai = np.nonzero(box)
-        count = np.bincount(pi, minlength=len(pts))
+        count = box.sum(axis=1)
         col = np.arange(len(pi)) - (np.cumsum(count) - count)[pi]
         du = anchor_u[ai] - pos0[pi, 0]
         dv = anchor_v[ai] - pos0[pi, 1]
-        d2 = np.full((len(pts), count.max()), np.inf)
+        d2 = np.full((len(pts), max(count.max(), k)), np.inf)
         d2[pi, col] = du * du + dv * dv
         cand = np.zeros(d2.shape, dtype=np.int64)
         cand[pi, col] = ai
@@ -298,25 +293,22 @@ def build_springs(tex_pos, original, new_points, region, max_anchors):
         ratio = np.divide(np.sqrt(du * du + dv * dv), img,
                           out=np.full(img.shape, np.inf), where=ok)
         ratio.sort(axis=1)
-        k = ok.sum(axis=1)
+        npair = ok.sum(axis=1)
         # np.median's arithmetic: the middle value, or the mean of the two.
-        med = (ratio[rows, (k - 1) // 2] + ratio[rows, k // 2]) / 2.0
-        scale = np.where(k > 0, med, known_scale)
+        med = (ratio[rows, (npair - 1) // 2] + ratio[rows, npair // 2]) / 2.0
+        scale = np.where(npair > 0, med, known_scale)
 
-        pn, cn = np.nonzero(np.arange(min(max_anchors, cand.shape[1])) < count[:, None])
-        an = cand[pn, cn]
-        img_d = np.sqrt((oy[an] - pts[pn, 0]) ** 2.0 + (ox[an] - pts[pn, 1]) ** 2.0)
-        anchors.append(anchor_pos[an])
-        spring_point.append(n_moved + pn)
-        rests.append(img_d * scale[pn])
+        an = cand[:, :k]
+        real = np.arange(k) < count[:, None]
+        img_d = np.sqrt((oy[an] - pts[:, :1]) ** 2.0 + (ox[an] - pts[:, 1:]) ** 2.0)
+        anchors.append(np.where(real[..., None], anchor_pos[an], 0.0))
+        rests.append(np.where(real, np.maximum(img_d * scale[:, None], 1e-6), 0.0))
         moved.append(pts)
-        n_moved += len(pts)
 
     moved = np.concatenate(moved)
     sys = SpringSystem(points=tex_pos[moved[:, 0], moved[:, 1]].copy(),
-                       anchors=np.concatenate(anchors),
-                       spring_point=np.concatenate(spring_point),
-                       rest=np.maximum(np.concatenate(rests), 1e-6))
+                       anchors=np.concatenate(anchors).transpose(1, 0, 2).copy(),
+                       rest=np.concatenate(rests).T.copy())
     return sys, moved, np.concatenate(skipped)
 
 

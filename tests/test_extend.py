@@ -8,7 +8,7 @@ from uvweave import (CorruptConfig, SceneConfig, SpringConfig, SpringSystem, UVM
                      ValidationError, corrupt, extrapolate_uv, gen_sequence, label_fill,
                      relax_springs)
 from uvweave.extend import _BUILD_CHUNK, _known_neighbors, _known_scale, build_springs
-from uvweave.fields import pixel_center_grid
+from uvweave.fields import pixel_center_grid, scatter_add
 from uvweave.warpmap import texture_positions
 
 
@@ -300,11 +300,10 @@ def test_extrapolate_cropped_scene_accuracy():
 
 def test_spring_two_anchor_symmetry():
     sys = SpringSystem(points=np.array([[5.0, 5.0]]),
-                       anchors=np.array([[3.0, 5.0], [7.0, 5.0]]),
-                       spring_point=np.array([0, 0]),
-                       rest=np.array([2.0, 2.0]))
-    f_push = sys.net_forces("push")
-    f_pull = sys.net_forces("pull")
+                       anchors=np.array([[[3.0, 5.0]], [[7.0, 5.0]]]),
+                       rest=np.array([[2.0], [2.0]]))
+    f_push = sys.forces("push")[0]
+    f_pull = sys.forces("pull")[0]
     assert np.allclose(f_push, 0.0) and np.allclose(f_pull, 0.0)
     sys.relax_phase("push", 1e-3, 500)
     assert np.allclose(sys.points, [[5.0, 5.0]])
@@ -312,9 +311,8 @@ def test_spring_two_anchor_symmetry():
 
 def test_spring_compressed_push_to_rest():
     sys = SpringSystem(points=np.array([[5.0, 4.5]]),
-                       anchors=np.array([[5.0, 4.0]]),
-                       spring_point=np.array([0]),
-                       rest=np.array([2.0]))
+                       anchors=np.array([[[5.0, 4.0]]]),
+                       rest=np.array([[2.0]]))
     sys.relax_phase("push", 1e-3, 2000)
     sep = np.linalg.norm(sys.points[0] - [5.0, 4.0])
     assert sep == pytest.approx(2.0, abs=2e-3)
@@ -395,35 +393,126 @@ def test_springs_skip_anchorless_points():
     assert len(res.skipped) == 1
 
 
+class FlatSprings:
+    """Reference: one row per spring, with the index of its point.  Forces
+    are scatter-added per point, in spring order."""
+
+    def __init__(self, points, anchors, spring_point, rest):
+        self.points, self.anchors = points, anchors
+        self.spring_point, self.rest = spring_point, rest
+
+    def forces(self, mode):
+        d = self.points[self.spring_point] - self.anchors
+        length = np.sqrt(np.sum(d * d, axis=1))
+        mag = self.rest - length
+        if mode == "push":
+            active = mag > 0.0
+            mag = np.maximum(mag, 0.0)
+        else:
+            active = mag < 0.0
+            mag = np.minimum(mag, 0.0)
+        f = (mag / np.maximum(length, 1e-12))[:, None] * d
+        n = len(self.points)
+        return scatter_add(self.spring_point, f, n), \
+            np.bincount(self.spring_point[active], minlength=n)
+
+    def distortion(self):
+        d = self.points[self.spring_point] - self.anchors
+        length = np.sqrt(np.sum(d * d, axis=1))
+        return float(np.mean(np.abs(length - self.rest) / np.maximum(self.rest, 1e-12)))
+
+
+def flat_springs(sys):
+    """The table's springs as a flat list, point by point, nearest first."""
+    point, rank = np.nonzero(sys.rest.T > 0.0)
+    return FlatSprings(sys.points.copy(), sys.anchors[rank, point], point,
+                       sys.rest[rank, point])
+
+
+def global_phase(forces, points, mode, force_tol, max_iters):
+    """Reference: move every point until the max force over all points is
+    below ``force_tol``; returns (iterations, max net force, converged)."""
+    it = 0
+    while True:
+        f, n = forces(mode)
+        fmax = float(np.abs(f).max()) if len(f) else 0.0
+        if fmax < force_tol or it == max_iters:
+            return it, fmax, fmax < force_tol
+        points += f / np.maximum(n, 1)[:, None]
+        it += 1
+
+
+def ragged_table(rng, counts, k):
+    """Random springs, ``counts[i]`` of them on point i; the padding holds
+    random anchors, which must not count."""
+    m = len(counts)
+    real = np.arange(k)[:, None] < counts
+    return SpringSystem(points=rng.uniform(0, 10, size=(m, 2)),
+                        anchors=rng.uniform(0, 10, size=(k, m, 2)),
+                        rest=np.where(real, rng.uniform(0.5, 6.0, size=(k, m)), 0.0))
+
+
 def test_net_forces_match_add_at_reference():
     # 3 points share 400 springs, so each point's sum has over a hundred
-    # terms; the sums must keep the scatter-add's order bit for bit.
+    # terms; then ragged tables with spring-free points.  The sums must
+    # keep the scatter-add's order bit for bit.
     rng = np.random.default_rng(21)
-    s = 400
-    sys = SpringSystem(points=rng.uniform(0, 10, size=(3, 2)),
-                       anchors=rng.uniform(0, 10, size=(s, 2)),
-                       spring_point=rng.integers(0, 3, size=s),
-                       rest=rng.uniform(0.5, 6.0, size=s))
-    for mode in ("push", "pull"):
-        d = sys.points[sys.spring_point] - sys.anchors
-        length = np.sqrt(np.sum(d * d, axis=1))
-        mag = sys.rest - length
-        mag = np.maximum(mag, 0.0) if mode == "push" else np.minimum(mag, 0.0)
-        ref = np.zeros_like(sys.points)
-        np.add.at(ref, sys.spring_point, (mag / np.maximum(length, 1e-12))[:, None] * d)
-        out = sys.net_forces(mode)
-        assert out.shape == ref.shape
-        assert out.tobytes() == ref.tobytes()
-    empty = SpringSystem(points=np.zeros((2, 2)), anchors=np.zeros((0, 2)),
-                         spring_point=np.zeros(0, dtype=np.int64), rest=np.zeros(0))
-    assert (empty.net_forces("pull") == 0.0).all() and empty.net_forces("pull").shape == (2, 2)
+    tables = [ragged_table(rng, rng.multinomial(400, [0.3, 0.3, 0.4]), 170)]
+    for _ in range(20):
+        k = int(rng.integers(1, 16))
+        counts = rng.integers(0, k + 1, size=int(rng.integers(1, 40)))
+        tables.append(ragged_table(rng, counts, k))
+    assert (tables[0].rest > 0).sum() == 400
+    for sys in tables:
+        flat = flat_springs(sys)
+        for mode in ("push", "pull"):
+            d = flat.points[flat.spring_point] - flat.anchors
+            length = np.sqrt(np.sum(d * d, axis=1))
+            mag = flat.rest - length
+            mag = np.maximum(mag, 0.0) if mode == "push" else np.minimum(mag, 0.0)
+            ref = np.zeros_like(flat.points)
+            np.add.at(ref, flat.spring_point,
+                      (mag / np.maximum(length, 1e-12))[:, None] * d)
+            out, n = sys.forces(mode)
+            ref_f, ref_n = flat.forces(mode)
+            assert out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes() == ref_f.tobytes()
+            assert n.dtype == ref_n.dtype and np.array_equal(n, ref_n)
+        assert sys.distortion() == flat.distortion()
+    empty = SpringSystem(points=np.zeros((2, 2)), anchors=np.zeros((0, 2, 2)),
+                         rest=np.zeros((0, 2)))
+    f, n = empty.forces("pull")
+    assert (f == 0.0).all() and f.shape == (2, 2) and (n == 0).all()
+
+
+def recover_systems():
+    """The spring tables of both ``recover`` scenes' frames."""
+    for seed in (2, 3):
+        for fr in recover_frames(seed):
+            yield build_springs(*scene_build_inputs(fr, tex=64), 40, 12)[0]
+
+
+def test_table_relaxes_like_flat_springs_on_recover_frames():
+    # under the global loop, positions, iterations, forces and distortions
+    # are bit for bit the flat list's
+    cfg = SpringConfig()
+    for sys in recover_systems():
+        flat = flat_springs(sys)
+        got, ref = [sys.distortion()], [flat.distortion()]
+        for mode in ("push", "pull"):
+            got.append(global_phase(sys.forces, sys.points, mode, cfg.force_tol, cfg.max_iters))
+            ref.append(global_phase(flat.forces, flat.points, mode, cfg.force_tol,
+                                    cfg.max_iters))
+        got.append(sys.distortion())
+        ref.append(flat.distortion())
+        assert got == ref and got[1][2] and got[2][2]
+        assert sys.points.tobytes() == flat.points.tobytes()
 
 
 def test_spring_compressed_reaches_rest_in_one_push_iteration():
     sys = SpringSystem(points=np.array([[5.0, 4.5]]),
-                       anchors=np.array([[5.0, 4.0]]),
-                       spring_point=np.array([0]),
-                       rest=np.array([2.0]))
+                       anchors=np.array([[[5.0, 4.0]]]),
+                       rest=np.array([[2.0]]))
     iters, fmax, converged = sys.relax_phase("push", 1e-3, 2000)
     assert (iters, converged) == (1, True) and fmax == 0.0
     assert (sys.points == [[5.0, 6.0]]).all()
@@ -481,11 +570,19 @@ def assert_build_matches_loop(tex_pos, original, new_points, region=40, max_anch
     sys, moved, skipped = build_springs(tex_pos, original, new_points, region, max_anchors)
     anchors, spring_point, rest, ref_moved, ref_skipped = loop_build_springs(
         tex_pos, original, new_points, region, max_anchors)
-    for got, ref in ((sys.anchors, anchors), (sys.spring_point, spring_point),
-                     (sys.rest, rest), (moved, ref_moved), (skipped, ref_skipped),
+    flat = flat_springs(sys)
+    for got, ref in ((flat.anchors, anchors), (flat.spring_point, spring_point),
+                     (flat.rest, rest), (moved, ref_moved), (skipped, ref_skipped),
                      (sys.points, tex_pos[ref_moved[:, 0], ref_moved[:, 1]])):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+    # one row per anchor rank, zero padding after each point's last anchor
+    k = min(max_anchors, int(original.sum()))
+    assert sys.anchors.shape == (k, len(moved), 2) and sys.rest.shape == (k, len(moved))
+    assert sys.anchors.flags.c_contiguous and sys.rest.flags.c_contiguous
+    real = sys.rest > 0.0
+    assert (real[:-1] >= real[1:]).all()
+    assert (sys.anchors[~real] == 0.0).all()
     return sys, moved, skipped
 
 
@@ -505,7 +602,7 @@ def test_spring_build_matches_per_point_loop(monkeypatch):
     tex_pos, original, new_pts = scene_build_inputs(fs_c.frames[1])
     assert len(new_pts) > 4 * _BUILD_CHUNK     # several passes
     sys, _, _ = assert_build_matches_loop(tex_pos, original, new_pts)
-    counts = np.bincount(sys.spring_point)
+    counts = (sys.rest > 0.0).sum(axis=0)
     assert counts.max() == 12
     assert_build_matches_loop(np.round(tex_pos / 4.0) * 4.0, original, new_pts)
     # small passes: chunk boundaries fall inside the point list
@@ -524,7 +621,7 @@ def test_spring_build_matches_per_point_loop(monkeypatch):
         sys, moved, skipped = assert_build_matches_loop(tex_pos, original, new_pts,
                                                         region, max_anchors)
         assert len(skipped) > 0 and len(moved) > 0
-    counts = np.bincount(sys.spring_point)     # every candidate is a spring
+    counts = (sys.rest > 0.0).sum(axis=0)     # every candidate is a spring
     assert counts.min() == 1 and counts.max() > 96 and len(moved) > _BUILD_CHUNK
 
 
@@ -542,12 +639,13 @@ def test_spring_build_skipped_point_and_scale_fallback():
                                                     region=40, max_anchors=4)
     assert moved.tolist() == [[3, 3]] and skipped.tolist() == [[11, 11]]
     # nearest first, the tie between (1, 2) and (2, 1) in row-major order
-    assert sys.anchors.tolist() == [[4.0, 4.0], [4.0, 2.0], [2.0, 4.0], [2.0, 2.0]]
-    assert np.allclose(sys.rest, 2.0 * np.sqrt([2.0, 5.0, 5.0, 8.0]), rtol=0, atol=1e-12)
+    assert sys.anchors[:, 0].tolist() == [[4.0, 4.0], [4.0, 2.0], [2.0, 4.0], [2.0, 2.0]]
+    assert np.allclose(sys.rest[:, 0], 2.0 * np.sqrt([2.0, 5.0, 5.0, 8.0]),
+                       rtol=0, atol=1e-12)
     # fewer candidates than max_anchors: all 9 become springs
     sys, _, _ = assert_build_matches_loop(tex_pos, original, new_pts[:1],
                                           region=40, max_anchors=20)
-    assert len(sys.rest) == 9
+    assert sys.rest.shape == (9, 1) and (sys.rest > 0.0).all()
 
 
 def test_spring_iterations_cut_to_a_third():
