@@ -14,7 +14,9 @@ Three steps, run in order by the pipeline:
    spring ties a movable point to a fixed anchor, so each iteration is a
    local/global step (Liu et al. 2013, "Fast Simulation of Mass-Spring
    Systems"): every point moves to the mean of its active springs'
-   rest-length projections.  There is no step size to choose.
+   rest-length projections.  There is no step size to choose.  No two
+   points share a spring, so a point stops once its own net force is
+   below the tolerance.
 """
 
 from __future__ import annotations
@@ -174,19 +176,25 @@ class SpringSystem:
     def relax_phase(self, mode: str, force_tol: float, max_iters: int):
         """Run one phase; returns (iterations, max net force, converged).
 
-        Each iteration moves every point by its net force over its count of
-        active springs.  A spring's force is its rest-length projection
-        minus the point, so this puts the point at the mean of those
-        projections: the local/global step, stable without a step size.
+        Each iteration moves every point still moving by its net force over
+        its count of active springs.  A spring's force is its rest-length
+        projection minus the point, so this puts the point at the mean of
+        those projections: the local/global step, stable without a step
+        size.  A point whose net force falls below ``force_tol`` stops; its
+        anchors are fixed, so its force stays there.
         """
+        live = np.arange(len(self.points))
         it = 0
         while True:
-            f, n = self.forces(mode)
-            fmax = float(np.abs(f).max(initial=0.0))
-            if fmax < force_tol or it == max_iters:
-                return it, fmax, fmax < force_tol
-            self.points += f / np.maximum(n, 1)[:, None]
+            f, n = self.forces(mode, live)
+            moving = np.abs(f).max(axis=1) >= force_tol
+            live, f, n = live[moving], f[moving], n[moving]
+            if len(live) == 0 or it == max_iters:
+                break
+            self.points[live] += f / np.maximum(n, 1)[:, None]
             it += 1
+        fmax = float(np.abs(self.forces(mode)[0]).max(initial=0.0))
+        return it, fmax, fmax < force_tol
 
 
 @dataclass
@@ -342,16 +350,11 @@ def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None
     d_before = sys.distortion()
     push_it, _, ok1 = sys.relax_phase("push", cfg.force_tol, cfg.max_iters)
     pull_it, fmax, ok2 = sys.relax_phase("pull", cfg.force_tol, cfg.max_iters)
-    d_after = sys.distortion()
-    converged = ok1 and ok2
 
     uv = P_ext.uv.data.copy()
     c = pixel_center_grid(P_ext.width, P_ext.height)
-    u_new = sys.points / np.array([tw, th])
-    uv[pidx[:, 0], pidx[:, 1]] = c[pidx[:, 0], pidx[:, 1]] - u_new
-    out = UVMap(uv, sil)
-    res = RelaxResult(moved=pidx, distortion_before=d_before,
-                      distortion_after=d_after, push_iters=push_it,
-                      pull_iters=pull_it, max_force=fmax, converged=converged,
-                      skipped=skipped)
-    return out, res
+    uv[pidx[:, 0], pidx[:, 1]] = c[pidx[:, 0], pidx[:, 1]] - sys.points / np.array([tw, th])
+    return UVMap(uv, sil), RelaxResult(
+        moved=pidx, distortion_before=d_before, distortion_after=sys.distortion(),
+        push_iters=push_it, pull_iters=pull_it, max_force=fmax, converged=ok1 and ok2,
+        skipped=skipped)

@@ -478,6 +478,11 @@ def test_net_forces_match_add_at_reference():
             assert out.shape == ref.shape
             assert out.tobytes() == ref.tobytes() == ref_f.tobytes()
             assert n.dtype == ref_n.dtype and np.array_equal(n, ref_n)
+            # a subset of the columns gives those columns' sums
+            live = np.flatnonzero(rng.uniform(size=len(n)) < 0.5)
+            f_live, n_live = sys.forces(mode, live)
+            assert f_live.tobytes() == out[live].tobytes()
+            assert np.array_equal(n_live, n[live])
         assert sys.distortion() == flat.distortion()
     empty = SpringSystem(points=np.zeros((2, 2)), anchors=np.zeros((0, 2, 2)),
                          rest=np.zeros((0, 2)))
@@ -507,6 +512,44 @@ def test_table_relaxes_like_flat_springs_on_recover_frames():
         ref.append(flat.distortion())
         assert got == ref and got[1][2] and got[2][2]
         assert sys.points.tobytes() == flat.points.tobytes()
+
+
+def test_settled_points_stop_on_recover_frames():
+    # each point stops once its own force is below the tolerance: the same
+    # iteration counts as the global loop, positions within 0.1 texel, and
+    # a point settled when a phase starts stays exactly where it was
+    cfg = SpringConfig()
+    n_settled = 0
+    for sys in recover_systems():
+        ref = SpringSystem(sys.points.copy(), sys.anchors, sys.rest)
+        for mode in ("push", "pull"):
+            before = sys.points.copy()
+            settled = np.abs(sys.forces(mode)[0]).max(axis=1) < cfg.force_tol
+            it, fmax, ok = sys.relax_phase(mode, cfg.force_tol, cfg.max_iters)
+            ref_it, _, ref_ok = global_phase(ref.forces, ref.points, mode, cfg.force_tol,
+                                             cfg.max_iters)
+            assert (it, ok) == (ref_it, ref_ok) == (ref_it, True)
+            assert fmax == np.abs(sys.forces(mode)[0]).max() and fmax < cfg.force_tol
+            assert sys.points[settled].tobytes() == before[settled].tobytes()
+            n_settled += settled.sum()
+        assert np.abs(sys.points - ref.points).max() <= 0.1
+    assert n_settled > 0
+
+
+def test_settled_point_keeps_its_position():
+    # point 0 starts with a net force of 1e-4 along x and stays put; point 1
+    # has no force along x, yet must move along y to reach its rest length
+    sys = SpringSystem(points=np.array([[5.0, 5.0], [5.0, 4.5]]),
+                       anchors=np.array([[[3.0, 5.0], [5.0, 4.0]],
+                                         [[7.0, 5.0], [0.0, 0.0]]]),
+                       rest=np.array([[2.0, 2.0], [2.0001, 0.0]]))
+    start = sys.points.copy()
+    assert np.abs(sys.forces("push")[0][0]).max() < 1e-3
+    for mode in ("push", "pull"):
+        it, fmax, ok = sys.relax_phase(mode, 1e-3, 100)
+        assert ok and fmax < 1e-3
+    assert sys.points[0].tobytes() == start[0].tobytes()
+    assert np.linalg.norm(sys.points[1] - [5.0, 4.0]) == pytest.approx(2.0, abs=1e-3)
 
 
 def test_spring_compressed_reaches_rest_in_one_push_iteration():
