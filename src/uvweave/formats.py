@@ -8,6 +8,8 @@ byte order: negative means little-endian.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import ValidationError
@@ -29,6 +31,17 @@ def _read_token(fh, consumed):
                 return tok, consumed
             continue
         tok += ch
+
+
+def read_body(fh, nbytes: int) -> bytes:
+    """Read ``nbytes`` of data, or the bytes left in the file if fewer.
+
+    ``nbytes`` comes from a header, so it is checked against the file's
+    size before anything is read: a huge header gives a short read, which
+    the caller reports as truncated, not an overflow or out-of-memory.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    return fh.read(max(0, min(nbytes, left)))
 
 
 def write_pfm(path, array: np.ndarray, byte_order: str = "<"):
@@ -69,7 +82,7 @@ def read_pfm_samples(path) -> np.ndarray:
         if w < 1 or h < 1 or scale == 0.0:
             raise ValidationError(f"malformed header: bad dimensions or scale at byte {consumed}")
         order = "<" if scale < 0 else ">"
-        raw = fh.read(w * h * channels * 4)
+        raw = read_body(fh, w * h * channels * 4)
         if len(raw) != w * h * channels * 4:
             raise ValidationError(
                 f"truncated pfm data at byte {consumed + len(raw)}: "
@@ -118,7 +131,7 @@ def read_ppm(path) -> np.ndarray:
             raise ValidationError(f"malformed header: bad dimensions at byte {consumed}")
         if w < 1 or h < 1 or maxval != 255:
             raise ValidationError(f"malformed header: unsupported ppm at byte {consumed}")
-        raw = fh.read(w * h * 3)
+        raw = read_body(fh, w * h * 3)
         if len(raw) != w * h * 3:
             raise ValidationError(f"truncated ppm data at byte {consumed + len(raw)}")
         data = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)

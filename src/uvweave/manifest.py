@@ -86,12 +86,26 @@ class Manifest:
                 data = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ValidationError(f"malformed manifest: {e}")
+        if not isinstance(data, dict):
+            raise ValidationError("malformed manifest: not a JSON object")
         for key in ("version", "image_size", "texture_size", "frames", "stages"):
             if key not in data:
                 raise ValidationError(f"manifest missing key {key!r}")
-        for i, fr in enumerate(data["frames"]):
+        for key in ("image_size", "texture_size"):
+            size = data[key]
+            if not (isinstance(size, list) and len(size) == 2
+                    and all(type(v) is int and v > 0 for v in size)):
+                raise ValidationError(f"manifest {key} must be two positive integers")
+        if not isinstance(data["stages"], dict):
+            raise ValidationError("manifest stages must be an object")
+        frames = data["frames"]
+        if not (isinstance(frames, list) and all(isinstance(fr, dict) for fr in frames)):
+            raise ValidationError("manifest frames must be a list of objects")
+        for i, fr in enumerate(frames):
             if fr.get("index") != i:
                 raise ValidationError("manifest frame indices must be contiguous from 0")
+            if not all(isinstance(rel, str) for key, rel in fr.items() if key != "index"):
+                raise ValidationError(f"manifest frame {i} has a path that is not a string")
         if data.get("has_parts", False):
             raise ValidationError("manifest has_parts is not supported: "
                                   "UV maps hold one chart and a silhouette")

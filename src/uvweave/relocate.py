@@ -24,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .fields import Field2, pixel_center_grid, sample_bilinear
+from .formats import read_body
 from .warpmap import UVMap, texture_grid, texture_positions, warp
 
 
@@ -273,14 +274,16 @@ def read_flo(path) -> FlowField:
         magic = fh.read(4)
         if magic != b"PIEH":
             raise ValidationError(f"not a .flo file: bad magic {magic!r}")
-        dims = np.frombuffer(fh.read(8), dtype="<i4")
-        if dims.size != 2 or dims[0] < 1 or dims[1] < 1:
+        dims = fh.read(8)
+        if len(dims) != 8:
             raise ValidationError("truncated .flo header")
-        w, h = int(dims[0]), int(dims[1])
-        data = np.frombuffer(fh.read(w * h * 8), dtype="<f4")
-        if data.size != w * h * 2:
+        w, h = (int(v) for v in np.frombuffer(dims, dtype="<i4"))
+        if w < 1 or h < 1:
+            raise ValidationError("truncated .flo header")
+        raw = read_body(fh, w * h * 8)
+        if len(raw) != w * h * 8:
             raise ValidationError("truncated .flo data")
-    tex = data.reshape(h, w, 2).astype(np.float64)
+    tex = np.frombuffer(raw, dtype="<f4").reshape(h, w, 2).astype(np.float64)
     return FlowField(Field2(tex / np.array([w, h])))
 
 

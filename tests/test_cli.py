@@ -335,6 +335,47 @@ def test_bad_patch_flags_fail_before_any_stage(piped, tmp_path, capsys):
         assert files() == before
 
 
+def test_huge_image_headers_exit_2(piped, tmp_path, capsys):
+    # a texture or an external flow whose header claims 2e9 x 2e9 pixels
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    big = tmp_path / "big.ppm"
+    big.write_bytes(b"P6\n2000000000 2000000000\n255\n" + bytes(12))
+    assert main(["retexture", str(d), str(big)]) == 2
+    assert "truncated ppm data" in capsys.readouterr().err
+    flows = tmp_path / "flows"
+    flows.mkdir()
+    for i in range(3):
+        (flows / f"f{i:04d}.flo").write_bytes(
+            b"PIEH" + np.array([2000000000, 2000000000], dtype="<i4").tobytes() + bytes(12))
+    assert main(["relocate", str(d), "--flow-dir", str(flows)]) == 2
+    assert "truncated .flo data" in capsys.readouterr().err
+
+
+def _frame0_path(m, value):
+    m["frames"][0]["uv_raw"] = value
+    return m
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: {**m, "frames": 5}, "frames must be a list of objects"),
+    (lambda m: {**m, "frames": [3]}, "frames must be a list of objects"),
+    (lambda m: _frame0_path(m, 7), "frame 0 has a path that is not a string"),
+    (lambda m: {**m, "image_size": [48]}, "image_size must be two positive integers"),
+    (lambda m: {**m, "texture_size": [48, True]}, "texture_size must be two positive"),
+    (lambda m: {**m, "stages": []}, "stages must be an object"),
+    (lambda m: [m], "not a JSON object"),
+], ids=["frames-int", "frames-int-item", "path-int", "size-short", "size-bool",
+        "stages-list", "list"])
+def test_malformed_manifest_exit_2(piped, tmp_path, capsys, edit, message):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    manifest = json.loads((d / "manifest.json").read_text())
+    (d / "manifest.json").write_text(json.dumps(edit(manifest)))
+    assert main(["extend", str(d)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_relocate_missing_external_flow(piped, tmp_path, capsys):
     piped, _ = piped
     empty = tmp_path / "noflows"

@@ -4,7 +4,21 @@ import numpy as np
 import pytest
 
 from uvweave.errors import ValidationError
-from uvweave.formats import read_pfm, read_ppm, write_pfm, write_ppm
+from uvweave.formats import read_pfm, read_pfm_samples, read_ppm, write_pfm, write_ppm
+from uvweave.relocate import read_flo
+
+
+def huge_headers(tmp_path, w, h):
+    """A PFM, a PPM and a .flo file whose headers claim w x h pixels over a
+    12-byte body; returns (path, reader, message) triples."""
+    body = bytes(12)
+    pfm, ppm, flo = tmp_path / "big.pfm", tmp_path / "big.ppm", tmp_path / "big.flo"
+    pfm.write_bytes(f"PF\n{w} {h}\n-1.0\n".encode() + body)
+    ppm.write_bytes(f"P6\n{w} {h}\n255\n".encode() + body)
+    flo.write_bytes(b"PIEH" + np.array([w, h], dtype="<i4").tobytes() + body)
+    return [(pfm, read_pfm_samples, "truncated pfm data"),
+            (ppm, read_ppm, "truncated ppm data"),
+            (flo, read_flo, "truncated .flo data")]
 
 
 def test_pfm_roundtrip_three_channel(tmp_path):
@@ -109,6 +123,25 @@ def test_pfm_truncated_data_reports_offset(tmp_path):
     with pytest.raises(ValidationError,
                        match=f"truncated pfm data at byte {header_len + 10}"):
         read_pfm(p)
+
+
+@pytest.mark.parametrize("w, h", [(2000000000, 2000000000), (40000, 40000)])
+def test_huge_header_is_truncated_data(tmp_path, w, h):
+    # the header's byte count is checked against the file before reading:
+    # it overflowed a read's size, or asked for gigabytes of memory
+    for path, reader, message in huge_headers(tmp_path, w, h):
+        with pytest.raises(ValidationError, match=message):
+            reader(path)
+
+
+def test_flo_short_header_and_odd_body(tmp_path):
+    p = tmp_path / "short.flo"
+    p.write_bytes(b"PIEH\x02\x00\x00")
+    with pytest.raises(ValidationError, match="truncated .flo header"):
+        read_flo(p)
+    p.write_bytes(b"PIEH" + np.array([1, 1], dtype="<i4").tobytes() + bytes(5))
+    with pytest.raises(ValidationError, match="truncated .flo data"):
+        read_flo(p)
 
 
 def test_ppm_roundtrip_quantized(tmp_path):
