@@ -24,6 +24,9 @@ from .relocate import Correspondence
 from .warpmap import UVMap
 
 MANIFEST_NAME = "manifest.json"
+# Top-level manifest keys that describe the sequence; every other key but
+# ``has_parts`` names an artifact.
+LAYOUT_KEYS = ("version", "image_size", "texture_size", "frames", "stages")
 # Each stage's prerequisite, listed before the stages that depend on it.
 STAGE_PREREQ = {"corrupt": "gen", "extend": "corrupt", "optimize": "extend",
                 "relocate": "optimize", "synth": "relocate", "retexture": "relocate",
@@ -88,7 +91,7 @@ class Manifest:
                 raise ValidationError(f"malformed manifest: {e}")
         if not isinstance(data, dict):
             raise ValidationError("malformed manifest: not a JSON object")
-        for key in ("version", "image_size", "texture_size", "frames", "stages"):
+        for key in LAYOUT_KEYS:
             if key not in data:
                 raise ValidationError(f"manifest missing key {key!r}")
         for key in ("image_size", "texture_size"):
@@ -109,14 +112,16 @@ class Manifest:
         if data.get("has_parts", False):
             raise ValidationError("manifest has_parts is not supported: "
                                   "UV maps hold one chart and a silhouette")
-        m = cls(root, data)
-        for fr in data["frames"]:
-            for key, rel in fr.items():
-                if key == "index":
-                    continue
-                if not (root / rel).is_file():
-                    raise ValidationError(f"manifest references missing file {rel}")
-        return m
+        items = {key: rel for key, rel in data.items()
+                 if key not in LAYOUT_KEYS and key != "has_parts"}
+        for key, rel in items.items():
+            if not isinstance(rel, str):
+                raise ValidationError(f"manifest {key} is not a path")
+        for rel in [*items.values(),
+                    *(rel for fr in frames for key, rel in fr.items() if key != "index")]:
+            if not (root / rel).is_file():
+                raise ValidationError(f"manifest references missing file {rel}")
+        return cls(root, data)
 
     def save(self):
         with open(self.root / MANIFEST_NAME, "w") as fh:

@@ -113,6 +113,35 @@ def _edge_pad(img: np.ndarray, pad: int) -> np.ndarray:
 _BATCH_TEXELS = 1 << 16
 
 
+def _chunks(crop: np.ndarray, w: int, cap: int) -> list:
+    """Batches ``(i0, i1, ch, cw)`` of the keys ``i0:i1``, which share the
+    crop ``ch * (w + 1) + cw`` (``crop`` is sorted), grouped into chunks of
+    at most ``cap`` texels.  A run of equal crops is split into batches of
+    ``_BATCH_TEXELS`` texels, or one key if its crop is larger; a chunk
+    takes whole batches in order, so a run may span chunks."""
+    runs = np.flatnonzero(np.diff(crop, prepend=-1, append=-1))
+    chunks, chunk, used = [], [], 0
+    for r0, r1 in zip(runs[:-1], runs[1:]):
+        ch, cw = divmod(int(crop[r0]), w + 1)
+        step = max(1, _BATCH_TEXELS // (ch * cw))
+        for i0 in range(r0, r1, step):
+            i1 = min(i0 + step, r1)
+            size = (i1 - i0) * ch * cw
+            if used + size > cap:
+                chunks.append(chunk)
+                chunk, used = [], 0
+            chunk.append((i0, i1, ch, cw))
+            used += size
+    chunks.append(chunk)
+    return chunks
+
+
+def _starts(labels: np.ndarray, n: int) -> np.ndarray:
+    """Where each label's entries start in ``labels`` sorted stably, and the
+    total at the end."""
+    return np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=n))))
+
+
 def _candidates(radius: int):
     offs = [(dy, dx) for dy in range(-radius, radius + 1)
             for dx in range(-radius, radius + 1)]
@@ -127,6 +156,9 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
     Per-texel SSD over a block window, searched within the per-level
     radius; ties go to the smaller displacement, then scanline order.
     Parabolic refinement on the finest level yields subpixel output.
+    Memory is one candidate cost per texel and offset, plus a buffer of
+    ``_BATCH_TEXELS`` (or one level-0 image) and its index arrays, however
+    many displacements a level scores.
 
     A ``record`` dict, when given, receives the work the search took,
     summed over levels: ``flow_volumes``, the displacements scored, and
@@ -153,6 +185,19 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
     # for bit exact; a crop that starts later rounds differently.
     reach = blk - blk // 2
     n_volumes = n_texels = 0
+    # Keys are scored a chunk at a time into one buffer, which holds any
+    # batch, and copied out to their texels' candidates.  A key serves
+    # distinct texels of its crop, so a chunk's entries fit index arrays of
+    # the buffer's length.  One block holds these and the candidate volume:
+    # glibc raises its mmap threshold to the largest block freed and trims
+    # the heap when twice that is free, so with the rest of a call's arrays
+    # in smaller blocks the heap keeps its pages from call to call.
+    n_buf = max(_BATCH_TEXELS, T_a.height * T_a.width)
+    n_vol = len(offs) * T_a.height * T_a.width
+    work = np.empty(n_vol + 5 * n_buf)
+    buf, vals = work[n_vol:n_vol + 2 * n_buf].reshape(2, n_buf)
+    index = work[n_vol + 2 * n_buf:].view(np.int64).reshape(3, n_buf)
+    entry = np.arange(n_buf)
     base = np.zeros(pyr_a[-1].shape[:2] + (2,), dtype=np.float64)  # (dy, dx)
     for level in range(len(pyr_a) - 1, -1, -1):
         a, b = pyr_a[level], pyr_b[level]
@@ -202,38 +247,72 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
         crop = crop_h * (w + 1) + crop_w
         order = np.argsort(crop, kind="stable")
         key_y, key_x, crop = key_y[order], key_x[order], crop[order]
-        lut = np.argsort(order)[lut]
-        runs = np.flatnonzero(np.diff(crop, prepend=-1, append=-1))
+        lut = np.argsort(order)[lut].reshape(-1)
+
+        # A chunk's costs go to the (base, candidate) pairs of its keys, in
+        # key order, and from each pair to the texels of its base.  The
+        # volume lists texels by base, so each pair fills one run of it;
+        # col[y, x] is the texel's place (rank) in that order.
+        pairs = np.argsort(lut, kind="stable")
+        pair_at = _starts(lut, len(codes))
+        texels = np.argsort(inv, axis=None, kind="stable")
+        tex_y = texels // w
+        tex_at = _starts(inv.reshape(-1), len(bases))
+        col = np.argsort(texels).reshape(h, w)
+        key_at = np.empty(len(codes), dtype=np.int64)     # offset in buf
+        key_w = crop % (w + 1)
 
         pad = int(max(np.abs(key_y).max(), np.abs(key_x).max()))
         a_c = np.ascontiguousarray(np.moveaxis(a, 2, 0))
         b_c = np.ascontiguousarray(np.moveaxis(_edge_pad(b, pad), 2, 0))
-        # Entries outside a key's crop stay unset; no texel reads them.
-        vols = np.empty((len(codes), h, w), dtype=np.float64)
-        for r0, r1 in zip(runs[:-1], runs[1:]):
-            ch, cw = divmod(int(crop[r0]), w + 1)
-            # wins[:, pad + dy, pad + dx] is b shifted by (dy, dx), over the crop
-            wins = sliding_window_view(b_c, (ch, cw), axis=(1, 2))
-            step = max(1, _BATCH_TEXELS // (ch * cw))
-            for i0 in range(r0, r1, step):
-                i1 = min(i0 + step, r1)
+        vol = work[:len(offs) * h * w]     # costs by candidate, then rank
+        wins = None
+        for chunk in _chunks(crop, w, len(buf)):
+            used = 0
+            for i0, i1, ch, cw in chunk:
+                if wins is None or wins.shape[-2:] != (ch, cw):
+                    # wins[:, pad + dy, pad + dx] is b shifted by (dy, dx),
+                    # over the crop
+                    wins = sliding_window_view(b_c, (ch, cw), axis=(1, 2))
                 d = wins[:, pad + key_y[i0:i1], pad + key_x[i0:i1]]
                 np.subtract(a_c[:, None, :ch, :cw], d, out=d)
                 d *= d
-                out = vols[i0:i1, :ch, :cw]
+                out = buf[used:used + (i1 - i0) * ch * cw].reshape(i1 - i0, ch, cw)
+                key_at[i0:i1] = used + np.arange(i1 - i0) * (ch * cw)
+                used += out.size
                 # (d0² + d1²) + d2², the order np.sum(d * d, axis=2) adds in
                 np.add(d[0], d[1], out=out)
                 out += d[2]
                 ndi.uniform_filter1d(out, blk, axis=1, mode="nearest", output=out)
                 ndi.uniform_filter1d(out, blk, axis=2, mode="nearest", output=out)
+            # Copy the chunk's costs out; the rest of each crop is read by no
+            # texel.  Entry e of pair j is the texel t = texels[rank[e]] of
+            # the pair's base, which sits at row t // w of the key's crop
+            # and column t % w = t - w * (t // w), and goes to rank[e] of
+            # the candidate's row of the volume.
+            p = pairs[pair_at[chunk[0][0]]:pair_at[chunk[-1][1]]]
+            pb, pc = np.divmod(p, len(offs))
+            k = lut[p]
+            start = tex_at[pb]
+            n = tex_at[pb + 1] - start
+            ends = np.cumsum(n)
+            rank, src, dst = index[:, :ends[-1]]
+            np.add(np.repeat(start - ends + n, n), entry[:len(rank)], out=rank)
+            np.take(texels, rank, out=dst, mode="clip")
+            np.take(tex_y, rank, out=src, mode="clip")
+            np.multiply(src, np.repeat(w - key_w[k], n), out=src)
+            np.subtract(dst, src, out=src)
+            np.add(src, np.repeat(key_at[k], n), out=src)
+            np.add(rank, np.repeat(pc * (h * w), n), out=dst)
+            vol[dst] = np.take(buf, src, out=vals[:len(src)], mode="clip")
         n_volumes += len(codes)
         n_texels += int((crop_h * crop_w).sum())
-        vol = vols.reshape(-1).take(lut.T[:, inv] * (h * w) + gy * w + gx)
+        vol = vol.reshape(len(offs), h * w)
         # The box filter's running sums leave ~1e-18 residue where the true
         # cost is zero; snap it so exact matches tie-break in candidate
         # order and skip subpixel refinement.
         vol[vol < 1e-12] = 0.0
-        best = np.argmin(vol, axis=0)      # first minimum wins: our tie order
+        best = np.argmin(vol, axis=0)[col]  # first minimum wins: our tie order
         delta = np.array(offs, dtype=np.float64)[best]
         flow = ibase + delta
 
@@ -242,14 +321,14 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
             index_of = np.full((2 * r + 3, 2 * r + 3), -1, dtype=np.int64)
             index_of[off_y + r + 1, off_x + r + 1] = np.arange(len(offs))
             by, bx = off_y[best] + r + 1, off_x[best] + r + 1
-            c0 = vol[best, gy, gx]
+            c0 = vol[best, col]
             sub = np.zeros((h, w, 2))
             for axis, (uy, ux) in ((0, (1, 0)), (1, (0, 1))):
                 lo = index_of[by - uy, bx - ux]
                 hi = index_of[by + uy, bx + ux]
                 ok = (lo >= 0) & (hi >= 0)
-                cm = vol[np.where(ok, lo, 0), gy, gx]
-                cp = vol[np.where(ok, hi, 0), gy, gx]
+                cm = vol[np.where(ok, lo, 0), col]
+                cp = vol[np.where(ok, hi, 0), col]
                 denom = cm - 2.0 * c0 + cp
                 # Refine only at genuine local minima with curvature above
                 # the float-noise floor; an exact match (SSD 0) stays put.

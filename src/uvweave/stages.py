@@ -212,6 +212,8 @@ def stage_retexture(root, texture_path, tag: str = "retex", threads: int = 1) ->
     m = Manifest.load(root)
     m.require_stage("relocate")
     texture_path = Path(texture_path)
+    if not texture_path.is_file():
+        raise ValidationError(f"no texture file at {texture_path}")
     if texture_path.suffix == ".ppm":
         T = Field2(read_ppm(texture_path))
     else:

@@ -376,6 +376,34 @@ def test_malformed_manifest_exit_2(piped, tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+def _files(d):
+    return {str(p.relative_to(d)): p.read_bytes() for p in d.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("name", ["texture_gt.pfm", "texture_o.pfm", "corr0.pfm",
+                                  "synth_stats.json", "metrics.json"])
+def test_missing_top_level_artifact_exit_2(piped, tmp_path, capsys, name):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    assert name in json.loads((d / "manifest.json").read_text()).values()
+    (d / name).unlink()
+    before = _files(d)
+    assert main(["synth", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: manifest references missing file {name}\n"
+    assert _files(d) == before
+
+
+def test_retexture_missing_texture_exit_2(piped, tmp_path, capsys):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    before = _files(d)
+    for texture in (tmp_path / "missing.ppm", tmp_path):
+        assert main(["retexture", str(d), str(texture)]) == 2
+        assert capsys.readouterr().err == f"error: no texture file at {texture}\n"
+    assert _files(d) == before
+
+
 def test_relocate_missing_external_flow(piped, tmp_path, capsys):
     piped, _ = piped
     empty = tmp_path / "noflows"

@@ -80,6 +80,21 @@ def test_load_missing_referenced_file(tmp_path):
         Manifest.load(tmp_path / "seq")
 
 
+def test_load_checks_top_level_artifacts(tmp_path):
+    m = fresh(tmp_path)
+    m.set_item("texture_o", "texture_o.pfm")
+    m.data["has_parts"] = False
+    m.save()
+    with pytest.raises(ValidationError, match="missing file texture_o.pfm"):
+        Manifest.load(tmp_path / "seq")
+    write_pfm(m.path("texture_o.pfm"), np.zeros((12, 10, 3)))
+    assert Manifest.load(tmp_path / "seq").item("texture_o") == m.path("texture_o.pfm")
+    m.set_item("metrics", 7)
+    m.save()
+    with pytest.raises(ValidationError, match="manifest metrics is not a path"):
+        Manifest.load(tmp_path / "seq")
+
+
 def test_require_stage_message(tmp_path):
     m = fresh(tmp_path)
     with pytest.raises(ValidationError, match="stage 'extend' must run before"):

@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +9,7 @@ from uvweave import (Correspondence, CorruptConfig, Field2, FlowConfig, FlowFiel
                      SceneConfig, ValidationError, block_flow, corrupt, gen_sequence,
                      identity_correspondence, init_correspondence, patch_fill,
                      prune_mismatch, read_flo, to_image_uv, write_flo)
+from uvweave import relocate
 from uvweave.fields import pixel_center_grid
 from uvweave.relocate import (_candidates, _downsample, _edge_pad, RelocateConfig,
                               frame_zero_products, relocate_frame)
@@ -128,11 +130,13 @@ def test_block_flow_matches_single_level_oracle():
     assert (got[m:-m, m:-m] == want[m:-m, m:-m]).all()
 
 
-def union_block_flow(T_a, T_b, cfg):
+def union_block_flow(T_a, T_b, cfg, record=None):
     """Reference: the union-volume loop.  Every level scores the full-size
     box-filtered SSD of each displacement any texel tests, then gathers
     each texel's candidates by fancy indexing.  Returns the flow and, per
-    level, (distinct rounded bases, displacements scored, h, w)."""
+    level, (distinct rounded bases, displacements scored, h, w).  A
+    ``record`` dict receives the counts ``block_flow`` records, with each
+    displacement's crop found by a loop over the bases that test it."""
     pyr_a, pyr_b = [T_a.data], [T_b.data]
     for _ in range(cfg.pyramid_levels - 1):
         if min(pyr_a[-1].shape[:2]) < 2 * cfg.block:
@@ -140,7 +144,8 @@ def union_block_flow(T_a, T_b, cfg):
         pyr_a.append(_downsample(pyr_a[-1]))
         pyr_b.append(_downsample(pyr_b[-1]))
     offs = _candidates(cfg.search_radius)
-    levels = []
+    reach = cfg.block - cfg.block // 2
+    levels, crop_texels = [], 0
     base = np.zeros(pyr_a[-1].shape[:2] + (2,), dtype=np.float64)
     for level in range(len(pyr_a) - 1, -1, -1):
         a, b = pyr_a[level], pyr_b[level]
@@ -170,6 +175,15 @@ def union_block_flow(T_a, T_b, cfg):
             ssd = np.sum(diff * diff, axis=2)
             vols[i] = ndi.uniform_filter(ssd, size=cfg.block, mode="nearest")
         levels.append((len(uniq), len(keys), h, w))
+        crops = {}
+        for gi, g in enumerate(uniq):
+            ys, xs = np.nonzero(inv == gi)
+            ch, cw = min(int(ys.max()) + reach, h), min(int(xs.max()) + reach, w)
+            for dy, dx in offs:
+                d = (int(g[0]) + dy, int(g[1]) + dx)
+                oh, ow = crops.get(d, (0, 0))
+                crops[d] = (max(oh, ch), max(ow, cw))
+        crop_texels += sum(ch * cw for ch, cw in crops.values())
         lut = np.empty((len(uniq), len(offs)), dtype=np.int64)
         for gi, g in enumerate(uniq):
             for di, (dy, dx) in enumerate(offs):
@@ -197,6 +211,9 @@ def union_block_flow(T_a, T_b, cfg):
                 sub[..., axis] = np.clip(off, -0.5, 0.5)
             flow = flow + sub
         base = flow
+    if record is not None:
+        record.update(flow_volumes=sum(k for _, k, _, _ in levels),
+                      flow_volume_texels=crop_texels)
     h, w = T_a.height, T_a.width
     disp = np.empty((h, w, 2))
     disp[..., 0] = base[..., 1] / w
@@ -270,6 +287,60 @@ def test_block_flow_matches_union_reference_across_configs():
         want, _ = union_block_flow(a, b, cfg)
         got = block_flow(a, b, cfg)
         assert got.displacement.data.tobytes() == want.displacement.data.tobytes(), cfg
+
+
+def test_block_flow_chunk_seams_match_union_reference(monkeypatch):
+    # level 0 is scored in many chunks, and a run of keys with equal crops
+    # is split between two of them
+    plans = []
+
+    def spy(crop, w, cap):
+        chunks = chunk_plan(crop, w, cap)
+        plans.append((crop, chunks))
+        return chunks
+
+    chunk_plan = relocate._chunks
+    monkeypatch.setattr(relocate, "_chunks", spy)
+    a, b = varying_shift_pair(96, 96, seed=3)
+    got, want = {}, {}
+    flow = block_flow(a, b, record=got)
+    ref, _ = union_block_flow(a, b, FlowConfig(), record=want)
+    assert flow.displacement.data.tobytes() == ref.displacement.data.tobytes()
+    assert got == want
+    crop, chunks = plans[-1]                 # the finest level comes last
+    batches = [batch for chunk in chunks for batch in chunk]
+    assert [i0 for i0, *_ in batches] == [0] + [i1 for _, i1, *_ in batches[:-1]]
+    assert batches[-1][1] == len(crop)
+    assert len(chunks) >= 3
+    seams = [chunk[0][0] for chunk in chunks[1:]]
+    assert any(crop[s - 1] == crop[s] for s in seams)
+
+
+def traced_peak(fn):
+    """Peak bytes numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_flow_memory_does_not_grow_with_keys(corrupted_pairs):
+    # a relocate pair tests hundreds of displacements at level 0; a pair of
+    # identical textures has one rounded base, so 81 a level
+    T_t, T_o = corrupted_pairs[0]
+    _, levels = union_block_flow(T_t, T_o, FlowConfig())
+    _, keys, h, w = levels[-1]
+    assert keys >= 600
+    same = Field2(noise_texture(64, 64))
+    _, same_levels = union_block_flow(same, same, FlowConfig())
+    assert [k for _, k, _, _ in same_levels] == [81, 81, 81]
+    many = traced_peak(lambda: block_flow(T_t, T_o))
+    few = traced_peak(lambda: block_flow(same, same))
+    assert many < 1.5 * few and few < 1.5 * many
+    # well below one full volume per displacement
+    assert many < keys * h * w * 8
 
 
 def test_block_flow_records_cropped_volumes(corrupted_pairs):
