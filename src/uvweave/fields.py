@@ -119,54 +119,74 @@ def scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _axis_split(g: np.ndarray, n: int):
+def _axis_split(g: np.ndarray, n):
     """Split grid coordinates into clamped low/high indices and a fraction.
 
+    ``n`` is the grid size along the coordinates' axis, or an array of
+    sizes broadcasting against ``g`` to split several axes in one pass.
     Fractions within SNAP_EPS of 0 or 1 are snapped so that exact-center
-    samples do not smear across cells.
+    samples do not smear across cells.  Indices are clamped while still
+    floats, so coordinates of any magnitude clamp to the edge.
     """
     i0 = np.floor(g)
     f = g - i0
-    i0 = i0.astype(np.int64)
     hi = f > 1.0 - SNAP_EPS
-    if np.any(hi):
-        i0 = np.where(hi, i0 + 1, i0)
-        f = np.where(hi, 0.0, f)
-    f = np.where(f < SNAP_EPS, 0.0, f)
-    lo = np.clip(i0, 0, n - 1)
-    hi_idx = np.clip(i0 + 1, 0, n - 1)
-    return lo, hi_idx, f
+    if hi.any():
+        i0[hi] += 1.0
+        f[hi] = 0.0
+    lo = f < SNAP_EPS
+    if lo.any():
+        f[lo] = 0.0
+    if i0.min(initial=0.0) >= 0.0 and (i0 <= n - 2).all():    # no index clamps
+        lo_idx = i0.astype(np.intp)
+        return lo_idx, lo_idx + 1, f
+    lo_idx = np.clip(i0, 0, n - 1).astype(np.intp)
+    i0 += 1.0
+    hi_idx = np.clip(i0, 0, n - 1).astype(np.intp)
+    return lo_idx, hi_idx, f
 
 
-def _bilinear_corners(gx: np.ndarray, gy: np.ndarray, w: int, h: int):
+def _bilinear_corners(g: np.ndarray, w: int, h: int):
     """Flat corner indices and fractions of bilinear lookups into a w x h grid.
 
+    ``g`` stacks the x and y grid coordinates along its first axis.
     Returns ``((i00, i10, i01, i11), fx, fy)``: indices into the row-major
     flattened grid of the low/high x and y neighbours, and the weights of
     the high neighbours along each axis.
     """
-    x0, x1, fx = _axis_split(gx, w)
-    y0, y1, fy = _axis_split(gy, h)
+    sizes = np.array([w, h], dtype=np.float64).reshape((2,) + (1,) * (g.ndim - 1))
+    (x0, y0), (x1, y1), (fx, fy) = _axis_split(g, sizes)
     row0 = y0 * w
     row1 = y1 * w
     return (row0 + x0, row0 + x1, row1 + x0, row1 + x1), fx, fy
 
 
+def _scale_channels(v: np.ndarray, w: np.ndarray):
+    """``v *= w[..., None]`` for (..., C) values and per-lookup weights.
+
+    Iterating channel by channel runs one long strided loop per channel;
+    the broadcast form would run an inner loop of C values per lookup.
+    """
+    planes = np.moveaxis(v, -1, 0)
+    np.multiply(planes, w, out=planes, order="C")
+
+
 def _lerp_corners(v00, v10, v01, v11, wx, wy):
-    """Blend four owned corner-value arrays in place; returns the result.
+    """Blend four owned (..., C) corner-value arrays in place with
+    per-lookup weights ``wx`` and ``wy``; returns the result.
 
     The operation order (and therefore rounding) matches
     ``top + (bot - top) * wy`` with ``top = v00 + (v10 - v00) * wx`` and
     ``bot = v01 + (v11 - v01) * wx``.
     """
     v10 -= v00
-    v10 *= wx
+    _scale_channels(v10, wx)
     v10 += v00          # top
     v11 -= v01
-    v11 *= wx
+    _scale_channels(v11, wx)
     v11 += v01          # bot
     v11 -= v10
-    v11 *= wy
+    _scale_channels(v11, wy)
     v11 += v10          # vals
     return v11
 
@@ -180,15 +200,15 @@ def _bilinear_gather(data: np.ndarray, gx: np.ndarray, gy: np.ndarray, with_grad
     zero derivative in the clamped direction).
     """
     h, w, _ = data.shape
-    corners, fx, fy = _bilinear_corners(gx, gy, w, h)
+    corners, fx, fy = _bilinear_corners(np.stack((gx, gy)), w, h)
     # gather through a flat view: one-axis take is markedly faster than
     # two-array advanced indexing at render sizes
     flat = np.ascontiguousarray(data).reshape(h * w, -1)
     v00, v10, v01, v11 = (flat.take(i, axis=0) for i in corners)
+    if not with_grad:
+        return _lerp_corners(v00, v10, v01, v11, fx, fy)
     wx = fx[..., None]
     wy = fy[..., None]
-    if not with_grad:
-        return _lerp_corners(v00, v10, v01, v11, wx, wy)
     top = v00 + (v10 - v00) * wx
     bot = v01 + (v11 - v01) * wx
     vals = top + (bot - top) * wy

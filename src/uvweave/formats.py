@@ -95,24 +95,40 @@ def read_pfm(path) -> np.ndarray:
     return read_pfm_samples(path).astype(np.float64)
 
 
+def quantize(values: np.ndarray, out: np.ndarray):
+    """Store float64 ``values`` as 8-bit PPM samples in ``out`` (same shape).
+
+    The rule: clip to [0, 1], scale by 255 and round half to even.  It
+    works a band of leading-axis rows at a time, so the one float
+    temporary stays small and cache-resident.
+    """
+    rows = max(1, PPM_BAND_VALUES * len(values) // max(values.size, 1))
+    band = np.empty((min(rows, len(values)),) + values.shape[1:], dtype=np.float64)
+    for r in range(0, len(values), rows):
+        chunk = values[r:r + rows]
+        b = band[:len(chunk)]
+        np.clip(chunk, 0.0, 1.0, out=b)
+        b *= 255.0
+        np.rint(b, out=b)
+        out[r:r + rows] = b
+
+
 def write_ppm(path, array: np.ndarray):
     """Write an (H, W, 3) array in [0, 1] as binary PPM."""
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValidationError(f"ppm arrays must be HxWx3, got shape {arr.shape}")
-    h, w, _ = arr.shape
-    quant = np.empty((h, w, 3), dtype=np.uint8)
-    # Quantize a band of rows at a time, in place, so the one float
-    # temporary stays small and cache-resident.
-    rows = max(1, PPM_BAND_VALUES // (3 * w))
-    for r in range(0, h, rows):
-        band = np.clip(arr[r:r + rows], 0.0, 1.0)
-        band *= 255.0
-        np.rint(band, out=band)
-        quant[r:r + rows] = band
+    samples = np.empty(arr.shape, dtype=np.uint8)
+    quantize(arr, samples)
+    write_ppm_samples(path, samples)
+
+
+def write_ppm_samples(path, samples: np.ndarray):
+    """Write a C-contiguous (H, W, 3) uint8 array as binary PPM."""
+    h, w, _ = samples.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(quant.tobytes())
+        fh.write(samples.data)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -135,4 +151,6 @@ def read_ppm(path) -> np.ndarray:
         if len(raw) != w * h * 3:
             raise ValidationError(f"truncated ppm data at byte {consumed + len(raw)}")
         data = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return data.astype(np.float64) / 255.0
+    out = data.astype(np.float64)
+    out /= 255.0
+    return out

@@ -40,24 +40,29 @@ def config_dict(cfg) -> dict:
     return dict(cfg)
 
 
-def _read_uv_channels(path):
-    """Float64 (H, W, 2) UV offsets and the rounded int64 (H, W) third
-    channel, positive on the silhouette, of a packed UV file.  The file's
-    samples are released before returning."""
-    samples = read_pfm_samples(path)   # float32
-    # `> 0.5` on the samples gives the same mask, but without this int64
-    # array glibc's mmap threshold stays low and each 512^2 retexture pass
-    # faults ~24k pages in afresh.
-    channel = np.rint(samples[..., 2]).astype(np.int64)
-    # Widen the (u, v) pairs to float64 as complex items: one strided loop
-    # instead of a two-element inner loop per pixel.  The result is
-    # contiguous, which UVMap validates and masks several times faster
-    # than a strided view.
+def uv_silhouette(samples: np.ndarray) -> np.ndarray:
+    """The (H, W) silhouette of packed UV samples: third channel above 0.5."""
+    return samples[..., 2] > 0.5
+
+
+def uv_pairs(samples: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Float64 (u, v) offsets of packed UV samples, (H, W, 2); with an
+    (H, W) boolean ``mask``, those of the masked pixels in row-major
+    order, (n, 2).
+
+    Each pixel's pair is widened as a complex number: one strided loop
+    instead of a two-element inner loop per pixel.
+    """
     h, w, _ = samples.shape
+    pixels = samples.reshape(h * w, 3)
+    if mask is not None:
+        # A boolean selection from a 1-D array of 12-byte items copies each
+        # run of selected pixels at once.
+        items = pixels.view(np.dtype((np.void, 12))).reshape(-1)
+        pixels = items[mask.reshape(-1)].view(samples.dtype).reshape(-1, 3)
     pair = np.dtype(np.complex64).newbyteorder(samples.dtype.byteorder)
-    pairs = samples.reshape(h * w, 3)[:, :2].view(pair)
-    uv = pairs.astype(np.complex128).view(np.float64).reshape(h, w, 2)
-    return uv, channel
+    uv = pixels[:, :2].view(pair).astype(np.complex128).view(np.float64)
+    return uv if mask is not None else uv.reshape(h, w, 2)
 
 
 class Manifest:
@@ -190,9 +195,29 @@ class Manifest:
         write_pfm(self.root / rel, packed)
         self.set_frame_item(index, key, rel)
 
+    def read_uv_samples(self, index: int, key: str) -> np.ndarray:
+        """A packed UV file's samples as stored: float32 (H, W, 3), the (u, v)
+        offsets and a channel that ``uv_silhouette`` reads.
+
+        Raises ValidationError unless the file holds the sequence's image
+        size, three channels and only finite samples.
+        """
+        path = self.frame_item(index, key)
+        samples = read_pfm_samples(path)
+        w, h = self.image_size
+        fh, fw, channels = samples.shape
+        if (fh, fw, channels) != (h, w, 3):
+            raise ValidationError(
+                f"{path.name}: packed UV file is {fw}x{fh} with {channels} channel(s), "
+                f"expected {w}x{h} with 3")
+        if not np.isfinite(samples).all():
+            raise ValidationError(f"{path.name}: packed UV file holds non-finite samples")
+        return samples
+
     def read_uv(self, index: int, key: str) -> UVMap:
-        uv, channel = _read_uv_channels(self.frame_item(index, key))
-        return UVMap(uv, channel > 0)
+        samples = self.read_uv_samples(index, key)
+        # the samples are finite, so the UV field needs no second check
+        return UVMap(Field2._wrap(uv_pairs(samples)), uv_silhouette(samples))
 
     def write_mask(self, index: int, key: str, mask: np.ndarray):
         rel = f"frames/f{index:04d}_{key}.pfm"

@@ -4,6 +4,11 @@ Rendering a frame from a texture plus a UV map costs exactly one bilinear
 fetch per foreground pixel: four texel reads and a handful of multiply-adds
 per channel, independent of how the UV map was produced.  The operation
 counter makes that budget testable.
+
+The renderer works on a frame's foreground alone: it takes the flat indices
+of the foreground pixels and their UV offsets and returns their values.
+Background pixels cost nothing; ``LookupRenderer.frame`` scatters the
+values into a full-frame field for callers that want one.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field2, _bilinear_corners, _lerp_corners
-from .warpmap import UVMap, texture_positions
+from .fields import Field2, _bilinear_corners, _lerp_corners, pixel_center_grid
+from .warpmap import UVMap
 
 # One bilinear fetch: 4 corner reads; per channel 4 multiplies + 3 adds,
 # plus the 4 shared weight products amortized over the channels.
@@ -38,47 +43,68 @@ class LookupStats:
 class LookupRenderer:
     """Lookup renderer bound to one texture; call it once per frame.
 
-    The texture is held channel-planar, so each corner read gathers all
-    channels in one take and the blends run over contiguous (C, n) arrays.
-    Build one renderer per texture and reuse it across frames.  It keeps
-    no per-frame state, so several threads may share it.
+    The texture is held as (H·W, C) rows, a view of its data with no
+    copy: each corner read is one row gather (``take`` along axis 0) of
+    all channels, and the blends run over (n, C) blocks.  Build one
+    renderer per texture and reuse it across frames.  It keeps no
+    per-frame state, so several threads may share it.
     """
 
     def __init__(self, T: Field2):
         self.width = T.width
         self.height = T.height
         self.channels = T.channels
-        self._planes = np.ascontiguousarray(T.data.reshape(-1, T.channels).T)
+        self._rows = T.data.reshape(-1, T.channels)
 
-    def __call__(self, P: UVMap):
-        """Render one frame; returns (Field2, LookupStats).
+    def __call__(self, index: np.ndarray, uv: np.ndarray, width: int, height: int):
+        """Render the foreground of one ``width`` x ``height`` frame.
 
-        Background pixels are zero and cost nothing.
+        ``index`` holds the foreground's flat row-major pixel indices and
+        ``uv`` (n, 2) their UV offsets.  Returns the (n, C) pixel values
+        and the frame's LookupStats.
         """
-        idx = np.flatnonzero(P.silhouette)
+        n = index.size
+        c = self.channels
+        out = np.empty((n, c), dtype=np.float64)
+        v00, v10, v01 = (np.empty((min(n, RENDER_BLOCK), c)) for _ in range(3))
+        centers = pixel_center_grid(width, height).reshape(-1, 2)
+        size = np.array([[self.width], [self.height]], dtype=np.float64)
+        grid = np.empty((2, min(n, RENDER_BLOCK)), dtype=np.float64)
+        for start in range(0, n, RENDER_BLOCK):
+            stop = min(start + RENDER_BLOCK, n)
+            b = stop - start
+            u = centers.take(index[start:stop], axis=0)
+            u -= uv[start:stop]
+            g = np.multiply(u.T, size, out=grid[:, :b])   # x then y, each contiguous
+            g -= 0.5
+            corners, fx, fy = _bilinear_corners(g, self.width, self.height)
+            vals = out[start:stop]
+            # The corner indices are clamped already; mode="clip" only lets
+            # take write straight into ``out`` without a buffer.
+            for v, i in zip((v00[:b], v10[:b], v01[:b], vals), corners):
+                self._rows.take(i, axis=0, out=v, mode="clip")
+            _lerp_corners(v00[:b], v10[:b], v01[:b], vals, fx, fy)
+        return out, LookupStats(foreground_pixels=n, fetches=n)
+
+    def frame(self, P: UVMap):
+        """Render a whole frame; returns (Field2, LookupStats).
+
+        Background pixels are zero.
+        """
+        index = np.flatnonzero(P.silhouette)
+        vals, stats = self(index, P.uv.data.reshape(-1, 2).take(index, axis=0),
+                           P.width, P.height)
         out = np.zeros((P.height * P.width, self.channels), dtype=np.float64)
-        columns = [out[:, c] for c in range(self.channels)]
-        for start in range(0, idx.size, RENDER_BLOCK):
-            block = idx[start:start + RENDER_BLOCK]
-            u = texture_positions(P, block)
-            corners, fx, fy = _bilinear_corners(u[:, 0] * self.width - 0.5,
-                                                u[:, 1] * self.height - 0.5,
-                                                self.width, self.height)
-            vals = _lerp_corners(*(self._planes.take(i, axis=1) for i in corners),
-                                 fx, fy)
-            for column, v in zip(columns, vals):
-                column[block] = v
-        n = idx.size
+        out[index] = vals
         img = Field2(out.reshape(P.height, P.width, self.channels),
                      valid=P.silhouette.copy())
-        return img, LookupStats(foreground_pixels=n, fetches=n)
+        return img, stats
 
 
 def render_lookup(T: Field2, P: UVMap):
     """Render a frame from a texture; returns (Field2, LookupStats).
 
-    One-off form of ``LookupRenderer(T)(P)``; to render many frames from
-    one texture, build the renderer once.
+    One-off form of ``LookupRenderer(T).frame(P)``; to render many frames
+    from one texture, build the renderer once.
     """
-    return LookupRenderer(T)(P)
-
+    return LookupRenderer(T).frame(P)

@@ -19,9 +19,9 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .extend import SpringConfig, extrapolate_uv, label_fill, relax_springs
 from .fields import Field2
-from .formats import read_pfm, read_ppm, write_ppm
+from .formats import quantize, read_pfm, read_ppm, write_ppm_samples
 from .gradcore import fd_probe_check
-from .manifest import Manifest, config_dict
+from .manifest import Manifest, config_dict, uv_pairs, uv_silhouette
 from .metrics import MetricReport, metric_psnr, metric_tdiff, metric_tof, pair_flows
 from .relocate import (RelocateConfig, frame_zero_products, read_flo,
                        relocate_frame, write_flo)
@@ -188,7 +188,7 @@ def stage_synth(root, threads: int = 1) -> Manifest:
     render = LookupRenderer(m.read_texture("texture_o"))
 
     def run(i):
-        return render(m.read_uv(i, "uv_final"))
+        return render.frame(m.read_uv(i, "uv_final"))
 
     results = _map_frames(run, range(m.n_frames), threads)
     stats = []
@@ -208,7 +208,12 @@ def stage_synth(root, threads: int = 1) -> Manifest:
 
 
 def stage_retexture(root, texture_path, tag: str = "retex", threads: int = 1) -> Manifest:
-    """Re-render the sequence from a different texture; touches no UV files."""
+    """Re-render the sequence from a different texture; touches no UV files.
+
+    Only foreground pixels are rendered and quantized; each frame is
+    scattered into a zeroed 8-bit frame that one worker reuses for all
+    its frames, and written as soon as it is rendered.
+    """
     m = Manifest.load(root)
     m.require_stage("relocate")
     texture_path = Path(texture_path)
@@ -218,18 +223,32 @@ def stage_retexture(root, texture_path, tag: str = "retex", threads: int = 1) ->
         T = Field2(read_ppm(texture_path))
     else:
         T = Field2(read_pfm(texture_path))
+    if T.channels != 3:
+        raise ValidationError(f"retexture needs a 3-channel texture, "
+                              f"{texture_path} has {T.channels}")
 
     render = LookupRenderer(T)
+    w, h = m.image_size
+    rels = [f"frames/f{i:04d}_{tag}.ppm" for i in range(m.n_frames)]
 
-    # Each frame is written as soon as it is rendered, so no more than one
-    # frame per thread is held in memory.
-    def run(i):
-        img, _ = render(m.read_uv(i, "uv_final"))
-        rel = f"frames/f{i:04d}_{tag}.ppm"
-        write_ppm(m.root / rel, img.data)
-        return rel
+    def run(frames):
+        out = np.empty((h * w, 3), dtype=np.uint8)
+        pixels = out.view(np.dtype((np.void, 3))).reshape(-1)
+        for i in frames:
+            samples = m.read_uv_samples(i, "uv_final")
+            mask = uv_silhouette(samples)
+            index = np.flatnonzero(mask)
+            vals, _ = render(index, uv_pairs(samples, mask), w, h)
+            fg = np.empty((index.size, 3), dtype=np.uint8)
+            quantize(vals, fg)
+            out.fill(0)
+            # a boolean scatter copies each run of foreground pixels at once
+            pixels[mask.reshape(-1)] = fg.view(pixels.dtype).reshape(-1)
+            write_ppm_samples(m.root / rels[i], out.reshape(h, w, 3))
 
-    for i, rel in enumerate(_map_frames(run, range(m.n_frames), threads)):
+    # One buffer per worker: worker k takes frames k, k + threads, ...
+    _map_frames(run, [range(k, m.n_frames, threads) for k in range(threads)], threads)
+    for i, rel in enumerate(rels):
         m.set_frame_item(i, tag, rel)
     m.mark_stage("retexture", {"texture": str(texture_path), "tag": tag})
     m.save()
@@ -271,7 +290,7 @@ def stage_metrics(root, threads: int = 1) -> Manifest:
             render = LookupRenderer(T_raw)
 
             def run(i):
-                img, _ = render(m.read_uv(i, "uv_raw"))
+                img, _ = render.frame(m.read_uv(i, "uv_raw"))
                 return img
 
             for i, img in enumerate(map_fn(run, range(m.n_frames))):

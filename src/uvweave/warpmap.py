@@ -95,19 +95,9 @@ class WarpGrid:
         return self.target.height
 
 
-def texture_positions(P: UVMap, index: np.ndarray | None = None) -> np.ndarray:
-    """Texture coordinates ``c - uv`` of every pixel, (H, W, 2).
-
-    With ``index`` (flat row-major pixel indices) only those pixels are
-    evaluated and the result is (n, 2), row for row equal to the
-    full-frame result at those pixels.
-    """
-    c = pixel_center_grid(P.width, P.height)
-    uv = P.uv.data
-    if index is not None:
-        c = c.reshape(-1, 2).take(index, axis=0)
-        uv = uv.reshape(-1, 2).take(index, axis=0)
-    return c - uv
+def texture_positions(P: UVMap) -> np.ndarray:
+    """Texture coordinates ``c - uv`` of every pixel, (H, W, 2)."""
+    return pixel_center_grid(P.width, P.height) - P.uv.data
 
 
 def image_grid(P: UVMap) -> WarpGrid:

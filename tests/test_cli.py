@@ -404,6 +404,53 @@ def test_retexture_missing_texture_exit_2(piped, tmp_path, capsys):
     assert _files(d) == before
 
 
+def _bad_uv_one_channel(packed):
+    return packed[..., 0]
+
+
+def _bad_uv_short(packed):
+    return packed[: packed.shape[0] // 2]
+
+
+def _bad_uv_value(value):
+    def edit(packed):
+        packed = packed.copy()
+        packed[5, 7, 2] = value
+        return packed
+    return edit
+
+
+@pytest.mark.parametrize("command", ["retexture", "synth"])
+@pytest.mark.parametrize("edit, message", [
+    (_bad_uv_one_channel, "is 48x48 with 1 channel(s), expected 48x48 with 3"),
+    (_bad_uv_short, "is 48x24 with 3 channel(s), expected 48x48 with 3"),
+    (_bad_uv_value(np.nan), "holds non-finite samples"),
+    (_bad_uv_value(np.inf), "holds non-finite samples"),
+], ids=["one-channel", "short", "nan-silhouette", "inf-silhouette"])
+def test_bad_packed_uv_file_exit_2(piped, tmp_path, capsys, command, edit, message):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    uv = d / "frames" / "f0000_uv_final.pfm"
+    write_pfm(uv, edit(read_pfm(uv)))
+    manifest = (d / "manifest.json").read_bytes()
+    args = [command, str(d)] + ([str(d / "texture_gt.pfm")] if command == "retexture" else [])
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: f0000_uv_final.pfm: packed UV file {message}\n"
+    assert (d / "manifest.json").read_bytes() == manifest
+
+
+def test_retexture_one_channel_look_exit_2(piped, tmp_path, capsys):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    gray = tmp_path / "gray.pfm"
+    write_pfm(gray, np.random.default_rng(0).uniform(size=(48, 48)))
+    before = _files(d)
+    assert main(["retexture", str(d), str(gray)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: retexture needs a 3-channel texture, {gray} has 1\n")
+    assert _files(d) == before      # no frame written, manifest.json unchanged
+
+
 def test_relocate_missing_external_flow(piped, tmp_path, capsys):
     piped, _ = piped
     empty = tmp_path / "noflows"

@@ -72,6 +72,17 @@ def test_clamp_to_edge():
     assert np.allclose(v, left)
 
 
+def test_empty_and_far_coordinates():
+    # no points at all, and points far past every edge, which clamp
+    # without an int64 overflow in the index cast
+    data = np.arange(12, dtype=float).reshape(3, 4, 1)
+    f = Field2(data)
+    v, valid = sample_bilinear(f, np.zeros((0, 2)))
+    assert v.shape == (0, 1) and valid.shape == (0,)
+    v, _ = sample_bilinear(f, np.array([[-1e30, -1e30], [1e30, 1e30], [1e30, -1e30]]))
+    assert v[:, 0].tolist() == [data[0, 0, 0], data[2, 3, 0], data[0, 3, 0]]
+
+
 def test_nonfinite_coordinate_error():
     f = Field2.constant(4, 4, (0.0,))
     with pytest.raises(ValidationError, match="invalid coordinate"):

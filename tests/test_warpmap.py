@@ -72,18 +72,12 @@ def test_warp_linearity():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_chart_positions_index_matches_full_frame():
+def test_texture_positions_are_centres_minus_uv():
     rng = np.random.default_rng(5)
     sil = rng.uniform(size=(9, 11)) < 0.7
     uv = np.where(sil[..., None], rng.normal(0, 0.6, size=(9, 11, 2)), 0.0)
-    index = np.sort(rng.choice(99, size=40, replace=False))
     P = UVMap(uv, sil)
-    u_full = texture_positions(P)
-    assert np.array_equal(u_full, pixel_center_grid(11, 9) - P.uv.data)
-    u = texture_positions(P, index)
-    assert u.shape == (40, 2)
-    assert np.array_equal(u, u_full.reshape(-1, 2)[index])
-    assert texture_positions(P, index[:0]).shape == (0, 2)
+    assert np.array_equal(texture_positions(P), pixel_center_grid(11, 9) - P.uv.data)
 
 
 def brute_splat(P, I, tw, th):
