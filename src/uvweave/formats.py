@@ -1,13 +1,16 @@
-"""Portable float map (PFM) and binary PPM readers and writers.
+"""Portable float map (PFM) and binary PPM readers and writers, and the
+one way artifacts are written.
 
 Fields travel as PFM (float32, 1 or 3 channels), 8-bit images as PPM P6.
 Rows are written top to bottom in both formats so the in-memory y-down
 layout round-trips bit for bit.  The PFM scale field's sign encodes the
-byte order: negative means little-endian.
+byte order: negative means little-endian.  Every artifact file, JSON
+included, is written through ``overwrite``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -33,6 +36,28 @@ def _read_token(fh, consumed):
         tok += ch
 
 
+def overwrite(path, *chunks):
+    """Make ``chunks`` (bytes-like, in order) the whole content of ``path``.
+
+    An existing file is overwritten in place and cut at the end of the
+    new content, not truncated when opened.  On ext4 (unless mounted with
+    ``noauto_da_alloc``), closing a file that was opened with ``O_TRUNC``
+    over existing data starts its writeback in the caller: rewriting a
+    12 KB PPM took about 0.2 ms that way against 0.02 ms in place.  The
+    file's mode, symlink and error behaviour are those of
+    ``open(path, "wb")``.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.truncate()
+
+
+def write_json(path, obj, indent: int | None = None):
+    """Write ``obj`` as sorted-key JSON plus a newline."""
+    overwrite(path, (json.dumps(obj, sort_keys=True, indent=indent) + "\n").encode())
+
+
 def read_body(fh, nbytes: int) -> bytes:
     """Read ``nbytes`` of data, or the bytes left in the file if fewer.
 
@@ -55,11 +80,8 @@ def write_pfm(path, array: np.ndarray, byte_order: str = "<"):
         raise ValidationError("byte order must be '<' or '>'")
     header = b"PF\n" if arr.shape[2] == 3 else b"Pf\n"
     scale = -1.0 if byte_order == "<" else 1.0
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(f"{arr.shape[1]} {arr.shape[0]}\n".encode())
-        fh.write(f"{scale:.1f}\n".encode())
-        fh.write(arr.astype(byte_order + "f4").tobytes())
+    overwrite(path, header, f"{arr.shape[1]} {arr.shape[0]}\n{scale:.1f}\n".encode(),
+              arr.astype(byte_order + "f4").tobytes())
 
 
 def read_pfm_samples(path) -> np.ndarray:
@@ -126,9 +148,7 @@ def write_ppm(path, array: np.ndarray):
 def write_ppm_samples(path, samples: np.ndarray):
     """Write a C-contiguous (H, W, 3) uint8 array as binary PPM."""
     h, w, _ = samples.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(samples.data)
+    overwrite(path, f"P6\n{w} {h}\n255\n".encode(), samples.data)
 
 
 def read_ppm(path) -> np.ndarray:

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .fields import Field2
-from .formats import read_pfm, read_pfm_samples, read_ppm, write_pfm, write_ppm
+from .formats import (read_pfm, read_pfm_samples, read_ppm, write_json, write_pfm,
+                      write_ppm)
 from .relocate import Correspondence
 from .warpmap import UVMap
 
@@ -63,6 +65,16 @@ def uv_pairs(samples: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     pair = np.dtype(np.complex64).newbyteorder(samples.dtype.byteorder)
     uv = pixels[:, :2].view(pair).astype(np.complex128).view(np.float64)
     return uv if mask is not None else uv.reshape(h, w, 2)
+
+
+def _file_names(directory: str) -> set:
+    """Names of the entries of ``directory`` that are files, symlinks
+    followed; empty when it cannot be listed."""
+    try:
+        with os.scandir(directory) as entries:
+            return {e.name for e in entries if e.is_file()}
+    except OSError:
+        return set()
 
 
 class Manifest:
@@ -122,16 +134,22 @@ class Manifest:
         for key, rel in items.items():
             if not isinstance(rel, str):
                 raise ValidationError(f"manifest {key} is not a path")
+        # One listing per directory instead of one stat per file: a name
+        # listed as a file is one, and only an unlisted name is checked
+        # on its own, so what fails fails with Path.is_file's verdict.
+        listed = {}
         for rel in [*items.values(),
                     *(rel for fr in frames for key, rel in fr.items() if key != "index")]:
-            if not (root / rel).is_file():
+            folder, name = os.path.split(rel)
+            names = listed.get(folder)
+            if names is None:
+                names = listed[folder] = _file_names(os.path.join(root, folder))
+            if name not in names and not (root / rel).is_file():
                 raise ValidationError(f"manifest references missing file {rel}")
         return cls(root, data)
 
     def save(self):
-        with open(self.root / MANIFEST_NAME, "w") as fh:
-            json.dump(self.data, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(self.root / MANIFEST_NAME, self.data, indent=2)
 
     @property
     def n_frames(self) -> int:

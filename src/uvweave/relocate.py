@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .fields import Field2, pixel_center_grid, sample_bilinear
-from .formats import read_body
+from .formats import overwrite, read_body
 from .warpmap import UVMap, texture_grid, texture_positions, warp
 
 
@@ -368,10 +368,8 @@ def read_flo(path) -> FlowField:
 
 def write_flo(path, flow: FlowField):
     tex = flow.texels().astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(b"PIEH")
-        fh.write(np.array([flow.width, flow.height], dtype="<i4").tobytes())
-        fh.write(tex.tobytes())
+    overwrite(path, b"PIEH", np.array([flow.width, flow.height], dtype="<i4").tobytes(),
+              tex.tobytes())
 
 
 def init_correspondence(Q0: Correspondence, flow: FlowField) -> Correspondence:

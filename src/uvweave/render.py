@@ -43,18 +43,19 @@ class LookupStats:
 class LookupRenderer:
     """Lookup renderer bound to one texture; call it once per frame.
 
-    The texture is held as (H·W, C) rows, a view of its data with no
-    copy: each corner read is one row gather (``take`` along axis 0) of
-    all channels, and the blends run over (n, C) blocks.  Build one
-    renderer per texture and reuse it across frames.  It keeps no
-    per-frame state, so several threads may share it.
+    The texture is (H, W, C) samples, float64 or native-order float32 (a
+    PFM look as stored), with finite values.  It is held as (H·W, C)
+    rows, a view with no copy: each corner read is one row gather
+    (``take`` along axis 0) of all channels, and the blends run over
+    (n, C) float64 blocks.  float32 rows are gathered into a scratch
+    block and widened, which is exact.  Build one renderer per texture
+    and reuse it across frames.  It keeps no per-frame state, so several
+    threads may share it.
     """
 
-    def __init__(self, T: Field2):
-        self.width = T.width
-        self.height = T.height
-        self.channels = T.channels
-        self._rows = T.data.reshape(-1, T.channels)
+    def __init__(self, samples: np.ndarray):
+        self.height, self.width, self.channels = samples.shape
+        self._rows = samples.reshape(-1, self.channels)
 
     def __call__(self, index: np.ndarray, uv: np.ndarray, width: int, height: int):
         """Render the foreground of one ``width`` x ``height`` frame.
@@ -67,6 +68,8 @@ class LookupRenderer:
         c = self.channels
         out = np.empty((n, c), dtype=np.float64)
         v00, v10, v01 = (np.empty((min(n, RENDER_BLOCK), c)) for _ in range(3))
+        rows = self._rows
+        narrow = None if rows.dtype == np.float64 else np.empty_like(v00, dtype=rows.dtype)
         centers = pixel_center_grid(width, height).reshape(-1, 2)
         size = np.array([[self.width], [self.height]], dtype=np.float64)
         grid = np.empty((2, min(n, RENDER_BLOCK)), dtype=np.float64)
@@ -82,7 +85,10 @@ class LookupRenderer:
             # The corner indices are clamped already; mode="clip" only lets
             # take write straight into ``out`` without a buffer.
             for v, i in zip((v00[:b], v10[:b], v01[:b], vals), corners):
-                self._rows.take(i, axis=0, out=v, mode="clip")
+                if narrow is None:
+                    rows.take(i, axis=0, out=v, mode="clip")
+                else:
+                    np.copyto(v, rows.take(i, axis=0, out=narrow[:b], mode="clip"))
             _lerp_corners(v00[:b], v10[:b], v01[:b], vals, fx, fy)
         return out, LookupStats(foreground_pixels=n, fetches=n)
 
@@ -104,7 +110,7 @@ class LookupRenderer:
 def render_lookup(T: Field2, P: UVMap):
     """Render a frame from a texture; returns (Field2, LookupStats).
 
-    One-off form of ``LookupRenderer(T).frame(P)``; to render many frames
-    from one texture, build the renderer once.
+    One-off form of ``LookupRenderer(T.data).frame(P)``; to render many
+    frames from one texture, build the renderer once.
     """
-    return LookupRenderer(T).frame(P)
+    return LookupRenderer(T.data).frame(P)

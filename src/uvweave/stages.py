@@ -10,6 +10,7 @@ numpy, which keeps outputs bit-identical for any thread count.
 from __future__ import annotations
 
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .extend import SpringConfig, extrapolate_uv, label_fill, relax_springs
 from .fields import Field2
-from .formats import quantize, read_pfm, read_ppm, write_ppm_samples
+from .formats import quantize, read_pfm_samples, read_ppm, write_json, write_ppm_samples
 from .gradcore import fd_probe_check
 from .manifest import Manifest, config_dict, uv_pairs, uv_silhouette
 from .metrics import MetricReport, metric_psnr, metric_tdiff, metric_tof, pair_flows
@@ -29,6 +30,15 @@ from .render import LookupRenderer
 from .scenegen import CorruptConfig, SceneConfig, corrupt_uv, gen_sequence
 from .uvopt import OptConfig, optimize_uv
 from .warpmap import UVMap
+
+
+# The keys of a manifest frame other than retexture's: its index and the
+# items the other stages write.  A retexture tag names a frame item and
+# its file, so it must be a plain name and none of these.
+FRAME_ITEMS = ("index", "image", "mask", "uv_gt", "corr_gt", "uv_raw", "uv_ext",
+               "ext_trace", "uv_opt", "opt_trace", "uv_final", "corr", "texframe",
+               "flow", "rel_trace", "synth", "baseline")
+RETEXTURE_TAG = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
 
 
 @contextmanager
@@ -49,9 +59,7 @@ def _map_frames(fn, indices, threads: int):
 def _write_trace(m: Manifest, index: int, stage: str, record: dict):
     """Write one frame's stage record as sorted-key JSON, item ``<stage>_trace``."""
     rel = f"traces/f{index:04d}_{stage}.json"
-    with open(m.root / rel, "w") as fh:
-        json.dump(record, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(m.root / rel, record)
     m.set_frame_item(index, f"{stage}_trace", rel)
 
 
@@ -185,7 +193,7 @@ def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
 def stage_synth(root, threads: int = 1) -> Manifest:
     m = Manifest.load(root)
     m.require_stage("relocate")
-    render = LookupRenderer(m.read_texture("texture_o"))
+    render = LookupRenderer(m.read_texture("texture_o").data)
 
     def run(i):
         return render.frame(m.read_uv(i, "uv_final"))
@@ -198,9 +206,7 @@ def stage_synth(root, threads: int = 1) -> Manifest:
                       "foreground_pixels": st.foreground_pixels,
                       "texel_reads_per_pixel": st.texel_reads_per_pixel,
                       "madds_per_channel_per_pixel": st.madds_per_channel_per_pixel})
-    with open(m.root / "synth_stats.json", "w") as fh:
-        json.dump(stats, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(m.root / "synth_stats.json", stats, indent=2)
     m.set_item("synth_stats", "synth_stats.json")
     m.mark_stage("synth", {})
     m.save()
@@ -210,24 +216,32 @@ def stage_synth(root, threads: int = 1) -> Manifest:
 def stage_retexture(root, texture_path, tag: str = "retex", threads: int = 1) -> Manifest:
     """Re-render the sequence from a different texture; touches no UV files.
 
-    Only foreground pixels are rendered and quantized; each frame is
-    scattered into a zeroed 8-bit frame that one worker reuses for all
-    its frames, and written as soon as it is rendered.
+    A PFM look is rendered from its float32 samples as stored, a PPM look
+    from its float64 decode.  Only foreground pixels are rendered and
+    quantized; each frame is scattered into a zeroed 8-bit frame that one
+    worker reuses for all its frames, and written as soon as it is
+    rendered.  The tag and the look are checked before any frame is.
     """
+    if not RETEXTURE_TAG.fullmatch(tag) or tag in FRAME_ITEMS:
+        raise ValidationError(f"retexture tag {tag!r} must match {RETEXTURE_TAG.pattern} "
+                              f"and name no other stage's frame item")
     m = Manifest.load(root)
     m.require_stage("relocate")
     texture_path = Path(texture_path)
     if not texture_path.is_file():
         raise ValidationError(f"no texture file at {texture_path}")
     if texture_path.suffix == ".ppm":
-        T = Field2(read_ppm(texture_path))
+        look = read_ppm(texture_path)      # uint8 / 255: finite
     else:
-        T = Field2(read_pfm(texture_path))
-    if T.channels != 3:
+        # as stored, in native byte order
+        look = read_pfm_samples(texture_path).astype(np.float32, copy=False)
+        if not np.isfinite(look).all():
+            raise ValidationError(f"{texture_path}: texture holds non-finite samples")
+    if look.shape[2] != 3:
         raise ValidationError(f"retexture needs a 3-channel texture, "
-                              f"{texture_path} has {T.channels}")
+                              f"{texture_path} has {look.shape[2]}")
 
-    render = LookupRenderer(T)
+    render = LookupRenderer(look)
     w, h = m.image_size
     rels = [f"frames/f{i:04d}_{tag}.ppm" for i in range(m.n_frames)]
 
@@ -287,7 +301,7 @@ def stage_metrics(root, threads: int = 1) -> Manifest:
         if "corrupt" in m.data["stages"]:
             tw, th = m.texture_size
             T_raw, _ = frame_zero_products(m.read_uv(0, "uv_raw"), reals[0], tw, th)
-            render = LookupRenderer(T_raw)
+            render = LookupRenderer(T_raw.data)
 
             def run(i):
                 img, _ = render.frame(m.read_uv(i, "uv_raw"))
@@ -298,9 +312,7 @@ def stage_metrics(root, threads: int = 1) -> Manifest:
             report["corrupted_baseline"] = _sequence_metrics(
                 m, "uv_raw", "baseline", reals, real_flows, map_fn)
 
-    with open(m.root / "metrics.json", "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(m.root / "metrics.json", report, indent=2)
     m.set_item("metrics", "metrics.json")
     m.mark_stage("metrics", {})
     m.save()

@@ -14,6 +14,7 @@ import pytest
 
 from uvweave.cli import main
 from uvweave.formats import read_pfm, read_ppm, write_pfm, write_ppm
+from uvweave.stages import FRAME_ITEMS
 
 SMALL = ["--width", "48", "--height", "48", "--tex-width", "48",
          "--tex-height", "48", "--frames", "3", "--seed", "5",
@@ -449,6 +450,80 @@ def test_retexture_one_channel_look_exit_2(piped, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: retexture needs a 3-channel texture, {gray} has 1\n")
     assert _files(d) == before      # no frame written, manifest.json unchanged
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_retexture_non_finite_look_exit_2(piped, tmp_path, capsys, value):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    look = tmp_path / "look.pfm"
+    data = np.random.default_rng(0).uniform(size=(48, 48, 3))
+    data[40, 3, 1] = value
+    write_pfm(look, data)
+    before = _files(d)
+    assert main(["retexture", str(d), str(look)]) == 2
+    assert capsys.readouterr().err == f"error: {look}: texture holds non-finite samples\n"
+    assert _files(d) == before      # no frame written, manifest.json unchanged
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_retexture_big_endian_look_matches_little_endian(piped, tmp_path, threads):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    data = np.random.default_rng(1).uniform(-0.3, 1.3, size=(40, 56, 3))
+    for order, name in (("<", "le"), (">", "be")):
+        write_pfm(tmp_path / f"{name}.pfm", data, byte_order=order)
+        assert main(["retexture", str(d), str(tmp_path / f"{name}.pfm"), "--tag", name,
+                     "--threads", threads]) == 0
+    for i in range(3):
+        le = (d / "frames" / f"f{i:04d}_le.ppm").read_bytes()
+        assert le == (d / "frames" / f"f{i:04d}_be.ppm").read_bytes()
+        assert le != (d / "frames" / f"f{i:04d}_synth.ppm").read_bytes()
+
+
+def test_retexture_rerun_with_same_tag_equals_fresh_run(piped, tmp_path):
+    # the second pass rewrites every frame and a shorter manifest.json in
+    # place; the sequence must equal a fresh copy retextured once
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    shutil.copytree(piped[0], again)
+    shutil.copytree(piped[0], fresh)
+    rng = np.random.default_rng(2)
+    first = tmp_path / "a_look_with_a_long_name.ppm"
+    write_ppm(first, rng.uniform(size=(48, 48, 3)))
+    second = tmp_path / "b.pfm"
+    write_pfm(second, rng.uniform(size=(32, 32, 3)))
+    assert main(["retexture", str(again), str(first), "--tag", "look"]) == 0
+    assert main(["retexture", str(again), str(second), "--tag", "look"]) == 0
+    assert main(["retexture", str(fresh), str(second), "--tag", "look"]) == 0
+    assert _files(again) == _files(fresh)
+
+
+@pytest.mark.parametrize("tag", ["image", "uv_final", "synth", "index", "ext_trace",
+                                 "a/b", "", "-x", "_x", "a.b", "a b", "..", "ü"])
+def test_retexture_bad_tag_exit_2(piped, tmp_path, capsys, tag):
+    # a tag names a frame item and its file: it may not replace another
+    # stage's item or leave frames/
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    before = _files(d)
+    assert main(["retexture", str(d), str(d / "texture_gt.pfm"), f"--tag={tag}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: retexture tag {tag!r} must match [A-Za-z0-9][A-Za-z0-9_-]* "
+        f"and name no other stage's frame item\n")
+    assert _files(d) == before
+
+
+def test_frame_items_are_the_stages_items(piped):
+    # FRAME_ITEMS lists every frame item a pipeline writes, and no other
+    items = {"index"}
+    for rel in piped[1]:
+        folder, _, name = rel.partition("/")
+        key = name.split(".")[0].partition("_")[2]      # f0000_<key>.<ext>
+        if folder == "frames":
+            items.add(key)
+        elif folder == "traces":
+            items.add(f"{key}_trace")
+    assert items == set(FRAME_ITEMS)
 
 
 def test_relocate_missing_external_flow(piped, tmp_path, capsys):

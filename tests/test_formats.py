@@ -1,10 +1,17 @@
-"""Tests for the PFM / PPM readers and writers."""
+"""Tests for the PFM / PPM readers and writers and the artifact writer."""
+
+import ast
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uvweave
 from uvweave.errors import ValidationError
-from uvweave.formats import read_pfm, read_pfm_samples, read_ppm, write_pfm, write_ppm
+from uvweave.formats import (overwrite, read_pfm, read_pfm_samples, read_ppm, write_pfm,
+                             write_ppm)
 from uvweave.relocate import read_flo
 
 
@@ -196,3 +203,114 @@ def test_header_tokens_accept_arbitrary_whitespace(tmp_path):
     body = arr.astype("<f4").tobytes()
     p.write_bytes(b"Pf \t\n 3\n2 \n-1.0\n" + body)
     assert np.array_equal(read_pfm(p)[..., 0], arr[..., 0])
+
+
+# -- the artifact writer -------------------------------------------------------
+
+def test_overwrite_leaves_exactly_the_new_bytes(tmp_path):
+    p = tmp_path / "a.bin"
+    overwrite(p, b"x" * 100)
+    assert p.read_bytes() == b"x" * 100
+    overwrite(p, b"ab", memoryview(b"cd"), b"")        # shorter, over a longer file
+    assert p.read_bytes() == b"abcd"
+    overwrite(p)
+    assert p.read_bytes() == b""
+    overwrite(p, b"0123456789")                         # longer again
+    assert p.read_bytes() == b"0123456789"
+
+
+def test_overwrite_behaves_as_open_wb(tmp_path):
+    # a new file gets open()'s mode, an existing one keeps its own
+    ref, new = tmp_path / "ref", tmp_path / "new"
+    with open(ref, "wb"):
+        pass
+    overwrite(new, b"1")
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
+    os.chmod(new, 0o640)
+    overwrite(new, b"22")
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    # a symlink is written through, and stays a link
+    link = tmp_path / "link"
+    link.symlink_to(new)
+    overwrite(link, b"3")
+    assert link.is_symlink() and new.read_bytes() == b"3"
+    # a dangling link creates its target
+    gone = tmp_path / "gone"
+    (tmp_path / "dangling").symlink_to(gone)
+    overwrite(tmp_path / "dangling", b"4")
+    assert gone.read_bytes() == b"4"
+    # the same errors as open(path, "wb")
+    for path in (tmp_path, tmp_path / "no" / "such"):
+        with pytest.raises(OSError) as want:
+            open(path, "wb")
+        with pytest.raises(type(want.value)):
+            overwrite(path, b"5")
+
+
+# Calls that write a file without going through ``open``: methods of any
+# object, and module functions.
+WRITING_METHODS = {"write_text", "write_bytes", "tofile", "touch"}
+WRITING_FUNCTIONS = {("os", "fdopen"), ("np", "save"), ("np", "savez"),
+                     ("np", "savez_compressed"), ("np", "savetxt"), ("shutil", "copy"),
+                     ("shutil", "copy2"), ("shutil", "copyfile"), ("shutil", "copytree"),
+                     ("tempfile", "mkstemp"), ("tempfile", "NamedTemporaryFile"),
+                     ("tempfile", "TemporaryFile")}
+
+
+def _file_writes(tree):
+    """Line numbers of the calls in ``tree`` that write a file, or may: the
+    calls above, any ``os.open``, and an ``open`` whose mode is not a
+    constant read-only mode."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        owner = func.value.id if (isinstance(func, ast.Attribute)
+                                  and isinstance(func.value, ast.Name)) else None
+        if name in WRITING_METHODS or (owner, name) in WRITING_FUNCTIONS:
+            yield node.lineno
+        if name != "open":
+            continue
+        if owner == "os":
+            yield node.lineno
+            continue
+        # builtin and io.open take the mode second, Path.open first
+        at = 1 if owner in (None, "io") else 0
+        mode = node.args[at] if len(node.args) > at else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+")):
+            yield node.lineno
+
+
+def test_every_write_goes_through_overwrite():
+    # Only formats.overwrite opens a file for writing, so no artifact write
+    # can go back to truncating on open.
+    found = {}
+    for path in sorted(Path(uvweave.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(n, ast.Attribute) and n.attr == "O_TRUNC"
+                       for n in ast.walk(tree)), path.name
+        if path.name == "formats.py":
+            helper = next(n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "overwrite")
+            assert list(_file_writes(helper)), "overwrite no longer opens its file"
+            tree.body.remove(helper)
+        lines = list(_file_writes(tree))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def test_write_guard_sees_writes():
+    # the guard flags every way of writing it knows, and no read or
+    # look-alike method
+    for code in ('open(p, "w")', 'open(p, mode="ab")', 'open(p, "r+")', "open(p, m)",
+                 'io.open(p, "x")', 'p.open("w")', "os.open(p, flags)",
+                 "p.write_bytes(b)", "a.tofile(p)", "np.save(p, a)",
+                 "shutil.copyfile(a, b)"):
+        assert list(_file_writes(ast.parse(code))), code
+    for code in ("open(p)", 'open(p, "rb")', 'p.open()', 'p.open("rb")',
+                 'open(p, mode="r")', "m.save()", "a.copy()"):
+        assert not list(_file_writes(ast.parse(code))), code

@@ -95,6 +95,79 @@ def test_load_checks_top_level_artifacts(tmp_path):
         Manifest.load(tmp_path / "seq")
 
 
+def test_save_after_dropping_tags_leaves_exactly_the_new_json(tmp_path):
+    # the manifest is rewritten in place; a shorter one must not keep the
+    # old file's tail
+    m = fresh(tmp_path)
+    for s in ("gen", "corrupt", "extend", "optimize", "relocate", "synth", "metrics"):
+        m.mark_stage(s, {"setting": s * 20})
+    m.save()
+    m.mark_stage("corrupt")
+    m.save()
+    path = tmp_path / "seq" / "manifest.json"
+    assert path.read_text() == json.dumps(m.data, sort_keys=True, indent=2) + "\n"
+    assert Manifest.load(tmp_path / "seq").data == m.data
+
+
+def _referencing(tmp_path, rel):
+    """A saved manifest whose frame 0 names ``rel``, and the frames it
+    really holds."""
+    m = fresh(tmp_path)
+    write_pfm(m.path("frames/f0001_uv.pfm"), np.zeros((6, 8, 3)))
+    m.set_frame_item(1, "uv", "frames/f0001_uv.pfm")
+    m.set_frame_item(0, "x", rel)
+    m.save()
+    return m
+
+
+@pytest.mark.parametrize("rel, make", [
+    ("frames", None),
+    ("frames/f0000_dir.pfm", lambda p: p.mkdir()),
+    ("frames/f0000_dangling.pfm", lambda p: p.symlink_to(p.parent / "gone.pfm")),
+    ("frames/f0000_missing.pfm", None),
+    ("elsewhere/f0000_missing.pfm", None),
+    ("frames/f0001_uv.pfm/x", None),
+    ("", None),
+], ids=["frames-dir", "dir", "dangling-link", "missing", "missing-dir", "under-file",
+        "empty"])
+def test_load_rejects_what_is_not_a_file(tmp_path, rel, make):
+    m = _referencing(tmp_path, rel)
+    if make is not None:
+        make(m.path(rel))
+    with pytest.raises(ValidationError) as e:
+        Manifest.load(m.root)
+    assert str(e.value) == f"manifest references missing file {rel}"
+
+
+@pytest.mark.parametrize("rel, make", [
+    ("frames/f0000_link.pfm", lambda p: p.symlink_to(p.parent / "f0001_uv.pfm")),
+    ("own/f0000_x.pfm", lambda p: (p.parent.mkdir(), p.write_bytes(b"x"))),
+    ("frames/../frames/f0001_uv.pfm", None),
+    ("frames//f0001_uv.pfm", None),
+    ("./frames/f0001_uv.pfm", None),
+    ("frames/f0001_uv.pfm/", None),
+], ids=["link-to-file", "own-dir", "dotdot", "double-slash", "dot", "trailing-slash"])
+def test_load_accepts_files_and_links_to_files(tmp_path, rel, make):
+    m = _referencing(tmp_path, rel)
+    if make is not None:
+        make(m.path(rel))
+    assert Manifest.load(m.root).frame_item(0, "x") == m.path(rel)
+
+
+def test_load_accepts_an_absolute_path(tmp_path):
+    m = _referencing(tmp_path, str(tmp_path / "seq" / "frames" / "f0001_uv.pfm"))
+    Manifest.load(m.root)
+    # an absolute name that is missing is not looked up under the root
+    target = tmp_path / "outside.pfm"
+    m.set_frame_item(0, "x", str(target))
+    (m.root / "outside.pfm").write_bytes(b"x")
+    m.save()
+    with pytest.raises(ValidationError, match=f"missing file {target}"):
+        Manifest.load(m.root)
+    target.write_bytes(b"x")
+    Manifest.load(m.root)
+
+
 def test_require_stage_message(tmp_path):
     m = fresh(tmp_path)
     with pytest.raises(ValidationError, match="stage 'extend' must run before"):

@@ -42,7 +42,7 @@ def test_renderer_reused_across_multi_block_frames():
     # through one renderer
     fs = gen_sequence(SceneConfig(image_w=160, image_h=120, tex_w=64, tex_h=48,
                                   frames=3, seed=9, amplitude=0.03))
-    render = LookupRenderer(fs.texture)
+    render = LookupRenderer(fs.texture.data)
     c = pixel_center_grid(160, 120)
     for fr in fs.frames:
         P = fr.uv_gt
@@ -55,6 +55,23 @@ def test_renderer_reused_across_multi_block_frames():
             want = brute_bilinear(fs.texture.data, u[y, x, 0], u[y, x, 1])
             assert np.allclose(out.data[y, x], want, atol=1e-12)
         assert (out.data[~P.silhouette] == 0.0).all()
+
+def test_float32_texture_renders_as_its_float64_widening():
+    # a PFM look is rendered from its stored float32 samples; widening them
+    # is exact, so every pixel must equal the float64 texture's bit for bit
+    fs = gen_sequence(SceneConfig(image_w=160, image_h=120, tex_w=64, tex_h=48,
+                                  frames=2, seed=9, amplitude=0.03))
+    narrow = np.random.default_rng(5).uniform(-0.5, 1.5, size=(48, 64, 3)).astype(np.float32)
+    wide = LookupRenderer(narrow.astype(np.float64))
+    render = LookupRenderer(narrow)
+    for fr in fs.frames:
+        assert fr.uv_gt.silhouette.sum() > RENDER_BLOCK
+        got, stats = render.frame(fr.uv_gt)
+        want, _ = wide.frame(fr.uv_gt)
+        assert got.data.dtype == np.float64
+        assert got.data.tobytes() == want.data.tobytes()
+        assert stats.fetches == int(fr.uv_gt.silhouette.sum())
+
 
 def test_render_operation_budget():
     fs = gen_sequence(SceneConfig(image_w=48, image_h=48, tex_w=48, tex_h=48,
@@ -180,7 +197,7 @@ def test_retexture_matches_full_frame_reference(tmp_path, parity_looks, size, lo
     tex = parity_looks / look
     T = Field2(read_pfm(tex) if tex.suffix == ".pfm" else read_ppm(tex))
     m = stage_retexture(root, tex, tag="retex", threads=threads)
-    render = LookupRenderer(T)
+    render = LookupRenderer(T.data)
     for i, name in enumerate(names):
         packed = read_pfm(m.frame_item(i, "uv_final"))
         P = UVMap(packed[..., :2], np.rint(packed[..., 2]) > 0)
