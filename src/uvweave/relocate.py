@@ -394,16 +394,110 @@ def prune_mismatch(Q: Correspondence, T_o: Field2, T_t: Field2,
     return Correspondence(Q.target.copy(), Q.valid & (resid <= tau))
 
 
+# Float64 values per chunk of gathered tile windows in the patch search
+# (512 KB), however many tiles need filling.
+_FILL_CHUNK = 1 << 16
+
+
+def _fill_offsets(ref: np.ndarray, tex: np.ndarray, mask: np.ndarray,
+                  tiles: np.ndarray, window: int):
+    """Coarse-to-fine search of each tile ``(ty, tx, y1, x1)`` of ``tex``
+    for the offset into ``ref`` that minimizes the masked SSD
+    ``sum(((tex - ref) * mask)²)`` over the tile (``mask`` is (H, W, 1)),
+    within the centered window of radius ``window // 2`` and inside the
+    texture.
+
+    The coarse level scores radius ``(window // 2) // 2`` on ``_downsample``d
+    textures and mask, over the coarse texels wholly inside each tile, and
+    moves the tile by twice the offset; the fine level scores ±1 around
+    twice the coarse winner at full resolution.  Costs are summed as one
+    patch of the exhaustive loop is, and among equal costs the offset first
+    in ``_candidates(window // 2)`` order wins.  A tile with no coarse texel
+    (or a window of at most 3) refines around offset 0, which is always in
+    bounds, as is twice every coarse offset scored.
+
+    Returns the coarse winners, the chosen offsets (both (n, 2) as
+    (dy, dx)), their costs and the number of in-bounds offsets scored.
+    """
+    h, w = ref.shape[:2]
+    reach = window // 2
+    cands = np.array(_candidates(reach), dtype=np.int64)
+    rank = np.empty((2 * reach + 1, 2 * reach + 1), dtype=np.int64)
+    rank[cands[:, 0] + reach, cands[:, 1] + reach] = np.arange(len(cands))
+    lo, hi = tiles[:, :2], tiles[:, 2:]
+
+    def search(tex, ref, mask, at, size, base, radius, scale):
+        """Best of ``base + _candidates(radius)`` per tile with texels
+        ``at``, ``size`` on this level; an offset ``o`` moves the tile
+        ``scale * o`` texels.  Returns (offsets, costs, offsets scored)."""
+        offs = np.array(_candidates(radius), dtype=np.int64)
+        best, cost, scored = base.copy(), np.zeros(len(base)), 0
+        c = ref.shape[2]
+        for ph, pw in np.unique(size, axis=0):
+            if ph == 0 or pw == 0:
+                continue
+            wins = sliding_window_view(ref, (ph, pw, c))[:, :, 0]
+            a_wins = sliding_window_view(tex, (ph, pw, c))[:, :, 0]
+            # one mask value per channel, so each product runs contiguously
+            m_wins = sliding_window_view(np.broadcast_to(mask, tex.shape),
+                                         (ph, pw, c))[:, :, 0]
+            group = np.flatnonzero((size == (ph, pw)).all(axis=1))
+            step = max(1, _FILL_CHUNK // (len(offs) * ph * pw * c))
+            for i in range(0, len(group), step):
+                t = group[i:i + step]
+                off = base[t, None] + offs                       # (n, k, 2)
+                full = scale * off
+                ok = ((np.abs(full) <= reach).all(axis=2)
+                      & (lo[t, None] + full >= 0).all(axis=2)
+                      & (hi[t, None] + full <= (h, w)).all(axis=2))
+                # an offset out of bounds reads a clipped window, costed inf
+                ly = np.clip(at[t, None, 0] + off[..., 0], 0, len(wins) - 1)
+                lx = np.clip(at[t, None, 1] + off[..., 1], 0, wins.shape[1] - 1)
+                d = wins[ly, lx]                                 # (n, k, ph, pw, c)
+                np.subtract(a_wins[at[t, 0], at[t, 1]][:, None], d, out=d)
+                d *= m_wins[at[t, 0], at[t, 1]][:, None]
+                d *= d
+                k_cost = d.reshape(len(t), len(offs), -1).sum(axis=2)
+                k_cost[~ok] = np.inf
+                r = rank[np.clip(full[..., 0], -reach, reach) + reach,
+                         np.clip(full[..., 1], -reach, reach) + reach]
+                low = k_cost.min(axis=1)
+                k = np.where(k_cost == low[:, None], r, len(rank) ** 2).argmin(axis=1)
+                best[t] = off[np.arange(len(t)), k]
+                cost[t] = low
+                scored += int(ok.sum())
+        return best, cost, scored
+
+    coarse = np.zeros((len(tiles), 2), dtype=np.int64)
+    n_coarse = 0
+    if reach // 2 > 0 and min(h, w) > 1:
+        # coarse texels wholly inside each tile
+        at = (lo + 1) // 2
+        coarse, _, n_coarse = search(_downsample(tex), _downsample(ref),
+                                     _downsample(mask.astype(np.float64)),
+                                     at, hi // 2 - at, coarse, reach // 2, 2)
+    best, cost, n_fine = search(tex, ref, mask, lo, hi - lo, 2 * coarse, 1, 1)
+    return coarse, best, cost, n_coarse + n_fine
+
+
 def patch_fill(Q: Correspondence, T_o: Field2, T_t: Field2, Q0: Correspondence,
                patch: int = 8, window: int = 21,
-               domain: np.ndarray | None = None) -> Correspondence:
+               domain: np.ndarray | None = None,
+               record: dict | None = None) -> Correspondence:
     """Fill invalid correspondences by appearance patch matching.
 
     Invalid texels inside the domain of definition are covered by patch
-    tiles; each tile searches the reference within a centered window for
-    the offset minimizing SSD against the frame texture, then donates the
-    reference correspondences at that offset.  Overlapping donations are
-    averaged; valid texels are never modified.
+    tiles, a half patch apart; each tile searches the reference within a
+    centered window for the offset minimizing SSD against the frame texture
+    (``_fill_offsets``: coarse-to-fine, about 130 offsets of the default
+    21×21 window; the exhaustive loop over every offset stays in the tests
+    as the reference cost), then donates the reference correspondences at
+    that offset.  Overlapping donations are averaged in tile raster order;
+    valid texels are never modified.
+
+    A ``record`` dict, when given, receives ``fill_tiles``, the tiles that
+    searched, and ``fill_candidates``, the in-bounds offsets they scored
+    over both levels.
     """
     if patch < 1 or window < 1:
         raise ValidationError("bad patch configuration")
@@ -411,38 +505,45 @@ def patch_fill(Q: Correspondence, T_o: Field2, T_t: Field2, Q0: Correspondence,
     if domain is None:
         domain = T_t.valid if T_t.valid is not None else np.ones((h, w), dtype=bool)
     fill = domain & ~Q.valid
-    if not fill.any():
-        return Q.copy()
 
-    off_y, off_x = np.array(_candidates(window // 2), dtype=np.int64).T
+    # Tile (i, j) covers rows i * stride to y1[i] and columns j * stride to
+    # x1[j]; it searches if it holds a texel to fill.
+    stride = max(patch // 2, 1)
+    ty, tx = np.arange(0, h, stride), np.arange(0, w, stride)
+    y1, x1 = np.minimum(ty + patch, h), np.minimum(tx + patch, w)
+    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
+    sat[1:, 1:] = fill.cumsum(axis=0).cumsum(axis=1)
+    holes = sat[y1][:, x1] - sat[ty][:, x1] - sat[y1][:, tx] + sat[ty][:, tx]
+    ti, tj = np.nonzero(holes)
+    tiles = np.stack([ty[ti], tx[tj], y1[ti], x1[tj]], axis=1)
+    _, best, _, scored = _fill_offsets(T_o.data, T_t.data, domain[..., None],
+                                       tiles, window)
+    if record is not None:
+        record.update(fill_tiles=len(tiles), fill_candidates=scored)
 
+    # Pass (ry, rx) gives each texel the donation of the tile ry tile rows
+    # and rx tile columns above and left of the last one covering it, so a
+    # pass donates at most once to a texel, and the passes add each texel's
+    # donations in tile raster order.  Row and column -1 of ``tile_at``
+    # stand for no tile.
+    tile_at = np.full((len(ty) + 1, len(tx) + 1), -1)
+    tile_at[ti, tj] = np.arange(len(tiles))
+    ys, xs = np.arange(h), np.arange(w)
     acc = np.zeros((h, w, 2))
     cnt = np.zeros((h, w))
-    stride = max(patch // 2, 1)
-    ctx = domain
-    ref = T_o.data
-    for ty in range(0, h, stride):
-        for tx in range(0, w, stride):
-            y1, x1 = min(ty + patch, h), min(tx + patch, w)
-            tile_fill = fill[ty:y1, tx:x1]
-            if not tile_fill.any():
-                continue
-            ph, pw = y1 - ty, x1 - tx
-            a = T_t.data[ty:y1, tx:x1]
-            a_mask = ctx[ty:y1, tx:x1]
-            # Every in-bounds offset at once, in the sorted order, so argmin's
-            # first minimum is the nearest offset among equal costs.  The
-            # (ph, pw, C) window is summed as one row, as a single patch is.
-            by, bx = ty + off_y, tx + off_x
-            keep = (by >= 0) & (bx >= 0) & (by + ph <= h) & (bx + pw <= w)
-            wins = sliding_window_view(ref, (ph, pw, ref.shape[2]))
-            d = (a - wins[by[keep], bx[keep], 0]) * a_mask[..., None]
-            cost = (d * d).reshape(len(d), -1).sum(axis=1)
-            k = int(np.argmin(cost))
-            dy, dx = int(off_y[keep][k]), int(off_x[keep][k])
-            donated = Q0.target.data[ty + dy:y1 + dy, tx + dx:x1 + dx]
-            acc[ty:y1, tx:x1][tile_fill] += donated[tile_fill]
-            cnt[ty:y1, tx:x1][tile_fill] += 1.0
+    donor = Q0.target.data
+    per_axis = -(-patch // stride)       # tiles that cover a texel, per axis
+    for ry in range(per_axis - 1, -1, -1):
+        i = ys // stride - ry
+        i[(i < 0) | (ys - i * stride >= patch)] = -1
+        for rx in range(per_axis - 1, -1, -1):
+            j = xs // stride - rx
+            j[(j < 0) | (xs - j * stride >= patch)] = -1
+            t = tile_at[i][:, j]
+            yy, xx = np.nonzero(fill & (t >= 0))
+            t = t[yy, xx]
+            acc[yy, xx] += donor[yy + best[t, 0], xx + best[t, 1]]
+            cnt[yy, xx] += 1.0
 
     target = Q.target.data.copy()
     filled = fill & (cnt > 0)
@@ -494,7 +595,8 @@ def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Correspondence,
     A ``record`` dict, when given, receives the flow magnitude over the
     texels the frame covers (``flow_mean_texels``, ``flow_max_texels``),
     the work of the flow search (``flow_volumes``, ``flow_volume_texels``;
-    both 0 for an external flow) and how the covered texels ended:
+    both 0 for an external flow) and of the patch search (``fill_tiles``,
+    ``fill_candidates``; see ``patch_fill``), and how the covered texels ended:
     ``matched`` (valid after flow and prune), ``pruned``, ``filled`` by
     patch matching, or still ``unfilled``.
     """
@@ -509,7 +611,7 @@ def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Correspondence,
     Qr = init_correspondence(Q0, flow)
     Qr.valid &= covered
     Qc = prune_mismatch(Qr, T_o, T_t, cfg.tau)
-    Qt = patch_fill(Qc, T_o, T_t, Q0, cfg.patch, cfg.window, domain=covered)
+    Qt = patch_fill(Qc, T_o, T_t, Q0, cfg.patch, cfg.window, domain=covered, record=work)
     P_f = to_image_uv(Qt, P_o)
     if record is not None:
         d = flow.texels()[covered]

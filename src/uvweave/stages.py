@@ -166,7 +166,7 @@ def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
     (m.root / "traces").mkdir(exist_ok=True)
 
     def run(i):
-        P, I = load(i)
+        P, I = (P0, I0) if i == 0 else load(i)
         ext = None
         if flow_dir is not None:
             p = Path(flow_dir) / f"f{i:04d}.flo"

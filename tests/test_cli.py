@@ -199,8 +199,9 @@ def test_extend_traces_recorded(piped):
 def test_relocate_traces_recorded(piped):
     piped, _ = piped
     man = json.loads((piped / "manifest.json").read_text())
-    keys = ["covered", "filled", "flow_max_texels", "flow_mean_texels",
-            "flow_volume_texels", "flow_volumes", "matched", "pruned", "unfilled"]
+    keys = ["covered", "fill_candidates", "fill_tiles", "filled", "flow_max_texels",
+            "flow_mean_texels", "flow_volume_texels", "flow_volumes", "matched",
+            "pruned", "unfilled"]
     for i in range(3):
         rel = man["frames"][i]["rel_trace"]
         assert rel == f"traces/f{i:04d}_rel.json"
@@ -215,6 +216,11 @@ def test_relocate_traces_recorded(piped):
         # at most the level's texels
         assert tr["flow_volumes"] >= 81
         assert tr["flow_volumes"] <= tr["flow_volume_texels"] <= 48 * 48 * tr["flow_volumes"]
+        # a tile searches where it holds a texel to fill, and each fills;
+        # with --window 11 it scores at most 25 coarse and 9 fine offsets,
+        # and at least the fine one at twice its coarse winner
+        assert (tr["fill_tiles"] > 0) == (tr["filled"] > 0)
+        assert tr["fill_tiles"] <= tr["fill_candidates"] <= 34 * tr["fill_tiles"]
         if i == 0:
             # frame 0 is the reference: it matches itself everywhere
             assert tr["flow_max_texels"] == 0.0 and tr["pruned"] == 0

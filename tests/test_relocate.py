@@ -584,9 +584,20 @@ def test_frame_zero_products_and_self_relocation():
     assert np.allclose(P_f.uv.data[sil], f0.uv_gt.uv.data[sil], atol=1e-9)
 
 
-def loop_patch_fill(Q, T_o, T_t, Q0, patch=8, window=21, domain=None):
+def loop_tile_cost(T_o, T_t, domain, tile, offset):
+    """One tile's masked SSD against the reference moved by ``offset``."""
+    ty, tx, y1, x1 = tile
+    dy, dx = offset
+    d = (T_t[ty:y1, tx:x1] - T_o[ty + dy:y1 + dy, tx + dx:x1 + dx]) \
+        * domain[ty:y1, tx:x1][..., None]
+    return float(np.sum(d * d))
+
+
+def loop_patch_fill(Q, T_o, T_t, Q0, patch=8, window=21, domain=None, offsets=None):
     """Reference: one masked SSD per tile and in-bounds offset, nearest
-    offset first, keeping the first strictly smaller cost."""
+    offset first, keeping the first strictly smaller cost.  ``offsets``,
+    when given, maps each tile ``(ty, tx)`` to the offset it donates from
+    instead."""
     h, w = Q.height, Q.width
     if domain is None:
         domain = T_t.valid if T_t.valid is not None else np.ones((h, w), dtype=bool)
@@ -604,20 +615,17 @@ def loop_patch_fill(Q, T_o, T_t, Q0, patch=8, window=21, domain=None):
             tile_fill = fill[ty:y1, tx:x1]
             if not tile_fill.any():
                 continue
-            a = T_t.data[ty:y1, tx:x1]
-            a_mask = domain[ty:y1, tx:x1]
             best, best_cost = (0, 0), np.inf
             for dy, dx in offs:
                 by, bx = ty + dy, tx + dx
                 if by < 0 or bx < 0 or by + (y1 - ty) > h or bx + (x1 - tx) > w:
                     continue
-                bpatch = T_o.data[by:by + (y1 - ty), bx:bx + (x1 - tx)]
-                d = (a - bpatch) * a_mask[..., None]
-                cost = float(np.sum(d * d))
+                cost = loop_tile_cost(T_o.data, T_t.data, domain, (ty, tx, y1, x1),
+                                      (dy, dx))
                 if cost < best_cost:
                     best_cost = cost
                     best = (dy, dx)
-            dy, dx = best
+            dy, dx = best if offsets is None else offsets[ty, tx]
             donated = Q0.target.data[ty + dy:y1 + dy, tx + dx:x1 + dx]
             acc[ty:y1, tx:x1][tile_fill] += donated[tile_fill]
             cnt[ty:y1, tx:x1][tile_fill] += 1.0
@@ -625,6 +633,90 @@ def loop_patch_fill(Q, T_o, T_t, Q0, patch=8, window=21, domain=None):
     filled = fill & (cnt > 0)
     target[filled] = acc[filled] / cnt[filled][:, None]
     return target, Q.valid | filled
+
+
+def fill_tiles(fill, patch):
+    """The tiles ``(ty, tx, y1, x1)`` that hold a texel to fill, in raster
+    order."""
+    h, w = fill.shape
+    stride = max(patch // 2, 1)
+    return np.array([(ty, tx, min(ty + patch, h), min(tx + patch, w))
+                     for ty in range(0, h, stride) for tx in range(0, w, stride)
+                     if fill[ty:ty + patch, tx:tx + patch].any()],
+                    dtype=np.int64).reshape(-1, 4)
+
+
+def in_search(tile, offset, reach, h, w):
+    ty, tx, y1, x1 = tile
+    dy, dx = offset
+    return (max(abs(dy), abs(dx)) <= reach and ty + dy >= 0 and tx + dx >= 0
+            and y1 + dy <= h and x1 + dx <= w)
+
+
+def check_search(T_o, T_t, domain, Q, patch, window):
+    """Each tile's chosen offset costs what the loop's tile cost says, and
+    no more than any offset the search scored on either level (the coarse
+    one on downsampled textures and mask, over the coarse texels wholly
+    inside the tile); among equal costs the nearest wins.  Returns the
+    chosen offsets by tile."""
+    h, w = Q.height, Q.width
+    domain = np.ones((h, w), dtype=bool) if domain is None else domain
+    tiles = fill_tiles(domain & ~Q.valid, patch)
+    coarse, best, cost, scored = relocate._fill_offsets(
+        T_o.data, T_t.data, domain[..., None], tiles, window)
+    reach = window // 2
+    rank = {o: i for i, o in enumerate(_candidates(reach))}
+    if min(h, w) > 1:
+        c_o, c_t = _downsample(T_o.data), _downsample(T_t.data)
+        c_m = _downsample(domain[..., None].astype(float))[..., 0]
+    n_scored = 0
+    for tile, c, b, got in zip(tiles, coarse, best, cost):
+        ty, tx, y1, x1 = tile
+        c, b = tuple(int(v) for v in c), tuple(int(v) for v in b)
+        assert in_search(tile, b, reach, h, w)
+        assert got == loop_tile_cost(T_o.data, T_t.data, domain, tile, b)
+        cy, cx = (ty + 1) // 2, (tx + 1) // 2
+        ctile = (cy, cx, y1 // 2, x1 // 2)
+        scored_c = [o for o in _candidates(reach // 2)
+                    if in_search(tile, (2 * o[0], 2 * o[1]), reach, h, w)]
+        if reach // 2 and ctile[2] > cy and ctile[3] > cx:
+            costs = {o: loop_tile_cost(c_o, c_t, c_m, ctile, o) for o in scored_c}
+            assert c == min(scored_c, key=lambda o: (costs[o], rank[2 * o[0], 2 * o[1]]))
+            n_scored += len(scored_c)
+        else:
+            assert c == (0, 0)
+        fine = [(2 * c[0] + ey, 2 * c[1] + ex) for ey, ex in _candidates(1)]
+        fine = [o for o in fine if in_search(tile, o, reach, h, w)]
+        assert b in fine
+        for o in fine:
+            other = loop_tile_cost(T_o.data, T_t.data, domain, tile, o)
+            assert other > got or (other == got and rank[o] >= rank[b])
+        n_scored += len(fine)
+    assert scored == n_scored
+    return {(int(t[0]), int(t[1])): tuple(int(v) for v in b) for t, b in zip(tiles, best)}
+
+
+@pytest.mark.parametrize("shift", [(-2, 3), (5, -7), (-9, 9)])
+def test_patch_fill_exact_shift_matches_offset_loop(shift):
+    # T_t(p) = T_o(p + shift) exactly, cropped from one larger texture; holes
+    # keep 18 texels from the border, so every tile that fills has its true
+    # offset in bounds
+    dy, dx = shift
+    h, w = 64, 56
+    big = noise_texture(h + 20, w + 20, seed=5)
+    T_o = Field2(big[10:10 + h, 10:10 + w])
+    T_t = Field2(big[10 + dy:10 + dy + h, 10 + dx:10 + dx + w])
+    rng = np.random.default_rng(7)
+    ident = identity_correspondence(w, h)
+    Q0 = Correspondence(Field2(ident.target.data + rng.normal(0, 1e-3, size=(h, w, 2))),
+                        ident.valid)
+    Q = Q0.copy()
+    Q.valid[18:h - 18, 18:w - 18] &= rng.uniform(size=(h - 36, w - 36)) >= 0.3
+    out = patch_fill(Q, T_o, T_t, Q0)
+    target, valid = loop_patch_fill(Q, T_o, T_t, Q0)
+    assert (out.valid == valid).all() and (valid & ~Q.valid).sum() > 150
+    assert out.target.data.tobytes() == target.tobytes()
+    assert set(check_search(T_o, T_t, None, Q, 8, 21).values()) == {shift}
 
 
 def test_patch_fill_matches_offset_loop():
@@ -647,12 +739,65 @@ def test_patch_fill_matches_offset_loop():
         (Field2(flat), Field2(np.roll(flat, 1, axis=1)), rng.uniform(size=(h, w)) < 0.8, 5, 9),
         (Field2(noisy[..., :1]), Field2(noisy[..., 1:2]), None, 3, 6),
     ]
+    # Two more, from their own generator: a masked noisy pair, and stripes
+    # along the diagonal, where every offset with dy - dx = 2 matches
+    # exactly; most tiles' coarse winner (0, -1) refines around (0, -2), yet
+    # (1, -1) is nearer.
+    more = np.random.default_rng(5)
+    stripes = noise_texture(h + w + 2, 1, seed=8)[:, 0]
+    diag = np.arange(h)[:, None] - np.arange(w) + w
+    cases += [
+        (Field2(noisy), Field2(np.roll(noisy, (3, 1), axis=(0, 1))),
+         more.uniform(size=(h, w)) < 0.7, 8, 21),
+        (Field2(stripes[diag]), Field2(stripes[diag + 2]), None, 8, 21),
+    ]
     for T_o, T_t, domain, patch, window in cases:
         Q = Q0.copy()
         Q.valid &= rng.uniform(size=(h, w)) >= 0.3
         Q.valid[:, -3:] = False                    # holes along two borders
         Q.valid[-2:] = False
-        out = patch_fill(Q, T_o, T_t, Q0, patch=patch, window=window, domain=domain)
-        target, valid = loop_patch_fill(Q, T_o, T_t, Q0, patch, window, domain)
+        rec = {}
+        out = patch_fill(Q, T_o, T_t, Q0, patch=patch, window=window, domain=domain,
+                         record=rec)
+        _, valid = loop_patch_fill(Q, T_o, T_t, Q0, patch, window, domain)
         assert (out.valid == valid).all()
+        chosen = check_search(T_o, T_t, domain, Q, patch, window)
+        # donations from the chosen offsets add up as the loop's do
+        target, _ = loop_patch_fill(Q, T_o, T_t, Q0, patch, window, domain, offsets=chosen)
         assert out.target.data.tobytes() == target.tobytes()
+        assert rec["fill_tiles"] == len(chosen)
+
+
+@pytest.mark.parametrize("size", [(37, 29), (29, 37), (1, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("patch,window", [(8, 21), (8, 3), (8, 2), (1, 21), (1, 1),
+                                          (3, 3), (2, 5), (5, 9), (7, 21)])
+def test_patch_fill_edge_tiles_fill_like_loop(size, patch, window):
+    # odd sizes leave partial last tiles, some with no coarse texel; windows
+    # of at most 3 have no coarse level, and a patch of 1 is one texel
+    h, w = size
+    tex = noise_texture(h + 4, w + 4, seed=9)
+    T_o, T_t = Field2(tex[:h, :w]), Field2(tex[1:h + 1, 2:w + 2])
+    rng = np.random.default_rng(h * w + patch + window)
+    Q0 = identity_correspondence(w, h)
+    Q = Q0.copy()
+    Q.valid &= rng.uniform(size=(h, w)) >= 0.5
+    Q.valid[-1] = Q.valid[:, -1] = False
+    out = patch_fill(Q, T_o, T_t, Q0, patch=patch, window=window)
+    _, valid = loop_patch_fill(Q, T_o, T_t, Q0, patch, window)
+    assert (out.valid == valid).all() and valid.all()
+    check_search(T_o, T_t, None, Q, patch, window)
+
+
+def test_patch_fill_memory_does_not_grow_with_fill_tiles():
+    h = w = 64
+    tex = noise_texture(h + 4, w + 4, seed=12)
+    T_o, T_t = Field2(tex[:h, :w]), Field2(tex[2:h + 2, 3:w + 3])
+    Q0 = identity_correspondence(w, h)
+    every, quarter = Q0.copy(), Q0.copy()
+    every.valid[:] = False
+    quarter.valid[:h // 2, :w // 2] = False
+    counts = [{}, {}]
+    many = traced_peak(lambda: patch_fill(every, T_o, T_t, Q0, record=counts[0]))
+    few = traced_peak(lambda: patch_fill(quarter, T_o, T_t, Q0, record=counts[1]))
+    assert counts[0]["fill_tiles"] == 256 and counts[1]["fill_tiles"] == 64
+    assert many <= 1.5 * few
