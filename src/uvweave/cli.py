@@ -15,7 +15,6 @@ import sys
 
 from . import stages
 from .errors import NumericalError, ValidationError
-from .extend import SpringConfig
 from .relocate import FlowConfig, RelocateConfig
 from .scenegen import CorruptConfig, SceneConfig
 from .uvopt import OptConfig
@@ -112,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="fill and relax UVs over the full silhouette")
     p.add_argument("dir")
-    p.add_argument("--region", type=int, default=40)
-    p.add_argument("--max-iters", type=int, default=2000)
     _add_threads(p)
 
     p = sub.add_parser("optimize",
@@ -145,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     _add_opt_args(p)
     _add_reloc_args(p)
-    p.add_argument("--region", type=int, default=40)
-    p.add_argument("--max-iters", type=int, default=2000)
     _add_threads(p)
 
     p = sub.add_parser("grad-check", help="finite-difference audit of the gradient")
@@ -168,8 +163,7 @@ def main(argv=None) -> int:
                                 jitter=args.jitter, seed=args.seed)
             stages.stage_corrupt(args.dir, cfg)
         elif args.command == "extend":
-            cfg = SpringConfig(region=args.region, max_iters=args.max_iters)
-            stages.stage_extend(args.dir, cfg, _threads(args))
+            stages.stage_extend(args.dir, threads=_threads(args))
             _summarize(args.dir, "extend")
         elif args.command == "optimize":
             stages.stage_optimize(args.dir, _opt_config(args), _threads(args))
@@ -185,9 +179,8 @@ def main(argv=None) -> int:
         elif args.command == "metrics":
             stages.stage_metrics(args.dir, _threads(args))
         elif args.command == "pipeline":
-            ext = SpringConfig(region=args.region, max_iters=args.max_iters)
-            stages.stage_pipeline(args.dir, ext, _opt_config(args),
-                                  _reloc_config(args), _threads(args))
+            stages.stage_pipeline(args.dir, opt_cfg=_opt_config(args),
+                                  reloc_cfg=_reloc_config(args), threads=_threads(args))
             _summarize(args.dir, "extend", "optimize", "relocate")
         elif args.command == "grad-check":
             worst = stages.run_grad_check(seeds=tuple(args.seeds), size=args.size,

@@ -20,7 +20,7 @@ from .errors import ValidationError
 # even when the coordinate went through a divide/multiply round trip.
 SNAP_EPS = 1e-9
 
-MAX_CHANNELS = 32   # leaves room for 25-way part-score fields
+MAX_CHANNELS = 32   # leaves room for loss_ce's 25-class score fields
 
 
 class Field2:

@@ -17,8 +17,9 @@ weights, so it is the exact derivative of the discrete forward
 computation; the only dropped term is the nearest-neighbor fill of
 uncovered texels, whose values are extrapolations rather than data.
 
-``reg_matrix`` writes the smoothness regularizer ``l_reg`` as the sparse
-quadratic form that ``uvopt`` solves with.
+The smoothness regularizer ``l_reg`` has one definition, the weighted
+difference operator of ``reg_operator``: ``loss_reg``, ``grad_reg`` and the
+sparse quadratic form ``H`` that ``uvopt`` solves with all read it.
 """
 
 from __future__ import annotations
@@ -143,63 +144,35 @@ def grad_app(P: UVMap, I: Field2, tex_w: int | None = None,
     return LossReport(l_app=l_app, l_reg=0.0, grad=Field2(guv))
 
 
-def _reg_terms(P: UVMap, alpha1: float, alpha2: float, want_grad: bool):
-    uv = P.uv.data
-    m = P.silhouette
-    w, h = P.width, P.height
-    if w < 5 or h < 5:
-        raise ValidationError(f"regularizer needs at least a 5x5 grid, got {w}x{h}")
-    g = np.zeros_like(uv) if want_grad else None
-    l = 0.0
+class RegOperator(NamedTuple):
+    """The smoothness regularizer as weighted differences over the
+    silhouette pixels: ``l_reg = sum over channels of sum(w * (D v)^2)``,
+    where ``v`` holds one UV channel at the silhouette pixels in row-major
+    order.  Loss and gradient are evaluated from the differences ``D v``,
+    so a constant ``v`` scores exactly 0 and scaling both weights by a
+    power of two scales both exactly."""
 
-    # First differences, normalized-coordinate units, over pairs inside the
-    # silhouette.  The adjoint of the pair stencil is the discrete Laplacian.
-    dx = (uv[:, 1:] - uv[:, :-1]) * w
-    dx *= (m[:, 1:] & m[:, :-1])[..., None]
-    dy = (uv[1:] - uv[:-1]) * h
-    dy *= (m[1:] & m[:-1])[..., None]
-    l += alpha1 * (np.sum(dx * dx) + np.sum(dy * dy))
-    if want_grad:
-        t = 2.0 * alpha1 * dx * w
-        g[:, 1:] += t
-        g[:, :-1] -= t
-        t = 2.0 * alpha1 * dy * h
-        g[1:] += t
-        g[:-1] -= t
+    D: sp.csr_matrix        # (m, n), one row per stencil placement
+    w: np.ndarray           # (m,) weight of each row
 
-    # Second differences; the mixed term appears twice in the Hessian.
-    hxx = (uv[:, 2:] - 2.0 * uv[:, 1:-1] + uv[:, :-2]) * (w * w)
-    hxx *= (m[:, 2:] & m[:, 1:-1] & m[:, :-2])[..., None]
-    hyy = (uv[2:] - 2.0 * uv[1:-1] + uv[:-2]) * (h * h)
-    hyy *= (m[2:] & m[1:-1] & m[:-2])[..., None]
-    hxy = (uv[1:, 1:] - uv[1:, :-1] - uv[:-1, 1:] + uv[:-1, :-1]) * (w * h)
-    hxy *= (m[1:, 1:] & m[1:, :-1] & m[:-1, 1:] & m[:-1, :-1])[..., None]
-    l += alpha2 * (np.sum(hxx * hxx) + np.sum(hyy * hyy) + 2.0 * np.sum(hxy * hxy))
-    if want_grad:
-        t = 2.0 * alpha2 * hxx * (w * w)
-        g[:, 2:] += t
-        g[:, 1:-1] -= 2.0 * t
-        g[:, :-2] += t
-        t = 2.0 * alpha2 * hyy * (h * h)
-        g[2:] += t
-        g[1:-1] -= 2.0 * t
-        g[:-2] += t
-        t = 4.0 * alpha2 * hxy * (w * h)
-        g[1:, 1:] += t
-        g[1:, :-1] -= t
-        g[:-1, 1:] -= t
-        g[:-1, :-1] += t
-    return float(l), g
+    def loss(self, v: np.ndarray) -> float:
+        r = self.D @ v
+        return float(np.sum(self.w[:, None] * r * r))
+
+    def grad(self, v: np.ndarray) -> np.ndarray:
+        """``2 D' diag(w) D v``, the gradient of ``loss`` at ``v``."""
+        return 2.0 * (self.D.T @ (self.w[:, None] * (self.D @ v)))
+
+    def matrix(self) -> sp.csc_matrix:
+        """``H = D' diag(w) D``, so that ``l_reg = sum over channels of v' H v``."""
+        return (self.D.T @ sp.diags(self.w) @ self.D).tocsc()
 
 
-def reg_matrix(sil: np.ndarray, alpha1: float, alpha2: float) -> sp.csc_matrix:
-    """The quadratic form of the regularizer over the silhouette pixels.
-
-    ``l_reg(P) = sum over channels of v' H v``, where ``v`` holds one UV
-    channel at the silhouette pixels in row-major order, so ``2 H v`` is
-    ``grad_reg``.  ``H = sum of weight * D' D`` over the five difference
-    stencils of ``_reg_terms``, each stencil kept where all its taps lie in
-    the silhouette.
+def reg_operator(sil: np.ndarray, alpha1: float, alpha2: float) -> RegOperator:
+    """The regularizer over the silhouette ``sil``: ``alpha1`` weighs the
+    squared first differences in x and y, ``alpha2`` the squared second
+    differences xx, yy and (twice) xy, all in normalized-coordinate units.
+    Each stencil is kept where all its taps lie in the silhouette.
     """
     h, w = sil.shape
     if w < 5 or h < 5:
@@ -228,18 +201,23 @@ def reg_matrix(sil: np.ndarray, alpha1: float, alpha2: float) -> sp.csc_matrix:
         rows = np.repeat(np.arange(len(ys)), len(taps))
         blocks.append(sp.csr_matrix((vals, (rows, cols.ravel())), shape=(len(ys), n)))
         weights.append(np.full(len(ys), weight))
-    D = sp.vstack(blocks)
-    return (D.T @ sp.diags(np.concatenate(weights)) @ D).tocsc()
+    return RegOperator(sp.vstack(blocks, format="csr"), np.concatenate(weights))
 
 
 def loss_reg(P: UVMap, alpha1: float, alpha2: float) -> float:
-    return _reg_terms(P, alpha1, alpha2, want_grad=False)[0]
+    sil = P.silhouette
+    return reg_operator(sil, alpha1, alpha2).loss(P.uv.data[sil])
 
 
 def grad_reg(P: UVMap, alpha1: float, alpha2: float) -> LossReport:
-    """Smoothness energy (gradient plus Hessian penalty) and exact gradient."""
-    l, g = _reg_terms(P, alpha1, alpha2, want_grad=True)
-    return LossReport(l_app=0.0, l_reg=l, grad=Field2(g))
+    """Smoothness energy (gradient plus Hessian penalty) and exact gradient,
+    zero outside the silhouette."""
+    sil = P.silhouette
+    reg = reg_operator(sil, alpha1, alpha2)
+    v = P.uv.data[sil]
+    g = np.zeros_like(P.uv.data)
+    g[sil] = reg.grad(v)
+    return LossReport(l_app=0.0, l_reg=reg.loss(v), grad=Field2(g))
 
 
 def fd_probe_check(P: UVMap, I: Field2, alpha1: float, alpha2: float,

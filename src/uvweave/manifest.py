@@ -177,6 +177,10 @@ class Manifest:
         if name not in self.data["stages"]:
             raise ValidationError(f"stage '{name}' must run before this one")
 
+    def require_prereq(self, stage: str):
+        """Raise unless the stage that ``stage`` runs after has run."""
+        self.require_stage(STAGE_PREREQ[stage])
+
     # -- artifact helpers ---------------------------------------------------
 
     def path(self, rel: str) -> Path:

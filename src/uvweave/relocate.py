@@ -420,7 +420,10 @@ def _fill_offsets(ref: np.ndarray, tex: np.ndarray, mask: np.ndarray,
     (dy, dx)), their costs and the number of in-bounds offsets scored.
     """
     h, w = ref.shape[:2]
-    reach = window // 2
+    # No offset of max(h, w) or more keeps a tile in bounds, so a larger
+    # window scores the same offsets.  Clamping there, not one less, keeps
+    # the coarse level of a 2x2 texture.
+    reach = min(window // 2, max(h, w))
     cands = np.array(_candidates(reach), dtype=np.int64)
     rank = np.empty((2 * reach + 1, 2 * reach + 1), dtype=np.int64)
     rank[cands[:, 0] + reach, cands[:, 1] + reach] = np.arange(len(cands))

@@ -80,7 +80,7 @@ def stage_gen(out_dir, cfg: SceneConfig) -> Manifest:
 
 def stage_corrupt(root, cfg: CorruptConfig) -> Manifest:
     m = Manifest.load(root)
-    m.require_stage("gen")
+    m.require_prereq("corrupt")
     # Read the ground truth from disk so corrupt composes with external data.
     rng = np.random.default_rng(cfg.seed)
     for i in range(m.n_frames):
@@ -92,7 +92,7 @@ def stage_corrupt(root, cfg: CorruptConfig) -> Manifest:
 
 def stage_extend(root, cfg: SpringConfig | None = None, threads: int = 1) -> Manifest:
     m = Manifest.load(root)
-    m.require_stage("corrupt")
+    m.require_prereq("extend")
     cfg = cfg or SpringConfig()
     if cfg.tex_w is None:
         tw, th = m.texture_size
@@ -123,7 +123,7 @@ def stage_extend(root, cfg: SpringConfig | None = None, threads: int = 1) -> Man
 
 def stage_optimize(root, cfg: OptConfig | None = None, threads: int = 1) -> Manifest:
     m = Manifest.load(root)
-    m.require_stage("extend")
+    m.require_prereq("optimize")
     cfg = cfg or OptConfig()
     if cfg.tex_w is None:
         tw, th = m.texture_size
@@ -148,7 +148,7 @@ def stage_optimize(root, cfg: OptConfig | None = None, threads: int = 1) -> Mani
 def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
                    flow_dir=None) -> Manifest:
     m = Manifest.load(root)
-    m.require_stage("optimize")
+    m.require_prereq("relocate")
     cfg = cfg or RelocateConfig()
     tw, th = m.texture_size
 
@@ -192,7 +192,7 @@ def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
 
 def stage_synth(root, threads: int = 1) -> Manifest:
     m = Manifest.load(root)
-    m.require_stage("relocate")
+    m.require_prereq("synth")
     render = LookupRenderer(m.read_texture("texture_o").data)
 
     def run(i):
@@ -226,7 +226,7 @@ def stage_retexture(root, texture_path, tag: str = "retex", threads: int = 1) ->
         raise ValidationError(f"retexture tag {tag!r} must match {RETEXTURE_TAG.pattern} "
                               f"and name no other stage's frame item")
     m = Manifest.load(root)
-    m.require_stage("relocate")
+    m.require_prereq("retexture")
     texture_path = Path(texture_path)
     if not texture_path.is_file():
         raise ValidationError(f"no texture file at {texture_path}")
@@ -260,8 +260,9 @@ def stage_retexture(root, texture_path, tag: str = "retex", threads: int = 1) ->
             pixels[mask.reshape(-1)] = fg.view(pixels.dtype).reshape(-1)
             write_ppm_samples(m.root / rels[i], out.reshape(h, w, 3))
 
-    # One buffer per worker: worker k takes frames k, k + threads, ...
-    _map_frames(run, [range(k, m.n_frames, threads) for k in range(threads)], threads)
+    # One buffer per worker: worker k takes frames k, k + workers, ...
+    workers = min(threads, m.n_frames)
+    _map_frames(run, [range(k, m.n_frames, workers) for k in range(workers)], workers)
     for i, rel in enumerate(rels):
         m.set_frame_item(i, tag, rel)
     m.mark_stage("retexture", {"texture": str(texture_path), "tag": tag})
@@ -287,7 +288,7 @@ def _sequence_metrics(m: Manifest, uv_key: str, image_key: str,
 
 def stage_metrics(root, threads: int = 1) -> Manifest:
     m = Manifest.load(root)
-    m.require_stage("synth")
+    m.require_prereq("metrics")
     # Both reports score against the same real frames and real-frame flows.
     reals = [m.read_image(i, "image", valid=m.read_mask(i, "mask"))
              for i in range(m.n_frames)]

@@ -6,12 +6,14 @@ refinement supplies is smoothness, so it minimizes
 
     mu * |uv - uv_init|^2 + l_reg(uv)
 
-over the silhouette pixels.  ``l_reg`` is the quadratic form ``H`` of
-``gradcore.reg_matrix``, so the minimizer solves ``(H + mu I) uv = mu
-uv_init`` (a Whittaker smoother, Eilers 2003); one sparse LU factorization
-serves both UV channels.  ``mu`` follows the image size, because the
-second differences of ``l_reg`` grow as its fourth power.  Frames are
-independent, so callers can optimize them in parallel.
+over the silhouette pixels.  ``l_reg`` is the weighted difference operator
+of ``gradcore.reg_operator``, built once per frame.  The minimizer solves
+``(H + mu I) uv = mu uv_init`` with its quadratic form ``H`` (a Whittaker
+smoother, Eilers 2003); one sparse LU factorization serves both UV
+channels, and the trace's ``l_reg`` is read off the same operator.
+``mu`` follows the image size, because the second differences of
+``l_reg`` grow as its fourth power.  Frames are independent, so callers
+can optimize them in parallel.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.sparse import identity
 
 from .errors import ValidationError
 from .fields import Field2
-from .gradcore import loss_app, loss_reg, reg_matrix
+from .gradcore import loss_app, reg_operator
 from .warpmap import UVMap
 
 MU_64 = 1.2e7   # data weight at a 64x64 image
@@ -75,18 +77,20 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
 
     sil = P_init.silhouette
     mu = data_weight(I.width, I.height)
-    H = reg_matrix(sil, cfg.alpha1, cfg.alpha2)
+    reg = reg_operator(sil, cfg.alpha1, cfg.alpha2)
+    H = reg.matrix()
     A = H + mu * identity(H.shape[0], format="csc")
-    b = mu * P_init.uv.data[sil]                      # (n, 2), one column per channel
+    v = P_init.uv.data[sil]                           # (n, 2), one column per channel
+    b = mu * v
     x = splu(A).solve(b)
     uv = np.zeros_like(P_init.uv.data)
     uv[sil] = x
     P = UVMap(uv, sil)
 
     trace = OptTrace()
-    for Q in (P_init, P):
+    for Q, q in ((P_init, v), (P, x)):
         trace.l_app.append(loss_app(Q, I, cfg.tex_w, cfg.tex_h))
-        trace.l_reg.append(loss_reg(Q, cfg.alpha1, cfg.alpha2))
+        trace.l_reg.append(reg.loss(q))
     trace.residual = float(np.abs(A @ x - b).max(initial=0.0)
                            / max(np.abs(b).max(initial=0.0), 1e-300))
     return P, trace

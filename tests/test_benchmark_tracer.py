@@ -66,7 +66,7 @@ def test_tracer_counts_a_pipeline(tmp_path):
         assert main(["gen", str(d), "--width", "32", "--height", "32", "--tex-width", "32",
                      "--tex-height", "32", "--frames", "2", "--seed", "1"]) == 0
         assert main(["corrupt", str(d), "--margin", "2", "--uv-noise", "0.01"]) == 0
-        assert main(["pipeline", str(d), "--max-iters", "200", "--window", "7"]) == 0
+        assert main(["pipeline", str(d), "--window", "7"]) == 0
         assert main(["retexture", str(d), str(d / "frames" / "f0000_synth.ppm")]) == 0
     finally:
         t.uninstall()

@@ -8,12 +8,14 @@ shared by the read-only assertions.
 import hashlib
 import json
 import shutil
+import threading
 
 import numpy as np
 import pytest
 
 from uvweave.cli import main
 from uvweave.formats import read_pfm, read_ppm, write_pfm, write_ppm
+from uvweave.manifest import STAGE_PREREQ
 from uvweave.stages import FRAME_ITEMS
 
 SMALL = ["--width", "48", "--height", "48", "--tex-width", "48",
@@ -21,7 +23,7 @@ SMALL = ["--width", "48", "--height", "48", "--tex-width", "48",
          "--amplitude", "0.02", "--frequency", "1.5"]
 CORRUPT = ["--margin", "2", "--dup-blocks", "2", "--dup-size", "6",
            "--uv-noise", "0.01", "--seed", "1"]
-FAST = ["--max-steps", "80", "--max-iters", "400", "--window", "11"]
+FAST = ["--max-steps", "80", "--window", "11"]
 
 
 def run_sequence(d, pipeline_args=()):
@@ -100,6 +102,19 @@ def test_corrupt_reads_ground_truth_from_disk(tmp_path):
     assert all("mask_raw" not in fr for fr in man["frames"])
 
 
+def test_stages_refuse_to_run_before_their_prerequisite(tmp_path, capsys):
+    d = tmp_path / "g"
+    assert main(["gen", str(d)] + SMALL) == 0
+    before = _files(d)
+    for stage, prereq in STAGE_PREREQ.items():
+        if prereq == "gen":
+            continue
+        args = [stage, str(d)] + ([str(d / "texture_gt.pfm")] if stage == "retexture" else [])
+        assert main(args) == 2, stage
+        assert capsys.readouterr().err == f"error: stage '{prereq}' must run before this one\n"
+    assert _files(d) == before
+
+
 def test_threads_env_validation(tmp_path, capsys, monkeypatch):
     d = tmp_path / "t"
     assert main(["gen", str(d)] + SMALL) == 0
@@ -113,7 +128,7 @@ def test_threads_env_validation(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "UVWEAVE_THREADS must be >= 1" in capsys.readouterr().err
     monkeypatch.setenv("UVWEAVE_THREADS", "2")
-    assert main(["extend", str(d), "--max-iters", "400"]) == 0
+    assert main(["extend", str(d)]) == 0
 
 
 def test_threads_flag_validation(tmp_path, capsys):
@@ -125,7 +140,7 @@ def test_threads_flag_validation(tmp_path, capsys):
         assert rc == 2
         assert "--threads must be >= 1" in capsys.readouterr().err
     assert "extend" not in json.loads((d / "manifest.json").read_text())["stages"]
-    assert main(["extend", str(d), "--max-iters", "400", "--threads", "1"]) == 0
+    assert main(["extend", str(d), "--threads", "1"]) == 0
 
 
 def test_pipeline_products(piped):
@@ -241,7 +256,7 @@ def test_stage_commands_print_trace_summaries(piped, tmp_path, capsys):
                          f"matched, {sum(t['pruned'] for t in rel)} pruned, "
                          f"{sum(t['filled'] for t in rel)} filled, "
                          f"{sum(t['unfilled'] for t in rel)} unfilled")
-    assert main(["extend", str(d), "--max-iters", "400"]) == 0
+    assert main(["extend", str(d)]) == 0
     ext = [json.loads((d / f"traces/f{i:04d}_ext.json").read_text()) for i in range(3)]
     iters = sum(t["push_iters"] + t["pull_iters"] for t in ext)
     assert capsys.readouterr().out == (
@@ -259,7 +274,7 @@ def test_rerun_drops_downstream_stages(piped, tmp_path, capsys):
     d = tmp_path / "rerun"
     shutil.copytree(piped[0], d)
     assert {"optimize", "relocate"} <= set(json.loads((d / "manifest.json").read_text())["stages"])
-    assert main(["extend", str(d), "--max-iters", "400"]) == 0
+    assert main(["extend", str(d)]) == 0
     man = json.loads((d / "manifest.json").read_text())
     assert sorted(man["stages"]) == ["corrupt", "extend", "gen"]
     rc = main(["relocate", str(d)])
@@ -485,6 +500,26 @@ def test_retexture_big_endian_look_matches_little_endian(piped, tmp_path, thread
         le = (d / "frames" / f"f{i:04d}_le.ppm").read_bytes()
         assert le == (d / "frames" / f"f{i:04d}_be.ppm").read_bytes()
         assert le != (d / "frames" / f"f{i:04d}_synth.ppm").read_bytes()
+
+
+def test_retexture_starts_no_more_workers_than_frames(piped, tmp_path, monkeypatch):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    look = d / "texture_gt.pfm"
+    assert main(["retexture", str(d), str(look), "--tag", "one", "--threads", "1"]) == 0
+    started = []
+
+    def start(self, _f=threading.Thread.start):
+        started.append(self)
+        return _f(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert main(["retexture", str(d), str(look), "--tag", "many", "--threads", "64"]) == 0
+    monkeypatch.undo()
+    assert 1 <= len(started) <= 3                  # the sequence has 3 frames
+    for i in range(3):
+        one = (d / "frames" / f"f{i:04d}_one.ppm").read_bytes()
+        assert one == (d / "frames" / f"f{i:04d}_many.ppm").read_bytes()
 
 
 def test_retexture_rerun_with_same_tag_equals_fresh_run(piped, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from uvweave import (Field2, SceneConfig, UVMap, ValidationError, fd_probe_check,
                      gen_sequence, grad_app, grad_reg, loss_app, loss_reg)
-from uvweave.gradcore import _reg_terms, reg_matrix
+from uvweave.gradcore import reg_operator
 
 
 def rand_scene(seed, size=8):
@@ -105,7 +105,7 @@ def test_reg_min_size_error():
     with pytest.raises(ValidationError):
         loss_reg(P, 1.0, 1.0)
     with pytest.raises(ValidationError):
-        reg_matrix(sil, 1.0, 1.0)
+        reg_operator(sil, 1.0, 1.0)
 
 
 def test_texture_size_defaults_to_image():
@@ -158,8 +158,55 @@ def test_loss_report_fields():
     assert rep.l_app == pytest.approx(loss_app(P, I))
 
 
+def _reg_terms(P: UVMap, alpha1: float, alpha2: float):
+    """Reference regularizer: its five stencils written out on the grid,
+    each kept where all its taps lie in the silhouette, and their adjoint
+    by hand.  Returns (loss, gradient)."""
+    uv = P.uv.data
+    m = P.silhouette
+    h, w = m.shape
+    g = np.zeros_like(uv)
+
+    dx = (uv[:, 1:] - uv[:, :-1]) * w
+    dx *= (m[:, 1:] & m[:, :-1])[..., None]
+    dy = (uv[1:] - uv[:-1]) * h
+    dy *= (m[1:] & m[:-1])[..., None]
+    l = alpha1 * (np.sum(dx * dx) + np.sum(dy * dy))
+    t = 2.0 * alpha1 * dx * w
+    g[:, 1:] += t
+    g[:, :-1] -= t
+    t = 2.0 * alpha1 * dy * h
+    g[1:] += t
+    g[:-1] -= t
+
+    # second differences; the mixed term appears twice in the Hessian
+    hxx = (uv[:, 2:] - 2.0 * uv[:, 1:-1] + uv[:, :-2]) * (w * w)
+    hxx *= (m[:, 2:] & m[:, 1:-1] & m[:, :-2])[..., None]
+    hyy = (uv[2:] - 2.0 * uv[1:-1] + uv[:-2]) * (h * h)
+    hyy *= (m[2:] & m[1:-1] & m[:-2])[..., None]
+    hxy = (uv[1:, 1:] - uv[1:, :-1] - uv[:-1, 1:] + uv[:-1, :-1]) * (w * h)
+    hxy *= (m[1:, 1:] & m[1:, :-1] & m[:-1, 1:] & m[:-1, :-1])[..., None]
+    l += alpha2 * (np.sum(hxx * hxx) + np.sum(hyy * hyy) + 2.0 * np.sum(hxy * hxy))
+    t = 2.0 * alpha2 * hxx * (w * w)
+    g[:, 2:] += t
+    g[:, 1:-1] -= 2.0 * t
+    g[:, :-2] += t
+    t = 2.0 * alpha2 * hyy * (h * h)
+    g[2:] += t
+    g[1:-1] -= 2.0 * t
+    g[:-2] += t
+    t = 4.0 * alpha2 * hxy * (w * h)
+    g[1:, 1:] += t
+    g[1:, :-1] -= t
+    g[:-1, 1:] -= t
+    g[:-1, :-1] += t
+    return float(l), g
+
+
 def test_reg_matrix_matches_reg_terms():
-    # v'Hv is the regularizer and Hv half its gradient, channel by channel
+    # loss_reg, grad_reg and the solve's H = D' diag(w) D all match the
+    # stencils written out: v'Hv is the loss and Hv half the gradient,
+    # channel by channel
     rng = np.random.default_rng(12)
     yy, xx = np.mgrid[0:24, 0:20]
     ring = (np.hypot(yy - 12, xx - 10) < 9) & (np.hypot(yy - 12, xx - 10) > 4)
@@ -169,9 +216,13 @@ def test_reg_matrix_matches_reg_terms():
     for sil in sils:
         for a1, a2 in ((100.0, 10.0), (0.0, 3.0), (2.0, 0.0)):
             P = UVMap(rng.normal(size=sil.shape + (2,)), sil)
-            l, g = _reg_terms(P, a1, a2, want_grad=True)
-            H = reg_matrix(sil, a1, a2)
+            l, g = _reg_terms(P, a1, a2)
+            tol = 1e-12 * max(np.abs(g).max(), 1.0)
+            rep = grad_reg(P, a1, a2)
+            assert np.abs(rep.grad.data - g).max() <= tol
+            assert rep.l_reg == loss_reg(P, a1, a2) == pytest.approx(l, rel=1e-12, abs=1e-9)
+            H = reg_operator(sil, a1, a2).matrix()
             v = P.uv.data[sil]
             Hv = H @ v
-            assert np.abs(Hv - 0.5 * g[sil]).max() <= 1e-12 * max(np.abs(g).max(), 1.0)
+            assert np.abs(Hv - 0.5 * g[sil]).max() <= tol
             assert np.einsum("nc,nc->", v, Hv) == pytest.approx(l, rel=1e-12, abs=1e-9)

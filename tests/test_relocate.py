@@ -788,6 +788,34 @@ def test_patch_fill_edge_tiles_fill_like_loop(size, patch, window):
     check_search(T_o, T_t, None, Q, patch, window)
 
 
+@pytest.mark.parametrize("size", [(37, 29), (29, 37), (3, 5)])
+def test_patch_fill_huge_window_equals_texture_wide_window(size, monkeypatch):
+    # no offset of max(h, w) or more keeps a tile in bounds, so a huge
+    # window fills as the window of radius max(h, w) - 1 does, and the
+    # search builds no candidates beyond radius max(h, w)
+    h, w = size
+    tex = noise_texture(h + 4, w + 4, seed=13)
+    T_o, T_t = Field2(tex[:h, :w]), Field2(tex[2:h + 2, 1:w + 1])
+    rng = np.random.default_rng(14)
+    Q0 = identity_correspondence(w, h)
+    Q = Q0.copy()
+    Q.valid &= rng.uniform(size=(h, w)) >= 0.5
+
+    def candidates(radius, _f=_candidates):
+        assert radius <= max(h, w)
+        return _f(radius)
+
+    monkeypatch.setattr(relocate, "_candidates", candidates)
+    runs = []
+    for window in (2 * max(h, w) - 1, 10 ** 9):
+        rec = {}
+        out = patch_fill(Q, T_o, T_t, Q0, window=window, record=rec)
+        runs.append((out.target.data.tobytes(), out.valid.tobytes(), rec))
+    assert runs[0] == runs[1]
+    _, valid = loop_patch_fill(Q, T_o, T_t, Q0, window=2 * max(h, w) - 1)
+    assert runs[0][1] == valid.tobytes()
+
+
 def test_patch_fill_memory_does_not_grow_with_fill_tiles():
     h = w = 64
     tex = noise_texture(h + 4, w + 4, seed=12)

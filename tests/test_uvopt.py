@@ -4,6 +4,7 @@ import scipy.sparse.linalg
 
 from uvweave import (CorruptConfig, Field2, OptConfig, SceneConfig, UVMap,
                      ValidationError, corrupt, gen_sequence, optimize_uv)
+from uvweave import gradcore, uvopt
 from uvweave.gradcore import grad_reg
 from uvweave.uvopt import data_weight
 
@@ -104,14 +105,22 @@ def test_solve_is_stationary():
 
 
 def test_one_factorization_per_frame(monkeypatch):
-    # one LU factorization serves both UV channels
+    # one LU factorization serves both UV channels, and one regularizer
+    # operator serves the solve and both l_reg entries of the trace
     _, fr = noisy_frame()
     calls = []
 
-    def counting(*args, _f=scipy.sparse.linalg.splu, **kwargs):
-        calls.append(1)
-        return _f(*args, **kwargs)
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
-    optimize_uv(fr.uv_raw, fr.image)
-    assert len(calls) == 1
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        counting("splu", scipy.sparse.linalg.splu))
+    reg = counting("reg", gradcore.reg_operator)
+    monkeypatch.setattr(uvopt, "reg_operator", reg)
+    monkeypatch.setattr(gradcore, "reg_operator", reg)       # loss_reg would build another
+    _, tr = optimize_uv(fr.uv_raw, fr.image)
+    assert sorted(calls) == ["reg", "splu"]
+    assert len(tr.l_reg) == 2
