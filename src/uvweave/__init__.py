@@ -6,20 +6,24 @@ sequence: extend UVs past the silhouette with a mass-spring relaxation,
 smooth them with one sparse regularized solve per frame, re-anchor every
 frame to the frame-0 texture with block matching, and finally render with
 a constant-cost per-pixel lookup.
+
+Warp grids, flows and texel correspondences are all ``Field2``s of two
+channels, with ``valid`` marking the cells backed by data; only ``UVMap``
+has a type of its own, since it keeps UVs zero off the silhouette.
 """
 
 from .errors import NumericalError, ValidationError
 from .fields import Field2, pixel_center_grid, sample_bilinear
-from .warpmap import UVMap, WarpGrid, image_grid, texture_grid, texture_positions, warp
+from .warpmap import UVMap, image_grid, texture_grid, texture_positions, warp
 from .gradcore import (AppForward, LossReport, fd_probe_check, forward_app, grad_app,
                        grad_reg, loss_app, loss_reg)
 from .extend import (RelaxResult, SpringConfig, SpringSystem, extrapolate_uv,
                      label_fill, relax_springs)
 from .uvopt import OptConfig, OptTrace, optimize_uv
-from .relocate import (Correspondence, FlowConfig, FlowField, RelocateConfig,
-                       block_flow, frame_zero_products, identity_correspondence,
-                       init_correspondence, patch_fill, prune_mismatch, read_flo,
-                       relocate_frame, to_image_uv, write_flo)
+from .relocate import (FlowConfig, RelocateConfig, block_flow, flow_texels,
+                       frame_zero_products, identity_correspondence, init_correspondence,
+                       patch_fill, prune_mismatch, read_flo, relocate_frame, to_image_uv,
+                       write_flo)
 from .render import LookupRenderer, LookupStats, render_lookup
 from .metrics import (MetricReport, loss_ce, loss_img_s, loss_l2, loss_smo,
                       metric_psnr, metric_tdiff, metric_tof, pair_flows, uv_motion_fields)
@@ -31,13 +35,13 @@ from .manifest import Manifest
 __version__ = "0.1.0"
 
 __all__ = [
-    "AppForward", "Correspondence", "CorruptConfig", "Field2", "FlowConfig", "FlowField",
+    "AppForward", "CorruptConfig", "Field2", "FlowConfig",
     "FrameRecord", "FrameSet", "LookupRenderer", "LookupStats",
     "LossReport", "Manifest", "MetricReport", "NumericalError",
     "OptConfig", "OptTrace", "RelaxResult", "RelocateConfig",
     "SceneConfig", "SpringConfig", "SpringSystem", "UVMap",
-    "ValidationError", "WarpGrid", "block_flow", "corrupt",
-    "extrapolate_uv", "fd_probe_check", "forward_app", "frame_zero_products",
+    "ValidationError", "block_flow", "corrupt",
+    "extrapolate_uv", "fd_probe_check", "flow_texels", "forward_app", "frame_zero_products",
     "gen_sequence", "grad_app", "grad_reg", "identity_correspondence",
     "image_grid", "init_correspondence", "label_fill", "loss_app",
     "loss_ce", "loss_img_s", "loss_l2", "loss_reg", "loss_smo",

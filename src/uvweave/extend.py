@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.ndimage as ndi
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .fields import pixel_center_grid
 from .warpmap import UVMap, texture_positions
 
@@ -131,6 +131,7 @@ class SpringConfig:
     tex_h: int | None = None
 
     def __post_init__(self):
+        require_finite(self, "force_tol")
         if self.region < 2 or self.force_tol <= 0:
             raise ValidationError("bad spring configuration")
         if self.max_iters < 1 or self.max_anchors < 1:

@@ -71,6 +71,12 @@ class Field2:
     def channels(self) -> int:
         return self.data.shape[2]
 
+    def mask(self) -> np.ndarray:
+        """The validity mask; all True when the field carries none."""
+        if self.valid is not None:
+            return self.valid
+        return np.ones((self.height, self.width), dtype=bool)
+
     def copy(self) -> "Field2":
         out = Field2.__new__(Field2)
         out.data = self.data.copy()

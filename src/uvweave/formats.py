@@ -54,8 +54,10 @@ def overwrite(path, *chunks):
 
 
 def write_json(path, obj, indent: int | None = None):
-    """Write ``obj`` as sorted-key JSON plus a newline."""
-    overwrite(path, (json.dumps(obj, sort_keys=True, indent=indent) + "\n").encode())
+    """Write ``obj`` as sorted-key JSON plus a newline.  NaN and infinity
+    are not JSON, so a float that is either raises ValueError."""
+    overwrite(path, (json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+                     + "\n").encode())
 
 
 def read_body(fh, nbytes: int) -> bytes:

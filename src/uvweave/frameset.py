@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Field2
-from .relocate import Correspondence
 from .warpmap import UVMap
 
 
@@ -17,7 +16,7 @@ class FrameRecord:
     image: Field2
     mask: np.ndarray                      # full (uncorrupted) silhouette
     uv_gt: UVMap | None = None
-    corr_gt: Correspondence | None = None
+    corr_gt: Field2 | None = None         # positions in frame 0's texture
     uv_raw: UVMap | None = None           # corrupted input to the pipeline
 
 

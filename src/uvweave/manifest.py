@@ -22,7 +22,6 @@ from .errors import ValidationError
 from .fields import Field2
 from .formats import (read_pfm, read_pfm_samples, read_ppm, write_json, write_pfm,
                       write_ppm)
-from .relocate import Correspondence
 from .warpmap import UVMap
 
 MANIFEST_NAME = "manifest.json"
@@ -65,6 +64,17 @@ def uv_pairs(samples: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     pair = np.dtype(np.complex64).newbyteorder(samples.dtype.byteorder)
     uv = pixels[:, :2].view(pair).astype(np.complex128).view(np.float64)
     return uv if mask is not None else uv.reshape(h, w, 2)
+
+
+def _check_packed(path: Path, samples: np.ndarray, size, kind: str):
+    """Raise unless a packed ``kind`` file's (H, W, C) ``samples`` are
+    ``size`` (width, height) with three channels."""
+    w, h = size
+    fh, fw, channels = samples.shape
+    if (fh, fw, channels) != (h, w, 3):
+        raise ValidationError(
+            f"{path.name}: packed {kind} file is {fw}x{fh} with {channels} channel(s), "
+            f"expected {w}x{h} with 3")
 
 
 def _file_names(directory: str) -> set:
@@ -226,12 +236,7 @@ class Manifest:
         """
         path = self.frame_item(index, key)
         samples = read_pfm_samples(path)
-        w, h = self.image_size
-        fh, fw, channels = samples.shape
-        if (fh, fw, channels) != (h, w, 3):
-            raise ValidationError(
-                f"{path.name}: packed UV file is {fw}x{fh} with {channels} channel(s), "
-                f"expected {w}x{h} with 3")
+        _check_packed(path, samples, self.image_size, "UV")
         if not np.isfinite(samples).all():
             raise ValidationError(f"{path.name}: packed UV file holds non-finite samples")
         return samples
@@ -270,9 +275,9 @@ class Manifest:
         path = self.item(key) if frame is None else self.frame_item(frame, key)
         return Field2(read_pfm(path), valid=valid)
 
-    def write_corr(self, key: str, Q: Correspondence, frame: int | None = None):
+    def write_corr(self, key: str, Q: Field2, frame: int | None = None):
         rel = f"{key}.pfm" if frame is None else f"frames/f{frame:04d}_{key}.pfm"
-        packed = np.concatenate([Q.target.data, Q.valid[..., None].astype(np.float64)],
+        packed = np.concatenate([Q.data, Q.mask()[..., None].astype(np.float64)],
                                 axis=2)
         write_pfm(self.root / rel, packed)
         if frame is None:
@@ -280,7 +285,13 @@ class Manifest:
         else:
             self.set_frame_item(frame, key, rel)
 
-    def read_corr(self, key: str, frame: int | None = None) -> Correspondence:
+    def read_corr(self, key: str, frame: int | None = None) -> Field2:
+        """A packed correspondence file as ``Field2(positions, valid=mask)``.
+
+        Raises ValidationError unless the file holds the sequence's texture
+        size and three channels, and its positions are finite.
+        """
         path = self.item(key) if frame is None else self.frame_item(frame, key)
         packed = read_pfm(path)
-        return Correspondence(Field2(packed[..., :2]), packed[..., 2] > 0.5)
+        _check_packed(path, packed, self.texture_size, "correspondence")
+        return Field2(packed[..., :2], valid=packed[..., 2] > 0.5)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import Field2, pixel_center_grid, sample_bilinear
-from .relocate import block_flow
+from .relocate import block_flow, flow_texels
 from .render import render_lookup
 from .warpmap import UVMap, image_grid, texture_grid, warp
 
@@ -73,11 +73,7 @@ def metric_psnr(a: Field2, b: Field2) -> float:
     """PSNR in dB over jointly valid cells, capped at 99."""
     if (a.height, a.width, a.channels) != (b.height, b.width, b.channels):
         raise ValidationError("psnr inputs must share a shape")
-    m = np.ones((a.height, a.width), dtype=bool)
-    if a.valid is not None:
-        m &= a.valid
-    if b.valid is not None:
-        m &= b.valid
+    m = a.mask() & b.mask()
     if not m.any():
         raise ValidationError("psnr mask is empty")
     d = a.data[m] - b.data[m]
@@ -103,13 +99,12 @@ def uv_motion_fields(P_list, tex_w: int | None = None, tex_h: int | None = None)
     placed = []
     for P in P_list:
         g = texture_grid(P, tw, th)
-        placed.append((warp(c_img, g), g.coverage > 0))
+        placed.append((warp(c_img, g), g.valid))
     out = []
     for t in range(len(P_list) - 1):
         (a, cov_a), (b, cov_b) = placed[t], placed[t + 1]
         v_tex = Field2(b.data - a.data, valid=cov_a & cov_b)
-        g_next = image_grid(P_list[t + 1])
-        vals, validity = sample_bilinear(v_tex, g_next.target.data)
+        vals, validity = sample_bilinear(v_tex, image_grid(P_list[t + 1]).data)
         valid = P_list[t + 1].silhouette & (validity > 0.5)
         out.append((vals, valid))
     return out
@@ -153,7 +148,7 @@ def metric_tof(real_flows, gen, map_fn=map):
         raise ValidationError("needs >=2 frames")
     if len(real_flows) != len(gen) - 1:
         raise ValidationError("length mismatch between sequences")
-    per_pair = [float(np.mean(np.abs(fr.texels() - fg.texels())))
+    per_pair = [float(np.mean(np.abs(flow_texels(fr) - flow_texels(fg))))
                 for fr, fg in zip(real_flows, pair_flows(gen, map_fn))]
     return float(np.mean(per_pair)), per_pair
 

@@ -5,7 +5,10 @@ right individually.  This module estimates where each texel of a frame's
 texture sits inside the reference texture (frame 0), prunes texels whose
 appearance does not actually match there, and fills the pruned holes by
 patch matching, yielding per-texel correspondences that rewrite the image
-UVs to address the single constant texture.
+UVs to address the single constant texture.  A flow is a 2-channel
+``Field2`` of normalized displacements; a correspondence is a 2-channel
+``Field2`` of positions in the reference texture whose ``valid`` marks the
+texels that hold one.
 
 ``block_flow(a, b)`` returns forward flow anchored on ``a``:
 ``a(p) ~ b(p + flow(p))``.  The pipeline therefore matches the frame
@@ -22,7 +25,7 @@ import numpy as np
 import scipy.ndimage as ndi
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .fields import Field2, pixel_center_grid, sample_bilinear
 from .formats import overwrite, read_body
 from .warpmap import UVMap, texture_grid, texture_positions, warp
@@ -40,60 +43,16 @@ class FlowConfig:
             raise ValidationError("bad flow configuration")
 
 
-@dataclass
-class FlowField:
-    """Dense displacement field in normalized units, anchored on the source."""
-
-    displacement: Field2
-
-    def __post_init__(self):
-        if self.displacement.channels != 2:
-            raise ValidationError("flow must have 2 channels")
-
-    @property
-    def width(self) -> int:
-        return self.displacement.width
-
-    @property
-    def height(self) -> int:
-        return self.displacement.height
-
-    def texels(self) -> np.ndarray:
-        """Displacements in texel units, (H, W, 2)."""
-        return self.displacement.data * np.array([self.width, self.height])
-
-
-@dataclass
-class Correspondence:
-    """Per-texel positions inside the reference texture."""
-
-    target: Field2
-    valid: np.ndarray
-
-    def __post_init__(self):
-        if self.target.channels != 2:
-            raise ValidationError("correspondence target must have 2 channels")
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.valid.shape != (self.target.height, self.target.width):
-            raise ValidationError("validity shape does not match correspondence grid")
-
-    @property
-    def width(self) -> int:
-        return self.target.width
-
-    @property
-    def height(self) -> int:
-        return self.target.height
-
-    def copy(self) -> "Correspondence":
-        return Correspondence(self.target.copy(), self.valid.copy())
+def flow_texels(flow: Field2) -> np.ndarray:
+    """A flow's displacements in texel units, (H, W, 2)."""
+    return flow.data * np.array([flow.width, flow.height])
 
 
 def identity_correspondence(tex_w: int, tex_h: int,
-                            valid: np.ndarray | None = None) -> Correspondence:
+                            valid: np.ndarray | None = None) -> Field2:
     if valid is None:
         valid = np.ones((tex_h, tex_w), dtype=bool)
-    return Correspondence(Field2(pixel_center_grid(tex_w, tex_h)), valid)
+    return Field2(pixel_center_grid(tex_w, tex_h), valid=valid)
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:
@@ -150,7 +109,7 @@ def _candidates(radius: int):
 
 
 def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
-               record: dict | None = None) -> FlowField:
+               record: dict | None = None) -> Field2:
     """Coarse-to-fine block-matching flow from T_a to T_b.
 
     Per-texel SSD over a block window, searched within the per-level
@@ -344,10 +303,10 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
     disp = np.empty((h, w, 2))
     disp[..., 0] = base[..., 1] / w     # store as (dx, dy) normalized
     disp[..., 1] = base[..., 0] / h
-    return FlowField(Field2(disp))
+    return Field2._wrap(disp)
 
 
-def read_flo(path) -> FlowField:
+def read_flo(path) -> Field2:
     """Middlebury .flo file; values are texel displacements."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -363,35 +322,33 @@ def read_flo(path) -> FlowField:
         if len(raw) != w * h * 8:
             raise ValidationError("truncated .flo data")
     tex = np.frombuffer(raw, dtype="<f4").reshape(h, w, 2).astype(np.float64)
-    return FlowField(Field2(tex / np.array([w, h])))
+    return Field2(tex / np.array([w, h]))
 
 
-def write_flo(path, flow: FlowField):
-    tex = flow.texels().astype("<f4")
+def write_flo(path, flow: Field2):
+    tex = flow_texels(flow).astype("<f4")
     overwrite(path, b"PIEH", np.array([flow.width, flow.height], dtype="<i4").tobytes(),
               tex.tobytes())
 
 
-def init_correspondence(Q0: Correspondence, flow: FlowField) -> Correspondence:
+def init_correspondence(Q0: Field2, flow: Field2) -> Field2:
     """Relocate a correspondence through a flow: sample Q0 at u + flow(u)."""
     if (Q0.width, Q0.height) != (flow.width, flow.height):
         raise ValidationError("correspondence and flow resolutions differ")
-    pos = pixel_center_grid(Q0.width, Q0.height) + flow.displacement.data
-    src = Field2(Q0.target.data, valid=Q0.valid)
-    vals, validity = sample_bilinear(src, pos)
-    return Correspondence(Field2(vals), validity > 0.5)
+    pos = pixel_center_grid(Q0.width, Q0.height) + flow.data
+    vals, validity = sample_bilinear(Q0, pos)
+    return Field2._wrap(vals, validity > 0.5)
 
 
-def prune_mismatch(Q: Correspondence, T_o: Field2, T_t: Field2,
-                   tau: float = 0.05) -> Correspondence:
+def prune_mismatch(Q: Field2, T_o: Field2, T_t: Field2, tau: float = 0.05) -> Field2:
     """Clear validity where the reference content does not match the frame."""
     if tau < 0:
         raise ValidationError("tau must be non-negative")
     if (T_t.height, T_t.width) != (Q.height, Q.width):
         raise ValidationError("frame texture resolution does not match correspondence")
-    recon, _ = sample_bilinear(T_o, Q.target.data)
+    recon, _ = sample_bilinear(T_o, Q.data)
     resid = np.sqrt(np.sum((recon - T_t.data) ** 2, axis=2))
-    return Correspondence(Q.target.copy(), Q.valid & (resid <= tau))
+    return Field2._wrap(Q.data.copy(), Q.mask() & (resid <= tau))
 
 
 # Float64 values per chunk of gathered tile windows in the patch search
@@ -483,10 +440,10 @@ def _fill_offsets(ref: np.ndarray, tex: np.ndarray, mask: np.ndarray,
     return coarse, best, cost, n_coarse + n_fine
 
 
-def patch_fill(Q: Correspondence, T_o: Field2, T_t: Field2, Q0: Correspondence,
+def patch_fill(Q: Field2, T_o: Field2, T_t: Field2, Q0: Field2,
                patch: int = 8, window: int = 21,
                domain: np.ndarray | None = None,
-               record: dict | None = None) -> Correspondence:
+               record: dict | None = None) -> Field2:
     """Fill invalid correspondences by appearance patch matching.
 
     Invalid texels inside the domain of definition are covered by patch
@@ -506,8 +463,8 @@ def patch_fill(Q: Correspondence, T_o: Field2, T_t: Field2, Q0: Correspondence,
         raise ValidationError("bad patch configuration")
     h, w = Q.height, Q.width
     if domain is None:
-        domain = T_t.valid if T_t.valid is not None else np.ones((h, w), dtype=bool)
-    fill = domain & ~Q.valid
+        domain = T_t.mask()
+    fill = domain & ~Q.mask()
 
     # Tile (i, j) covers rows i * stride to y1[i] and columns j * stride to
     # x1[j]; it searches if it holds a texel to fill.
@@ -534,7 +491,7 @@ def patch_fill(Q: Correspondence, T_o: Field2, T_t: Field2, Q0: Correspondence,
     ys, xs = np.arange(h), np.arange(w)
     acc = np.zeros((h, w, 2))
     cnt = np.zeros((h, w))
-    donor = Q0.target.data
+    donor = Q0.data
     per_axis = -(-patch // stride)       # tiles that cover a texel, per axis
     for ry in range(per_axis - 1, -1, -1):
         i = ys // stride - ry
@@ -548,20 +505,21 @@ def patch_fill(Q: Correspondence, T_o: Field2, T_t: Field2, Q0: Correspondence,
             acc[yy, xx] += donor[yy + best[t, 0], xx + best[t, 1]]
             cnt[yy, xx] += 1.0
 
-    target = Q.target.data.copy()
+    target = Q.data.copy()
     filled = fill & (cnt > 0)
     target[filled] = acc[filled] / cnt[filled][:, None]
-    return Correspondence(Field2(target), Q.valid | filled)
+    return Field2._wrap(target, Q.mask() | filled)
 
 
-def to_image_uv(Qt: Correspondence, P_o: UVMap) -> UVMap:
+def to_image_uv(Qt: Field2, P_o: UVMap) -> UVMap:
     """Rewrite image UVs so they address the reference texture directly.
 
     Each foreground pixel looks up its texture position, reads the
     correspondence there, and stores the displacement to the corresponded
     reference position instead.
     """
-    q, _ = sample_bilinear(Qt.target, texture_positions(P_o))
+    # only the positions are read, so the mask is not sampled
+    q, _ = sample_bilinear(Field2._wrap(Qt.data), texture_positions(P_o))
     uv = pixel_center_grid(P_o.width, P_o.height) - q
     uv[~P_o.silhouette] = 0.0
     return UVMap(uv, P_o.silhouette)
@@ -575,6 +533,7 @@ class RelocateConfig:
     window: int = 21
 
     def __post_init__(self):
+        require_finite(self, "tau")
         if self.tau < 0:
             raise ValidationError("tau must be non-negative")
         if self.patch < 1 or self.window < 1:
@@ -585,13 +544,13 @@ def frame_zero_products(P_o0: UVMap, I0: Field2, tex_w: int, tex_h: int):
     """Reference texture and identity correspondence from frame 0."""
     g = texture_grid(P_o0, tex_w, tex_h)
     T_o = warp(I0, g)
-    Q0 = identity_correspondence(tex_w, tex_h, valid=g.coverage > 0)
+    Q0 = identity_correspondence(tex_w, tex_h, valid=g.valid)
     return T_o, Q0
 
 
-def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Correspondence,
+def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Field2,
                    cfg: RelocateConfig | None = None,
-                   external_flow: FlowField | None = None,
+                   external_flow: Field2 | None = None,
                    record: dict | None = None):
     """Full relocation of one frame; returns (P_f, Q_t, flow, T_t).
 
@@ -606,7 +565,7 @@ def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Correspondence,
     cfg = cfg or RelocateConfig()
     tex_w, tex_h = Q0.width, Q0.height
     g = texture_grid(P_o, tex_w, tex_h)
-    covered = g.coverage > 0
+    covered = g.valid
     T_t = warp(I, g)
     work = {"flow_volumes": 0, "flow_volume_texels": 0}
     flow = (external_flow if external_flow is not None
@@ -617,7 +576,7 @@ def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Correspondence,
     Qt = patch_fill(Qc, T_o, T_t, Q0, cfg.patch, cfg.window, domain=covered, record=work)
     P_f = to_image_uv(Qt, P_o)
     if record is not None:
-        d = flow.texels()[covered]
+        d = flow_texels(flow)[covered]
         mag = np.sqrt(np.sum(d * d, axis=1))
         record.update({
             "flow_mean_texels": float(mag.mean()) if len(mag) else 0.0,

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.ndimage as ndi
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .fields import Field2, pixel_center_grid, sample_bilinear
 from .frameset import FrameRecord, FrameSet
-from .relocate import Correspondence
 from .warpmap import UVMap, splat_record
 
 MIN_SIZE = 32
@@ -56,6 +55,7 @@ class SceneConfig:
             raise ValidationError(f"unknown silhouette {self.silhouette!r}")
         if self.pattern not in ("blobs", "checker", "grid"):
             raise ValidationError(f"unknown pattern {self.pattern!r}")
+        require_finite(self, "amplitude", "frequency")
         if self.amplitude < 0 or self.frequency <= 0:
             raise ValidationError("amplitude must be >=0 and frequency positive")
         # The content warp must stay invertible: bound its Jacobian
@@ -180,9 +180,8 @@ def gen_sequence(cfg: SceneConfig) -> FrameSet:
         image = Field2(img, valid=sil.copy())
 
         rec = splat_record(uv_gt, cfg.tex_w, cfg.tex_h)
-        corr = Correspondence(
-            Field2(_drift_apply(tex_centers, angle, shift)),
-            rec.covered.reshape(cfg.tex_h, cfg.tex_w).copy())
+        corr = Field2(_drift_apply(tex_centers, angle, shift),
+                      valid=rec.covered.reshape(cfg.tex_h, cfg.tex_w))
 
         fs.frames.append(FrameRecord(index=t, image=image, mask=sil.copy(),
                                      uv_gt=uv_gt, corr_gt=corr))
@@ -201,6 +200,7 @@ class CorruptConfig:
     def __post_init__(self):
         if self.margin < 0 or self.dup_blocks < 0 or self.dup_size < 1:
             raise ValidationError("bad corruption configuration")
+        require_finite(self, "uv_noise", "jitter")
         if self.uv_noise < 0 or self.jitter < 0:
             raise ValidationError("bad corruption configuration")
 

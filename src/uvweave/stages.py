@@ -370,8 +370,19 @@ def run_grad_check(seeds=(0, 1, 2), size: int = 8, probes: int = 20,
                    eps: float = 1e-3, tol: float = 1e-3) -> float:
     """Finite-difference audit of the analytic gradient on small scenes.
 
-    Raises NumericalError when any seed exceeds the tolerance.
+    Raises ValidationError, before any work, unless the grid is at least
+    5x5 (the regularizer's smallest), there is a probe, every seed is
+    non-negative and the tolerance is positive; NumericalError when any
+    seed exceeds the tolerance.
     """
+    if size < 5:
+        raise ValidationError(f"grad-check size must be at least 5, got {size}")
+    if probes < 1:
+        raise ValidationError(f"grad-check needs at least one probe, got {probes}")
+    if any(seed < 0 for seed in seeds):
+        raise ValidationError(f"grad-check seeds must be non-negative, got {list(seeds)}")
+    if not tol > 0 or not np.isfinite(tol):
+        raise ValidationError(f"grad-check tolerance must be positive and finite, got {tol}")
     worst = 0.0
     for seed in seeds:
         rng = np.random.default_rng(seed)

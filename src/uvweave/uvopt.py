@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import identity
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .fields import Field2
 from .gradcore import loss_app, reg_operator
 from .warpmap import UVMap
@@ -39,6 +39,7 @@ class OptConfig:
     tex_h: int | None = None
 
     def __post_init__(self):
+        require_finite(self, "alpha1", "alpha2")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValidationError("regularizer weights must be non-negative")
 

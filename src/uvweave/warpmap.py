@@ -6,7 +6,8 @@ from the pixel's own normalized position to its texture position.  The
 texture is one chart over the whole silhouette, so ``u`` is the texture
 coordinate itself.
 
-Two grids are derived from a UV map:
+Two grids are derived from a UV map, each a 2-channel ``Field2`` of
+target positions whose ``valid`` marks the cells backed by data:
 
 * ``image_grid`` targets texture space from each pixel (used to pull
   texture values back into the image);
@@ -66,43 +67,15 @@ class UVMap:
         return UVMap(self.uv.copy(), self.silhouette.copy())
 
 
-@dataclass
-class WarpGrid:
-    """Per-cell sampling targets in the other domain plus a coverage weight.
-
-    ``coverage == 0`` marks cells whose target is not backed by data (it is
-    hole-filled for sampling but should be masked downstream).
-    """
-
-    target: Field2
-    coverage: np.ndarray
-
-    def __post_init__(self):
-        if self.target.channels != 2:
-            raise ValidationError("warp grid target must have 2 channels")
-        self.coverage = np.asarray(self.coverage, dtype=np.float64)
-        if self.coverage.shape != (self.target.height, self.target.width):
-            raise ValidationError("coverage shape does not match target grid")
-        if self.coverage.min() < 0.0 or self.coverage.max() > 1.0 + 1e-12:
-            raise ValidationError("coverage must lie in [0, 1]")
-
-    @property
-    def width(self) -> int:
-        return self.target.width
-
-    @property
-    def height(self) -> int:
-        return self.target.height
-
-
 def texture_positions(P: UVMap) -> np.ndarray:
     """Texture coordinates ``c - uv`` of every pixel, (H, W, 2)."""
     return pixel_center_grid(P.width, P.height) - P.uv.data
 
 
-def image_grid(P: UVMap) -> WarpGrid:
-    """Grid over the image whose targets are texture-space positions."""
-    return WarpGrid(Field2(texture_positions(P)), P.silhouette.astype(np.float64))
+def image_grid(P: UVMap) -> Field2:
+    """Grid over the image whose targets are texture-space positions,
+    valid on the silhouette."""
+    return Field2._wrap(texture_positions(P), P.silhouette.copy())
 
 
 @dataclass
@@ -171,30 +144,26 @@ def fill_from_nearest(data: np.ndarray, covered: np.ndarray) -> np.ndarray:
     return data[inds[0], inds[1]]
 
 
-def texture_grid(P: UVMap, tex_w: int, tex_h: int) -> WarpGrid:
+def texture_grid(P: UVMap, tex_w: int, tex_h: int) -> Field2:
     """Forward-splatted inverse grid: per-texel image-space positions.
 
     Each foreground pixel deposits its own center coordinate at its texture
     position with bilinear weights; deposits are weight-normalized, so
-    texels hit by several pixels average them.  Texels no pixel touched are
-    filled from the nearest covered texel and keep coverage 0.
+    texels hit by several pixels average them.  The grid is valid on the
+    covered texels; the others are filled from the nearest covered texel.
     """
     rec = splat_record(P, tex_w, tex_h)
     avg, cov = splat_average(rec, rec.values)
-    tgt = avg.reshape(tex_h, tex_w, 2)
-    cov2 = cov.reshape(tex_h, tex_w)
-    tgt = fill_from_nearest(tgt, cov2)
-    coverage = np.minimum(rec.wsum.reshape(tex_h, tex_w), 1.0)
-    coverage[~cov2] = 0.0
-    return WarpGrid(Field2(tgt), coverage)
+    cov = cov.reshape(tex_h, tex_w)
+    return Field2._wrap(fill_from_nearest(avg.reshape(tex_h, tex_w, 2), cov), cov)
 
 
-def warp(src: Field2, g: WarpGrid) -> Field2:
-    """Backward warp: sample ``src`` at every grid target.
+def warp(src: Field2, g: Field2) -> Field2:
+    """Backward warp: sample ``src`` at every target of the grid ``g``.
 
-    Output cells are valid where the grid is covered and the majority of
-    the bilinear support in ``src`` is valid.
+    Output cells are valid where ``g`` is valid and the majority of the
+    bilinear support in ``src`` is valid.
     """
-    vals, validity = sample_bilinear(src, g.target.data)
-    valid = (g.coverage > 0.0) & (validity > 0.5)
+    vals, validity = sample_bilinear(src, g.data)
+    valid = g.mask() & (validity > 0.5)
     return Field2(vals, valid=valid)

@@ -18,7 +18,7 @@ from uvweave.fields import Field2, pixel_center_grid
 from uvweave.formats import read_ppm, write_pfm
 from uvweave.manifest import Manifest
 from uvweave.metrics import loss_ce, loss_img_s, loss_l2, loss_smo, metric_psnr, metric_tdiff
-from uvweave.relocate import (Correspondence, RelocateConfig, block_flow,
+from uvweave.relocate import (RelocateConfig, block_flow,
                               frame_zero_products, init_correspondence, patch_fill)
 from uvweave.render import MADDS_PER_CHANNEL, TEXEL_READS_PER_PIXEL, render_lookup
 from uvweave.extend import SpringConfig, extrapolate_uv, label_fill, relax_springs
@@ -166,20 +166,20 @@ def test_relocation_fidelity():
         T_t = warp(fr.image, g)
         flow = block_flow(T_t, T_o, cfg.flow)
         Qr = init_correspondence(Q0, flow)
-        Qr.valid &= g.coverage > 0
+        Qr.valid &= g.valid
         oracle = fr.corr_gt
         both = Qr.valid & oracle.valid
-        err = np.linalg.norm(Qr.target.data - oracle.target.data, axis=2) * 128
+        err = np.linalg.norm(Qr.data - oracle.data, axis=2) * 128
         worst_flow = min(worst_flow, float((err[both] <= 1.0).mean()))
 
         rng = np.random.default_rng(100 + t)
         keep = rng.uniform(size=Qr.valid.shape) >= 0.2
         pruned = Qr.valid & ~keep
-        Qp = Correspondence(Field2(Qr.target.data.copy()), Qr.valid & keep)
+        Qp = Field2(Qr.data.copy(), valid=Qr.valid & keep)
         Qt = patch_fill(Qp, T_o, T_t, Q0, cfg.patch, cfg.window,
-                        domain=g.coverage > 0)
+                        domain=g.valid)
         filled = pruned & Qt.valid & oracle.valid
-        errf = np.linalg.norm(Qt.target.data - oracle.target.data, axis=2) * 128
+        errf = np.linalg.norm(Qt.data - oracle.data, axis=2) * 128
         worst_fill = min(worst_fill, float((errf[filled] <= 1.5).mean()))
     ok = worst_flow >= 0.95 and worst_fill >= 0.90
     report("relocation-fidelity", ok,

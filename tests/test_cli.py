@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+from uvweave import stages
 from uvweave.cli import main
 from uvweave.formats import read_pfm, read_ppm, write_pfm, write_ppm
 from uvweave.manifest import STAGE_PREREQ
@@ -293,6 +294,43 @@ def test_grad_check_impossible_tolerance(capsys):
                "--tol", "1e-18"])
     assert rc == 3
     assert "numerical error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--size", "1"], "size must be at least 5, got 1"),
+    (["--size", "2"], "size must be at least 5, got 2"),
+    (["--size", "4"], "size must be at least 5, got 4"),
+    (["--probes", "-1"], "needs at least one probe, got -1"),
+    (["--probes", "0"], "needs at least one probe, got 0"),
+    (["--seeds", "0", "-1"], "seeds must be non-negative, got [0, -1]"),
+    (["--tol", "nan"], "tolerance must be positive and finite, got nan"),
+    (["--tol", "inf"], "tolerance must be positive and finite, got inf"),
+    (["--tol", "0"], "tolerance must be positive and finite, got 0.0"),
+], ids=["size-1", "size-2", "size-4", "probes--1", "probes-0", "seed--1", "tol-nan",
+        "tol-inf", "tol-0"])
+def test_grad_check_bad_arguments_exit_2(capsys, monkeypatch, args, message):
+    def probe(*a, **k):
+        raise AssertionError("grad-check started work before checking its arguments")
+
+    monkeypatch.setattr(stages, "fd_probe_check", probe)
+    assert main(["grad-check"] + args) == 2
+    assert capsys.readouterr().err == f"error: grad-check {message}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, option", [
+    ("gen", "--amplitude"), ("gen", "--frequency"),
+    ("corrupt", "--uv-noise"), ("corrupt", "--jitter"),
+    ("pipeline", "--alpha1"), ("pipeline", "--alpha2"), ("pipeline", "--tau"),
+])
+def test_non_finite_float_option_exit_2(piped, tmp_path, capsys, command, option, value):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    before = _files(d)
+    assert main([command, str(d), f"{option}={value}"]) == 2
+    name = option[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+    assert _files(d) == before      # manifest.json and every artifact unchanged
 
 
 def test_retexture_touches_no_uv_files(piped, tmp_path):

@@ -10,8 +10,8 @@ import pytest
 
 import uvweave
 from uvweave.errors import ValidationError
-from uvweave.formats import (overwrite, read_pfm, read_pfm_samples, read_ppm, write_pfm,
-                             write_ppm)
+from uvweave.formats import (overwrite, read_pfm, read_pfm_samples, read_ppm, write_json,
+                             write_pfm, write_ppm)
 from uvweave.relocate import read_flo
 
 
@@ -217,6 +217,15 @@ def test_overwrite_leaves_exactly_the_new_bytes(tmp_path):
     assert p.read_bytes() == b""
     overwrite(p, b"0123456789")                         # longer again
     assert p.read_bytes() == b"0123456789"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_json_refuses_non_finite_floats(tmp_path, value):
+    p = tmp_path / "x.json"
+    write_json(p, {"a": 1.5})
+    with pytest.raises(ValueError):
+        write_json(p, {"a": [0.0, value]})
+    assert p.read_text() == '{"a": 1.5}\n'
 
 
 def test_overwrite_behaves_as_open_wb(tmp_path):

@@ -9,7 +9,6 @@ from uvweave.errors import ValidationError
 from uvweave.fields import Field2
 from uvweave.formats import read_pfm, write_pfm
 from uvweave.manifest import Manifest, config_dict
-from uvweave.relocate import Correspondence
 from uvweave.scenegen import SceneConfig
 from uvweave.warpmap import UVMap
 
@@ -282,13 +281,26 @@ def test_corr_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     target = rng.uniform(size=(12, 10, 2)).astype(np.float32).astype(np.float64)
     valid = rng.uniform(size=(12, 10)) < 0.5
-    Q = Correspondence(Field2(target), valid)
+    Q = Field2(target, valid=valid)
     m.write_corr("corr_gt", Q, frame=0)
     back = m.read_corr("corr_gt", frame=0)
-    assert np.array_equal(back.target.data, target)
+    assert np.array_equal(back.data, target)
     assert np.array_equal(back.valid, valid)
     m.write_corr("corr_global", Q)
     assert np.array_equal(m.read_corr("corr_global").valid, valid)
+
+
+@pytest.mark.parametrize("packed, message", [
+    (np.zeros((12, 10)), "is 10x12 with 1 channel(s), expected 10x12 with 3"),
+    (np.zeros((5, 7, 3)), "is 7x5 with 3 channel(s), expected 10x12 with 3"),
+], ids=["one-channel", "wrong-size"])
+def test_read_corr_checks_file(tmp_path, packed, message):
+    m = fresh(tmp_path)
+    write_pfm(m.root / "corr0.pfm", packed)
+    m.set_item("corr0", "corr0.pfm")
+    with pytest.raises(ValidationError) as err:
+        m.read_corr("corr0")
+    assert str(err.value) == f"corr0.pfm: packed correspondence file {message}"
 
 
 def test_config_dict_flattens_dataclass():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
-from uvweave import (Correspondence, CorruptConfig, Field2, FlowConfig, FlowField,
-                     SceneConfig, ValidationError, block_flow, corrupt, gen_sequence,
+from uvweave import (CorruptConfig, Field2, FlowConfig, SceneConfig, ValidationError,
+                     block_flow, corrupt, flow_texels, gen_sequence,
                      identity_correspondence, init_correspondence, patch_fill,
                      prune_mismatch, read_flo, to_image_uv, write_flo)
 from uvweave import relocate
@@ -59,11 +59,6 @@ def test_flow_config_validation():
         FlowConfig(search_radius=0)
 
 
-def test_flowfield_requires_two_channels():
-    with pytest.raises(ValidationError, match="2 channels"):
-        FlowField(Field2(np.zeros((4, 4, 1))))
-
-
 def test_candidates_prefer_small_displacements():
     offs = _candidates(1)
     assert offs == [(0, 0), (-1, 0), (0, -1), (0, 1), (1, 0),
@@ -106,7 +101,7 @@ def test_block_flow_identical_is_zero():
     # rows and columns when the flow is carried up a level
     for h, w in ((96, 96), (37, 37), (40, 50), (64, 66)):
         a = Field2(noise_texture(h, w))
-        assert np.abs(block_flow(a, a).texels()).max() == 0.0
+        assert np.abs(flow_texels(block_flow(a, a))).max() == 0.0
 
 
 def test_block_flow_integer_shifts_exact():
@@ -115,7 +110,7 @@ def test_block_flow_integer_shifts_exact():
     m = 16
     for s in ((0, 3), (3, -2), (6, -5)):     # last one needs the pyramid
         b = Field2(np.roll(tex, s, axis=(0, 1)))
-        f = block_flow(a, b).texels()[m:-m, m:-m]
+        f = flow_texels(block_flow(a, b))[m:-m, m:-m]
         assert np.abs(f - np.array([s[1], s[0]])).max() == 0.0
 
 
@@ -124,7 +119,7 @@ def test_block_flow_matches_single_level_oracle():
     a = Field2(tex)
     b = Field2(0.7 * np.roll(tex, (3, -2), axis=(0, 1))
                + 0.3 * np.roll(tex, (4, -2), axis=(0, 1)))
-    got = block_flow(a, b, FlowConfig(pyramid_levels=1, subpixel=False)).texels()
+    got = flow_texels(block_flow(a, b, FlowConfig(pyramid_levels=1, subpixel=False)))
     want = brute_single_level(a.data, b.data, 4, 8)
     m = 12
     assert (got[m:-m, m:-m] == want[m:-m, m:-m]).all()
@@ -218,7 +213,7 @@ def union_block_flow(T_a, T_b, cfg, record=None):
     disp = np.empty((h, w, 2))
     disp[..., 0] = base[..., 1] / w
     disp[..., 1] = base[..., 0] / h
-    return FlowField(Field2(disp)), levels
+    return Field2(disp), levels
 
 
 def varying_shift_pair(h, w, seed=2):
@@ -263,7 +258,7 @@ def test_block_flow_matches_union_reference_on_relocate_pairs(corrupted_pairs):
     for T_t, T_o in corrupted_pairs:
         want, levels = union_block_flow(T_t, T_o, FlowConfig())
         got = block_flow(T_t, T_o)
-        assert got.displacement.data.tobytes() == want.displacement.data.tobytes()
+        assert got.data.tobytes() == want.data.tobytes()
         most_bases = max(most_bases, levels[-1][0])
     assert most_bases >= 50
 
@@ -272,8 +267,7 @@ def test_block_flow_matches_union_reference_on_odd_sizes():
     for h, w in ((37, 37), (40, 50), (64, 66), (96, 80)):
         a, b = varying_shift_pair(h, w)
         want, _ = union_block_flow(a, b, FlowConfig())
-        assert block_flow(a, b).displacement.data.tobytes() == \
-            want.displacement.data.tobytes()
+        assert block_flow(a, b).data.tobytes() == want.data.tobytes()
 
 
 def test_block_flow_matches_union_reference_across_configs():
@@ -286,7 +280,7 @@ def test_block_flow_matches_union_reference_across_configs():
                          subpixel=subpixel)
         want, _ = union_block_flow(a, b, cfg)
         got = block_flow(a, b, cfg)
-        assert got.displacement.data.tobytes() == want.displacement.data.tobytes(), cfg
+        assert got.data.tobytes() == want.data.tobytes(), cfg
 
 
 def test_block_flow_chunk_seams_match_union_reference(monkeypatch):
@@ -305,7 +299,7 @@ def test_block_flow_chunk_seams_match_union_reference(monkeypatch):
     got, want = {}, {}
     flow = block_flow(a, b, record=got)
     ref, _ = union_block_flow(a, b, FlowConfig(), record=want)
-    assert flow.displacement.data.tobytes() == ref.displacement.data.tobytes()
+    assert flow.data.tobytes() == ref.data.tobytes()
     assert got == want
     crop, chunks = plans[-1]                 # the finest level comes last
     batches = [batch for chunk in chunks for batch in chunk]
@@ -372,7 +366,7 @@ def test_block_flow_subpixel_refinement():
     a = Field2(tex)
     b = Field2(0.7 * np.roll(tex, (3, -2), axis=(0, 1))
                + 0.3 * np.roll(tex, (4, -2), axis=(0, 1)))
-    e = np.abs(block_flow(a, b).texels()[16:-16, 16:-16] - np.array([-2, 3.3]))
+    e = np.abs(flow_texels(block_flow(a, b))[16:-16, 16:-16] - np.array([-2, 3.3]))
     assert e.max() < 0.3
     assert e.mean() < 0.08
 
@@ -381,7 +375,7 @@ def test_block_flow_pyramid_extends_range():
     tex = noise_texture()
     a = Field2(tex)
     b = Field2(np.roll(tex, (6, -5), axis=(0, 1)))
-    single = block_flow(a, b, FlowConfig(pyramid_levels=1)).texels()[16:-16, 16:-16]
+    single = flow_texels(block_flow(a, b, FlowConfig(pyramid_levels=1)))[16:-16, 16:-16]
     assert np.linalg.norm(single - np.array([-5, 6]), axis=-1).min() > 0.5
 
 
@@ -389,7 +383,7 @@ def test_block_flow_noise_pair_bounded():
     rng = np.random.default_rng(3)
     a = Field2(rng.uniform(0, 1, (64, 64, 3)))
     b = Field2(rng.uniform(0, 1, (64, 64, 3)))
-    f = block_flow(a, b).texels()
+    f = flow_texels(block_flow(a, b))
     # radius 4 per level over 3 levels: 4*(4+2+1), plus 0.5 subpixel
     assert np.abs(f).max() <= 28.5
 
@@ -405,12 +399,12 @@ def test_block_flow_errors():
 def test_flo_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
     tex = np.round(rng.uniform(-6, 6, (12, 20, 2)) * 8) / 8   # f32-exact values
-    flow = FlowField(Field2(tex / np.array([20.0, 12.0])))
+    flow = Field2(tex / np.array([20.0, 12.0]))
     p = tmp_path / "f.flo"
     write_flo(p, flow)
     back = read_flo(p)
     assert back.width == 20 and back.height == 12
-    assert (back.texels() == flow.texels()).all()
+    assert (flow_texels(back) == flow_texels(flow)).all()
 
 
 def test_read_flo_errors(tmp_path):
@@ -433,38 +427,38 @@ def test_read_flo_errors(tmp_path):
 def test_init_correspondence_zero_flow_noop():
     Q0 = identity_correspondence(16, 12)
     Q0.valid[3:5, 3:5] = False
-    out = init_correspondence(Q0, FlowField(Field2(np.zeros((12, 16, 2)))))
-    assert (out.target.data == Q0.target.data).all()
+    out = init_correspondence(Q0, Field2(np.zeros((12, 16, 2))))
+    assert (out.data == Q0.data).all()
     assert (out.valid == Q0.valid).all()
 
 
 def test_init_correspondence_constant_shift():
     Q0 = identity_correspondence(16, 16)
     d = np.array([2.0 / 16, -1.0 / 16])
-    out = init_correspondence(Q0, FlowField(Field2(np.full((16, 16, 2), d))))
+    out = init_correspondence(Q0, Field2(np.full((16, 16, 2), d)))
     want = pixel_center_grid(16, 16) + d
-    inner = out.target.data[2:-2, 2:-2]
+    inner = out.data[2:-2, 2:-2]
     assert np.allclose(inner, want[2:-2, 2:-2], atol=1e-12)
 
 
 def test_init_correspondence_resolution_error():
     Q0 = identity_correspondence(16, 16)
     with pytest.raises(ValidationError, match="resolution"):
-        init_correspondence(Q0, FlowField(Field2(np.zeros((8, 8, 2)))))
+        init_correspondence(Q0, Field2(np.zeros((8, 8, 2))))
 
 
 def test_flow_derived_correspondence_accuracy():
     _, T_o, Q0, T_t, g, f1 = scene_pair()
     flow = block_flow(T_t, T_o)
     Qr = init_correspondence(Q0, flow)
-    Qr.valid &= g.coverage > 0
+    Qr.valid &= g.valid
     gt = f1.corr_gt
     both = Qr.valid & gt.valid
-    er = np.linalg.norm((Qr.target.data - gt.target.data) * 96, axis=-1)[both]
+    er = np.linalg.norm((Qr.data - gt.data) * 96, axis=-1)[both]
     assert er.mean() < 1.0
     Qc = prune_mismatch(Qr, T_o, T_t, 0.05)
     bothc = Qc.valid & gt.valid
-    ec = np.linalg.norm((Qc.target.data - gt.target.data) * 96, axis=-1)[bothc]
+    ec = np.linalg.norm((Qc.data - gt.data) * 96, axis=-1)[bothc]
     assert (ec <= 1.0).mean() >= 0.95
 
 
@@ -489,7 +483,7 @@ def test_prune_monotone_in_tau():
     _, T_o, Q0, T_t, g, _ = scene_pair()
     flow = block_flow(T_t, T_o)
     Qr = init_correspondence(Q0, flow)
-    Qr.valid &= g.coverage > 0
+    Qr.valid &= g.valid
     small = prune_mismatch(Qr, T_o, T_t, 0.01)
     large = prune_mismatch(Qr, T_o, T_t, 0.10)
     assert not (small.valid & ~large.valid).any()
@@ -502,41 +496,41 @@ def test_patch_fill_noop_and_self_match():
     T = Field2(tex)
     Q0 = identity_correspondence(48, 48)
     out = patch_fill(Q0.copy(), T, T, Q0)
-    assert (out.target.data == Q0.target.data).all()
+    assert (out.data == Q0.data).all()
     assert out.valid.all()
     holed = Q0.copy()
     holed.valid[20:28, 20:28] = False
     filled = patch_fill(holed, T, T, Q0)
     assert filled.valid.all()
     # identical textures: the best tile is the tile itself, fill == Q0
-    assert np.allclose(filled.target.data, Q0.target.data, atol=1e-12)
+    assert np.allclose(filled.data, Q0.data, atol=1e-12)
 
 
 def test_patch_fill_never_modifies_valid():
     _, T_o, Q0, T_t, g, _ = scene_pair()
     Qr = init_correspondence(Q0, block_flow(T_t, T_o))
-    Qr.valid &= g.coverage > 0
+    Qr.valid &= g.valid
     rng = np.random.default_rng(0)
     Qp = Qr.copy()
     Qp.valid &= rng.uniform(size=Qp.valid.shape) >= 0.2
-    out = patch_fill(Qp, T_o, T_t, Q0, domain=g.coverage > 0)
-    assert (out.target.data[Qp.valid] == Qp.target.data[Qp.valid]).all()
+    out = patch_fill(Qp, T_o, T_t, Q0, domain=g.valid)
+    assert (out.data[Qp.valid] == Qp.data[Qp.valid]).all()
     assert (out.valid & Qp.valid).sum() == Qp.valid.sum()
-    assert (out.valid | ~(g.coverage > 0).reshape(out.valid.shape)).all()
+    assert (out.valid | ~g.valid.reshape(out.valid.shape)).all()
 
 
 def test_patch_fill_pruned_scene_accuracy():
     _, T_o, Q0, T_t, g, f1 = scene_pair()
     Qr = init_correspondence(Q0, block_flow(T_t, T_o))
-    Qr.valid &= g.coverage > 0
+    Qr.valid &= g.valid
     rng = np.random.default_rng(0)
     drop = rng.uniform(size=Qr.valid.shape) < 0.2
     Qp = Qr.copy()
     Qp.valid &= ~drop
-    out = patch_fill(Qp, T_o, T_t, Q0, domain=g.coverage > 0)
+    out = patch_fill(Qp, T_o, T_t, Q0, domain=g.valid)
     gt = f1.corr_gt
-    filled = out.valid & drop & (g.coverage > 0).reshape(out.valid.shape) & gt.valid
-    e = np.linalg.norm((out.target.data - gt.target.data) * 96, axis=-1)[filled]
+    filled = out.valid & drop & g.valid.reshape(out.valid.shape) & gt.valid
+    e = np.linalg.norm((out.data - gt.data) * 96, axis=-1)[filled]
     assert (e <= 1.5).mean() >= 0.90
 
 
@@ -564,7 +558,7 @@ def test_to_image_uv_identity_and_shift():
     assert np.allclose(back.uv.data[sil], P.uv.data[sil], atol=1e-9)
     assert (back.uv.data[~sil] == 0.0).all()
     d = np.array([3.0 / 96, -2.0 / 96])
-    shifted = Correspondence(Field2(ident.target.data + d), ident.valid)
+    shifted = Field2(ident.data + d, valid=ident.valid)
     out = to_image_uv(shifted, P)
     assert np.allclose(out.uv.data[sil], P.uv.data[sil] - d, atol=1e-9)
 
@@ -572,14 +566,14 @@ def test_to_image_uv_identity_and_shift():
 def test_frame_zero_products_and_self_relocation():
     fs, T_o, Q0, _, _, _ = scene_pair()
     f0 = fs.frames[0]
-    assert (Q0.target.data == pixel_center_grid(96, 96)).all()
+    assert (Q0.data == pixel_center_grid(96, 96)).all()
     g0 = texture_grid(f0.uv_gt, 96, 96)
-    assert (Q0.valid == (g0.coverage > 0).reshape(96, 96)).all()
+    assert (Q0.valid == g0.valid.reshape(96, 96)).all()
     P_f, Qt, flow, T_t = relocate_frame(f0.uv_gt, f0.image, T_o, Q0)
     assert (T_t.data == T_o.data).all()
-    assert np.abs(flow.texels()[Q0.valid]).max() == 0.0
-    assert np.allclose(Qt.target.data[Qt.valid & Q0.valid],
-                       Q0.target.data[Qt.valid & Q0.valid], atol=1e-12)
+    assert np.abs(flow_texels(flow)[Q0.valid]).max() == 0.0
+    assert np.allclose(Qt.data[Qt.valid & Q0.valid],
+                       Q0.data[Qt.valid & Q0.valid], atol=1e-12)
     sil = f0.uv_gt.silhouette
     assert np.allclose(P_f.uv.data[sil], f0.uv_gt.uv.data[sil], atol=1e-9)
 
@@ -626,10 +620,10 @@ def loop_patch_fill(Q, T_o, T_t, Q0, patch=8, window=21, domain=None, offsets=No
                     best_cost = cost
                     best = (dy, dx)
             dy, dx = best if offsets is None else offsets[ty, tx]
-            donated = Q0.target.data[ty + dy:y1 + dy, tx + dx:x1 + dx]
+            donated = Q0.data[ty + dy:y1 + dy, tx + dx:x1 + dx]
             acc[ty:y1, tx:x1][tile_fill] += donated[tile_fill]
             cnt[ty:y1, tx:x1][tile_fill] += 1.0
-    target = Q.target.data.copy()
+    target = Q.data.copy()
     filled = fill & (cnt > 0)
     target[filled] = acc[filled] / cnt[filled][:, None]
     return target, Q.valid | filled
@@ -708,14 +702,13 @@ def test_patch_fill_exact_shift_matches_offset_loop(shift):
     T_t = Field2(big[10 + dy:10 + dy + h, 10 + dx:10 + dx + w])
     rng = np.random.default_rng(7)
     ident = identity_correspondence(w, h)
-    Q0 = Correspondence(Field2(ident.target.data + rng.normal(0, 1e-3, size=(h, w, 2))),
-                        ident.valid)
+    Q0 = Field2(ident.data + rng.normal(0, 1e-3, size=(h, w, 2)), valid=ident.valid)
     Q = Q0.copy()
     Q.valid[18:h - 18, 18:w - 18] &= rng.uniform(size=(h - 36, w - 36)) >= 0.3
     out = patch_fill(Q, T_o, T_t, Q0)
     target, valid = loop_patch_fill(Q, T_o, T_t, Q0)
     assert (out.valid == valid).all() and (valid & ~Q.valid).sum() > 150
-    assert out.target.data.tobytes() == target.tobytes()
+    assert out.data.tobytes() == target.tobytes()
     assert set(check_search(T_o, T_t, None, Q, 8, 21).values()) == {shift}
 
 
@@ -731,8 +724,7 @@ def test_patch_fill_matches_offset_loop():
     flat[:, w // 2:, 0] = 0.5
     flat[h // 3:, :, 1] = 0.25
     ident = identity_correspondence(w, h)
-    Q0 = Correspondence(Field2(ident.target.data + rng.normal(0, 1e-3, size=(h, w, 2))),
-                        ident.valid)
+    Q0 = Field2(ident.data + rng.normal(0, 1e-3, size=(h, w, 2)), valid=ident.valid)
     cases = [
         (Field2(noisy), Field2(np.roll(noisy, (2, -3), axis=(0, 1))), None, 8, 21),
         (Field2(flat), Field2(flat), None, 8, 21),
@@ -764,7 +756,7 @@ def test_patch_fill_matches_offset_loop():
         chosen = check_search(T_o, T_t, domain, Q, patch, window)
         # donations from the chosen offsets add up as the loop's do
         target, _ = loop_patch_fill(Q, T_o, T_t, Q0, patch, window, domain, offsets=chosen)
-        assert out.target.data.tobytes() == target.tobytes()
+        assert out.data.tobytes() == target.tobytes()
         assert rec["fill_tiles"] == len(chosen)
 
 
@@ -810,7 +802,7 @@ def test_patch_fill_huge_window_equals_texture_wide_window(size, monkeypatch):
     for window in (2 * max(h, w) - 1, 10 ** 9):
         rec = {}
         out = patch_fill(Q, T_o, T_t, Q0, window=window, record=rec)
-        runs.append((out.target.data.tobytes(), out.valid.tobytes(), rec))
+        runs.append((out.data.tobytes(), out.valid.tobytes(), rec))
     assert runs[0] == runs[1]
     _, valid = loop_patch_fill(Q, T_o, T_t, Q0, window=2 * max(h, w) - 1)
     assert runs[0][1] == valid.tobytes()

@@ -29,7 +29,7 @@ def test_gen_deterministic_bit_identical():
         assert np.array_equal(fa.image.data, fb.image.data)
         assert np.array_equal(fa.mask, fb.mask)
         assert np.array_equal(fa.uv_gt.uv.data, fb.uv_gt.uv.data)
-        assert np.array_equal(fa.corr_gt.target.data, fb.corr_gt.target.data)
+        assert np.array_equal(fa.corr_gt.data, fb.corr_gt.data)
         assert np.array_equal(fa.corr_gt.valid, fb.corr_gt.valid)
 
 
@@ -45,14 +45,14 @@ def test_zero_amplitude_is_static():
     for fr in fs.frames[1:]:
         assert np.array_equal(fr.image.data, f0.image.data)
         assert np.array_equal(fr.uv_gt.uv.data, f0.uv_gt.uv.data)
-        assert np.array_equal(fr.corr_gt.target.data, f0.corr_gt.target.data)
+        assert np.array_equal(fr.corr_gt.data, f0.corr_gt.data)
 
 
 def test_frame_zero_correspondence_is_identity():
     fs = gen_sequence(small_cfg())
     corr0 = fs.frames[0].corr_gt
     centers = scenegen.pixel_center_grid(48, 48)
-    assert np.allclose(corr0.target.data[corr0.valid], centers[corr0.valid],
+    assert np.allclose(corr0.data[corr0.valid], centers[corr0.valid],
                        atol=1e-12)
 
 
@@ -116,7 +116,7 @@ def test_correspondence_maps_to_frame_zero_chart():
         sil = fr.uv_gt.silhouette
         c = scenegen.pixel_center_grid(48, 48)
         u = (c - fr.uv_gt.uv.data)[sil]
-        q0, _ = sample_bilinear(fr.corr_gt.target, u)
+        q0, _ = sample_bilinear(fr.corr_gt, u)
         vals, _ = sample_bilinear(fs.texture, q0)
         ref = fr.image.data[sil]
         mse = float(np.mean((vals - ref) ** 2))
