@@ -69,7 +69,8 @@ def _add_opt_args(p):
 
 def _add_reloc_args(p):
     p.add_argument("--block", type=int, default=8)
-    p.add_argument("--search-radius", type=int, default=4)
+    p.add_argument("--search-radius", type=int, default=4,
+                   help="radius at the coarsest level; finer levels refine ±2")
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--patch", type=int, default=8)
     p.add_argument("--window", type=int, default=21)

@@ -66,14 +66,14 @@ def uv_pairs(samples: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     return uv if mask is not None else uv.reshape(h, w, 2)
 
 
-def _check_packed(path: Path, samples: np.ndarray, size, kind: str):
-    """Raise unless a packed ``kind`` file's (H, W, C) ``samples`` are
-    ``size`` (width, height) with three channels."""
+def _check_shape(path: Path, samples: np.ndarray, size, kind: str):
+    """Raise unless a ``kind`` file's (H, W, C) ``samples`` are ``size``
+    (width, height) with three channels."""
     w, h = size
     fh, fw, channels = samples.shape
     if (fh, fw, channels) != (h, w, 3):
         raise ValidationError(
-            f"{path.name}: packed {kind} file is {fw}x{fh} with {channels} channel(s), "
+            f"{path.name}: {kind} file is {fw}x{fh} with {channels} channel(s), "
             f"expected {w}x{h} with 3")
 
 
@@ -236,7 +236,7 @@ class Manifest:
         """
         path = self.frame_item(index, key)
         samples = read_pfm_samples(path)
-        _check_packed(path, samples, self.image_size, "UV")
+        _check_shape(path, samples, self.image_size, "packed UV")
         if not np.isfinite(samples).all():
             raise ValidationError(f"{path.name}: packed UV file holds non-finite samples")
         return samples
@@ -272,8 +272,15 @@ class Manifest:
 
     def read_texture(self, key: str, frame: int | None = None,
                      valid: np.ndarray | None = None) -> Field2:
+        """A texture file as a 3-channel ``Field2``.
+
+        Raises ValidationError unless the file holds the sequence's texture
+        size and three channels.
+        """
         path = self.item(key) if frame is None else self.frame_item(frame, key)
-        return Field2(read_pfm(path), valid=valid)
+        tex = read_pfm(path)
+        _check_shape(path, tex, self.texture_size, "texture")
+        return Field2(tex, valid=valid)
 
     def write_corr(self, key: str, Q: Field2, frame: int | None = None):
         rel = f"{key}.pfm" if frame is None else f"frames/f{frame:04d}_{key}.pfm"
@@ -293,5 +300,5 @@ class Manifest:
         """
         path = self.item(key) if frame is None else self.frame_item(frame, key)
         packed = read_pfm(path)
-        _check_packed(path, packed, self.texture_size, "correspondence")
+        _check_shape(path, packed, self.texture_size, "packed correspondence")
         return Field2(packed[..., :2], valid=packed[..., 2] > 0.5)

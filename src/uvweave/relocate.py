@@ -35,7 +35,7 @@ from .warpmap import UVMap, texture_grid, texture_positions, warp
 class FlowConfig:
     pyramid_levels: int = 3
     block: int = 8
-    search_radius: int = 4     # per level, in that level's texels
+    search_radius: int = 4     # coarsest level, in its texels; finer levels refine ±2
     subpixel: bool = True
 
     def __post_init__(self):
@@ -70,6 +70,11 @@ def _edge_pad(img: np.ndarray, pad: int) -> np.ndarray:
 # a texel (1.5 MB), and numpy releases the GIL for the length of each pass,
 # which lets frame threads overlap; single-volume passes barely do.
 _BATCH_TEXELS = 1 << 16
+
+# Search radius at every level below the coarsest, around the estimate
+# carried over from the level above (hierarchical block matching: search
+# widely at the top, refine below).
+_REFINE_RADIUS = 2
 
 
 def _chunks(crop: np.ndarray, w: int, cap: int) -> list:
@@ -108,16 +113,46 @@ def _candidates(radius: int):
     return offs
 
 
+def _needed(domain: np.ndarray, shapes: list, blk: int) -> list:
+    """Per pyramid level, the texels whose flow reaches ``domain``: the
+    domain at level 0, and at each coarser level every texel that the
+    upsample and the ``blk``-wide base smoothing carry into a needed texel
+    of the level below.  ``uniform_filter`` reads rows y - blk // 2 to
+    y + (blk - 1) // 2 into row y, so row y' is read by rows y' - (blk - 1) // 2
+    to y' + blk // 2 (likewise columns): a mirrored window, which
+    ``maximum_filter`` takes with origin -1 for an even ``blk``.  The
+    smoothing's clamped reads past the border land on rows that window
+    already holds."""
+    need = [domain]
+    for h2, w2 in shapes[1:]:
+        read = ndi.maximum_filter(need[-1], size=blk, origin=blk % 2 - 1,
+                                  mode="constant")
+        yy, xx = np.nonzero(read)
+        coarse = np.zeros((h2, w2), dtype=bool)
+        coarse[np.minimum(yy // 2, h2 - 1), np.minimum(xx // 2, w2 - 1)] = True
+        need.append(coarse)
+    return need
+
+
 def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
+               domain: np.ndarray | None = None,
                record: dict | None = None) -> Field2:
     """Coarse-to-fine block-matching flow from T_a to T_b.
 
-    Per-texel SSD over a block window, searched within the per-level
-    radius; ties go to the smaller displacement, then scanline order.
-    Parabolic refinement on the finest level yields subpixel output.
-    Memory is one candidate cost per texel and offset, plus a buffer of
-    ``_BATCH_TEXELS`` (or one level-0 image) and its index arrays, however
-    many displacements a level scores.
+    Per-texel SSD over a block window, searched within
+    ``cfg.search_radius`` at the coarsest level and ``_REFINE_RADIUS``
+    (or less) around the carried-over estimate at each finer level; ties
+    go to the smaller displacement, then scanline order.  Parabolic
+    refinement on the finest level yields subpixel output.  Memory is one
+    candidate cost per searched texel and offset of the level with the
+    most, plus a buffer of ``_BATCH_TEXELS`` (or one level-0 image) and its
+    index arrays, however many displacements a level scores.
+
+    A ``domain`` mask (H, W), when given, limits the search to the texels
+    whose flow reaches it (see ``_needed``); the flow on the domain is bit
+    for bit the flow of the whole texture.  Every other texel scores
+    nothing, and its flow is the carried-over base: the smoothed estimate
+    from the level above.
 
     A ``record`` dict, when given, receives the work the search took,
     summed over levels: ``flow_volumes``, the displacements scored, and
@@ -128,6 +163,10 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
         raise ValidationError("flow inputs must share a resolution")
     if T_a.channels != 3 or T_b.channels != 3:
         raise ValidationError("flow inputs must have 3 channels")
+    if domain is None:
+        domain = np.ones((T_a.height, T_a.width), dtype=bool)
+    elif np.shape(domain) != (T_a.height, T_a.width):
+        raise ValidationError("flow domain must match the flow inputs' resolution")
     pyr_a, pyr_b = [T_a.data], [T_b.data]
     for _ in range(cfg.pyramid_levels - 1):
         if min(pyr_a[-1].shape[:2]) < 2 * cfg.block:
@@ -135,9 +174,10 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
         pyr_a.append(_downsample(pyr_a[-1]))
         pyr_b.append(_downsample(pyr_b[-1]))
 
-    r, blk = cfg.search_radius, cfg.block
-    offs = _candidates(r)
-    off_y, off_x = np.array(offs, dtype=np.int64).T
+    blk = cfg.block
+    need = _needed(np.asarray(domain, dtype=bool), [a.shape[:2] for a in pyr_a], blk)
+    radius = [min(cfg.search_radius, _REFINE_RADIUS)] * (len(pyr_a) - 1)
+    radius.append(cfg.search_radius)
     # A box-filtered cost at row y reads input rows below y + reach, and
     # uniform_filter1d's running sum starts at row 0 (likewise columns), so
     # a crop anchored at the top-left corner that reaches that far is bit
@@ -152,7 +192,7 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
     # the heap when twice that is free, so with the rest of a call's arrays
     # in smaller blocks the heap keeps its pages from call to call.
     n_buf = max(_BATCH_TEXELS, T_a.height * T_a.width)
-    n_vol = len(offs) * T_a.height * T_a.width
+    n_vol = max((2 * r + 1) ** 2 * int(m.sum()) for r, m in zip(radius, need))
     work = np.empty(n_vol + 5 * n_buf)
     buf, vals = work[n_vol:n_vol + 2 * n_buf].reshape(2, n_buf)
     index = work[n_vol + 2 * n_buf:].view(np.int64).reshape(3, n_buf)
@@ -174,18 +214,26 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
         # around consistent centers.
         base = ndi.uniform_filter(base, size=(blk, blk, 1), mode="nearest")
         ibase = np.rint(base)
+        # the searched texels, in raster order; the rest keep the base
+        sel = np.flatnonzero(need[level])
+        if len(sel) == 0:
+            continue
+        r = radius[level]
+        offs = _candidates(r)
+        off_y, off_x = np.array(offs, dtype=np.int64).T
+        n = len(sel)
 
         # Each texel scores candidates around its own rounded base.  Costs
         # are memoized per absolute displacement (key) so the hypothesis a
         # texel tests is exactly the flow it records, even where the rounded
         # base steps between neighboring texels.  A displacement packs into
         # the code (dy - lo_y) * span + (dx - lo_x), which sorts as (dy, dx).
-        ib = ibase.astype(np.int64)
-        lo_y, lo_x = int(ib[..., 0].min()) - r, int(ib[..., 1].min()) - r
-        span = int(ib[..., 1].max()) + r + 1 - lo_x
-        bases, inv = np.unique((ib[..., 0] - lo_y) * span + ib[..., 1] - lo_x,
+        fb = ibase.reshape(-1, 2)[sel]
+        ib = fb.astype(np.int64)
+        lo_y, lo_x = int(ib[:, 0].min()) - r, int(ib[:, 1].min()) - r
+        span = int(ib[:, 1].max()) + r + 1 - lo_x
+        bases, inv = np.unique((ib[:, 0] - lo_y) * span + ib[:, 1] - lo_x,
                                return_inverse=True)
-        inv = inv.reshape(h, w)
         codes, lut = np.unique(bases[:, None] + (off_y * span + off_x),
                                return_inverse=True)
         lut = lut.reshape(len(bases), len(offs))
@@ -193,7 +241,7 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
 
         # Each key's crop reaches past the last row and column of any
         # texel that tests it.
-        gy, gx = np.mgrid[0:h, 0:w]
+        gy, gx = np.divmod(sel, w)
         ymax, xmax = np.zeros((2, len(bases)), dtype=np.int64)
         np.maximum.at(ymax, inv, gy)
         np.maximum.at(xmax, inv, gx)
@@ -210,21 +258,22 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
 
         # A chunk's costs go to the (base, candidate) pairs of its keys, in
         # key order, and from each pair to the texels of its base.  The
-        # volume lists texels by base, so each pair fills one run of it;
-        # col[y, x] is the texel's place (rank) in that order.
+        # volume lists searched texels by base, so each pair fills one run
+        # of it; col[i] is the place (rank) of texel sel[i] in that order.
         pairs = np.argsort(lut, kind="stable")
         pair_at = _starts(lut, len(codes))
-        texels = np.argsort(inv, axis=None, kind="stable")
+        by_base = np.argsort(inv, kind="stable")
+        texels = sel[by_base]
         tex_y = texels // w
-        tex_at = _starts(inv.reshape(-1), len(bases))
-        col = np.argsort(texels).reshape(h, w)
+        tex_at = _starts(inv, len(bases))
+        col = np.argsort(by_base)
         key_at = np.empty(len(codes), dtype=np.int64)     # offset in buf
         key_w = crop % (w + 1)
 
         pad = int(max(np.abs(key_y).max(), np.abs(key_x).max()))
         a_c = np.ascontiguousarray(np.moveaxis(a, 2, 0))
         b_c = np.ascontiguousarray(np.moveaxis(_edge_pad(b, pad), 2, 0))
-        vol = work[:len(offs) * h * w]     # costs by candidate, then rank
+        vol = work[:len(offs) * n]     # costs by candidate, then rank
         wins = None
         for chunk in _chunks(crop, w, len(buf)):
             used = 0
@@ -253,27 +302,26 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
             pb, pc = np.divmod(p, len(offs))
             k = lut[p]
             start = tex_at[pb]
-            n = tex_at[pb + 1] - start
-            ends = np.cumsum(n)
+            cnt = tex_at[pb + 1] - start
+            ends = np.cumsum(cnt)
             rank, src, dst = index[:, :ends[-1]]
-            np.add(np.repeat(start - ends + n, n), entry[:len(rank)], out=rank)
+            np.add(np.repeat(start - ends + cnt, cnt), entry[:len(rank)], out=rank)
             np.take(texels, rank, out=dst, mode="clip")
             np.take(tex_y, rank, out=src, mode="clip")
-            np.multiply(src, np.repeat(w - key_w[k], n), out=src)
+            np.multiply(src, np.repeat(w - key_w[k], cnt), out=src)
             np.subtract(dst, src, out=src)
-            np.add(src, np.repeat(key_at[k], n), out=src)
-            np.add(rank, np.repeat(pc * (h * w), n), out=dst)
+            np.add(src, np.repeat(key_at[k], cnt), out=src)
+            np.add(rank, np.repeat(pc * n, cnt), out=dst)
             vol[dst] = np.take(buf, src, out=vals[:len(src)], mode="clip")
         n_volumes += len(codes)
         n_texels += int((crop_h * crop_w).sum())
-        vol = vol.reshape(len(offs), h * w)
+        vol = vol.reshape(len(offs), n)
         # The box filter's running sums leave ~1e-18 residue where the true
         # cost is zero; snap it so exact matches tie-break in candidate
         # order and skip subpixel refinement.
         vol[vol < 1e-12] = 0.0
         best = np.argmin(vol, axis=0)[col]  # first minimum wins: our tie order
-        delta = np.array(offs, dtype=np.float64)[best]
-        flow = ibase + delta
+        found = fb + np.array(offs, dtype=np.float64)[best]
 
         if level == 0 and cfg.subpixel:
             # Candidate index of each offset, -1 one step outside the window.
@@ -281,7 +329,7 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
             index_of[off_y + r + 1, off_x + r + 1] = np.arange(len(offs))
             by, bx = off_y[best] + r + 1, off_x[best] + r + 1
             c0 = vol[best, col]
-            sub = np.zeros((h, w, 2))
+            sub = np.zeros((n, 2))
             for axis, (uy, ux) in ((0, (1, 0)), (1, (0, 1))):
                 lo = index_of[by - uy, bx - ux]
                 hi = index_of[by + uy, bx + ux]
@@ -293,9 +341,9 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
                 # the float-noise floor; an exact match (SSD 0) stays put.
                 ok &= (denom > 1e-9) & (c0 <= cm) & (c0 <= cp) & (c0 > 0.0)
                 off = np.where(ok, 0.5 * (cm - cp) / np.where(ok, denom, 1.0), 0.0)
-                sub[..., axis] = np.clip(off, -0.5, 0.5)
-            flow = flow + sub
-        base = flow
+                sub[:, axis] = np.clip(off, -0.5, 0.5)
+            found = found + sub
+        base.reshape(-1, 2)[sel] = found
 
     if record is not None:
         record.update(flow_volumes=n_volumes, flow_volume_texels=n_texels)
@@ -569,7 +617,7 @@ def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Field2,
     T_t = warp(I, g)
     work = {"flow_volumes": 0, "flow_volume_texels": 0}
     flow = (external_flow if external_flow is not None
-            else block_flow(T_t, T_o, cfg.flow, record=work))
+            else block_flow(T_t, T_o, cfg.flow, domain=covered, record=work))
     Qr = init_correspondence(Q0, flow)
     Qr.valid &= covered
     Qc = prune_mismatch(Qr, T_o, T_t, cfg.tau)

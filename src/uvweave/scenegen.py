@@ -58,6 +58,8 @@ class SceneConfig:
         require_finite(self, "amplitude", "frequency")
         if self.amplitude < 0 or self.frequency <= 0:
             raise ValidationError("amplitude must be >=0 and frequency positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         # The content warp must stay invertible: bound its Jacobian
         # perturbation well below 1.
         if self.amplitude * 2.0 * np.pi * self.frequency >= 0.5:
@@ -203,6 +205,8 @@ class CorruptConfig:
         require_finite(self, "uv_noise", "jitter")
         if self.uv_noise < 0 or self.jitter < 0:
             raise ValidationError("bad corruption configuration")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 def corrupt_uv(uv_gt: UVMap, cfg: CorruptConfig, rng: np.random.Generator) -> UVMap:

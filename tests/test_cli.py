@@ -66,6 +66,18 @@ def test_gen_validation_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_seed_exit_2_before_writing(tmp_path, capsys):
+    d = tmp_path / "neg"
+    assert main(["gen", str(d)] + SMALL + ["--seed", "-2"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
+    assert not d.exists()
+    assert main(["gen", str(d)] + SMALL) == 0
+    before = _files(d)
+    assert main(["corrupt", str(d), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
+    assert _files(d) == before
+
+
 def test_stage_order_enforced(tmp_path, capsys):
     d = tmp_path / "o"
     assert main(["gen", str(d)] + SMALL) == 0
@@ -451,6 +463,20 @@ def test_missing_top_level_artifact_exit_2(piped, tmp_path, capsys, name):
     assert main(["synth", str(d)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: manifest references missing file {name}\n"
+    assert _files(d) == before
+
+
+@pytest.mark.parametrize("texture, message", [
+    (np.zeros((5, 7, 3)), "is 7x5 with 3 channel(s), expected 48x48 with 3"),
+    (np.zeros((48, 48)), "is 48x48 with 1 channel(s), expected 48x48 with 3"),
+], ids=["small", "one-channel"])
+def test_bad_texture_file_exit_2(piped, tmp_path, capsys, texture, message):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    write_pfm(d / "texture_o.pfm", texture)
+    before = _files(d)
+    assert main(["synth", str(d)]) == 2
+    assert capsys.readouterr().err == f"error: texture_o.pfm: texture file {message}\n"
     assert _files(d) == before
 
 

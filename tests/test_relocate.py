@@ -128,7 +128,9 @@ def test_block_flow_matches_single_level_oracle():
 def union_block_flow(T_a, T_b, cfg, record=None):
     """Reference: the union-volume loop.  Every level scores the full-size
     box-filtered SSD of each displacement any texel tests, then gathers
-    each texel's candidates by fancy indexing.  Returns the flow and, per
+    each texel's candidates by fancy indexing.  The coarsest level searches
+    ``cfg.search_radius``, the finer ones at most ``_REFINE_RADIUS``.
+    Returns the flow and, per
     level, (distinct rounded bases, displacements scored, h, w).  A
     ``record`` dict receives the counts ``block_flow`` records, with each
     displacement's crop found by a loop over the bases that test it."""
@@ -138,11 +140,14 @@ def union_block_flow(T_a, T_b, cfg, record=None):
             break
         pyr_a.append(_downsample(pyr_a[-1]))
         pyr_b.append(_downsample(pyr_b[-1]))
-    offs = _candidates(cfg.search_radius)
     reach = cfg.block - cfg.block // 2
     levels, crop_texels = [], 0
     base = np.zeros(pyr_a[-1].shape[:2] + (2,), dtype=np.float64)
     for level in range(len(pyr_a) - 1, -1, -1):
+        radius = cfg.search_radius
+        if level < len(pyr_a) - 1:
+            radius = min(radius, relocate._REFINE_RADIUS)
+        offs = _candidates(radius)
         a, b = pyr_a[level], pyr_b[level]
         h, w = a.shape[:2]
         if base.shape[:2] != (h, w):
@@ -229,16 +234,28 @@ def varying_shift_pair(h, w, seed=2):
 
 
 @pytest.fixture(scope="module")
-def corrupted_pairs():
-    """Relocate pairs (frame texture, reference texture) of a corrupted 64²
-    scene, unwrapped through its raw UV maps."""
+def corrupted_frames():
+    """The frames of a corrupted 64² scene."""
     fs = gen_sequence(SceneConfig(image_w=64, image_h=64, tex_w=64, tex_h=64,
                                   frames=8, seed=1, amplitude=0.02, frequency=1.5))
-    fs = corrupt(fs, CorruptConfig(margin=4, dup_blocks=8, dup_size=8,
-                                   uv_noise=0.01, seed=1))
-    f0 = fs.frames[0]
+    return corrupt(fs, CorruptConfig(margin=4, dup_blocks=8, dup_size=8,
+                                     uv_noise=0.01, seed=1)).frames
+
+
+@pytest.fixture(scope="module")
+def corrupted_pairs(corrupted_frames):
+    """Relocate pairs (frame texture, reference texture) of a corrupted 64²
+    scene, unwrapped through its raw UV maps."""
+    f0 = corrupted_frames[0]
     T_o, _ = frame_zero_products(f0.uv_raw, f0.image, 64, 64)
-    return [(warp(f.image, texture_grid(f.uv_raw, 64, 64)), T_o) for f in fs.frames[1:]]
+    return [(warp(f.image, texture_grid(f.uv_raw, 64, 64)), T_o)
+            for f in corrupted_frames[1:]]
+
+
+@pytest.fixture(scope="module")
+def corrupted_coverage(corrupted_frames):
+    """The texels each frame of ``corrupted_pairs`` covers."""
+    return [texture_grid(f.uv_raw, 64, 64).valid for f in corrupted_frames[1:]]
 
 
 def test_ssd_channel_order_matches_axis_sum():
@@ -321,15 +338,16 @@ def traced_peak(fn):
 
 
 def test_block_flow_memory_does_not_grow_with_keys(corrupted_pairs):
-    # a relocate pair tests hundreds of displacements at level 0; a pair of
-    # identical textures has one rounded base, so 81 a level
+    # a relocate pair tests hundreds of displacements at level 0, twelve
+    # times the 25 of one rounded base there; a pair of identical textures
+    # has one rounded base, so 81 at the coarsest level and 25 below
     T_t, T_o = corrupted_pairs[0]
     _, levels = union_block_flow(T_t, T_o, FlowConfig())
     _, keys, h, w = levels[-1]
-    assert keys >= 600
+    assert keys >= 12 * 25
     same = Field2(noise_texture(64, 64))
     _, same_levels = union_block_flow(same, same, FlowConfig())
-    assert [k for _, k, _, _ in same_levels] == [81, 81, 81]
+    assert [k for _, k, _, _ in same_levels] == [81, 25, 25]
     many = traced_peak(lambda: block_flow(T_t, T_o))
     few = traced_peak(lambda: block_flow(same, same))
     assert many < 1.5 * few and few < 1.5 * many
@@ -361,6 +379,24 @@ def test_block_flow_records_cropped_volumes(corrupted_pairs):
         assert list(pool.map(run, corrupted_pairs)) == serial
 
 
+def test_block_flow_domain_matches_whole_texture(corrupted_pairs, corrupted_coverage):
+    # relocate keeps the flow only where the frame covers the texture
+    for (T_t, T_o), covered in zip(corrupted_pairs, corrupted_coverage):
+        assert 0.2 < covered.mean() < 0.8
+        whole, part = {}, {}
+        want = block_flow(T_t, T_o, record=whole)
+        got = block_flow(T_t, T_o, domain=covered, record=part)
+        assert got.data[covered].tobytes() == want.data[covered].tobytes()
+        assert part["flow_volume_texels"] < whole["flow_volume_texels"]
+    # an empty domain scores nothing and keeps the zero base everywhere
+    rec = {}
+    none = block_flow(T_t, T_o, domain=np.zeros_like(covered), record=rec)
+    assert rec == {"flow_volumes": 0, "flow_volume_texels": 0}
+    assert not none.data.any()
+    with pytest.raises(ValidationError, match="domain"):
+        block_flow(T_t, T_o, domain=covered[:-1])
+
+
 def test_block_flow_subpixel_refinement():
     tex = noise_texture()
     a = Field2(tex)
@@ -384,8 +420,9 @@ def test_block_flow_noise_pair_bounded():
     a = Field2(rng.uniform(0, 1, (64, 64, 3)))
     b = Field2(rng.uniform(0, 1, (64, 64, 3)))
     f = flow_texels(block_flow(a, b))
-    # radius 4 per level over 3 levels: 4*(4+2+1), plus 0.5 subpixel
-    assert np.abs(f).max() <= 28.5
+    # radius 4 at the coarsest of 3 levels, 2 at the finer two:
+    # 4*4 + 2*2 + 2*1, plus 0.5 subpixel
+    assert np.abs(f).max() <= 22.5
 
 
 def test_block_flow_errors():
