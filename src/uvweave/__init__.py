@@ -17,16 +17,15 @@ from .fields import Field2, pixel_center_grid, sample_bilinear
 from .warpmap import UVMap, image_grid, texture_grid, texture_positions, warp
 from .gradcore import (AppForward, LossReport, fd_probe_check, forward_app, grad_app,
                        grad_reg, loss_app, loss_reg)
-from .extend import (RelaxResult, SpringConfig, SpringSystem, extrapolate_uv,
-                     label_fill, relax_springs)
+from .extend import RelaxResult, SpringSystem, extrapolate_uv, label_fill, relax_springs
 from .uvopt import OptConfig, OptTrace, optimize_uv
 from .relocate import (FlowConfig, RelocateConfig, block_flow, flow_texels,
                        frame_zero_products, identity_correspondence, init_correspondence,
                        patch_fill, prune_mismatch, read_flo, relocate_frame, to_image_uv,
                        write_flo)
 from .render import LookupRenderer, LookupStats, render_lookup
-from .metrics import (MetricReport, loss_ce, loss_img_s, loss_l2, loss_smo,
-                      metric_psnr, metric_tdiff, metric_tof, pair_flows, uv_motion_fields)
+from .metrics import (loss_ce, loss_img_s, loss_l2, loss_smo, metric_psnr, metric_tdiff,
+                      metric_tof, pair_flows, uv_motion_fields)
 from .frameset import FrameRecord, FrameSet
 from .scenegen import CorruptConfig, SceneConfig, corrupt, gen_sequence
 from .formats import read_pfm, read_ppm, write_pfm, write_ppm
@@ -37,9 +36,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AppForward", "CorruptConfig", "Field2", "FlowConfig",
     "FrameRecord", "FrameSet", "LookupRenderer", "LookupStats",
-    "LossReport", "Manifest", "MetricReport", "NumericalError",
+    "LossReport", "Manifest", "NumericalError",
     "OptConfig", "OptTrace", "RelaxResult", "RelocateConfig",
-    "SceneConfig", "SpringConfig", "SpringSystem", "UVMap",
+    "SceneConfig", "SpringSystem", "UVMap",
     "ValidationError", "block_flow", "corrupt",
     "extrapolate_uv", "fd_probe_check", "flow_texels", "forward_app", "frame_zero_products",
     "gen_sequence", "grad_app", "grad_reg", "identity_correspondence",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.ndimage as ndi
 
-from .errors import ValidationError, require_finite
+from .errors import ValidationError
 from .fields import pixel_center_grid
 from .warpmap import UVMap, texture_positions
 
@@ -121,21 +121,11 @@ def extrapolate_uv(P_labeled: UVMap, known: np.ndarray | None = None):
     return UVMap(uv, sil), new_points
 
 
-@dataclass
-class SpringConfig:
-    region: int = 40          # texel window for anchor gathering
-    force_tol: float = 1e-3   # convergence: max net force below this, texels
-    max_iters: int = 2000     # per phase
-    max_anchors: int = 12     # nearest anchors kept per movable point
-    tex_w: int | None = None  # texture resolution; image size when None
-    tex_h: int | None = None
-
-    def __post_init__(self):
-        require_finite(self, "force_tol")
-        if self.region < 2 or self.force_tol <= 0:
-            raise ValidationError("bad spring configuration")
-        if self.max_iters < 1 or self.max_anchors < 1:
-            raise ValidationError("bad spring configuration")
+# Spring settings; ``relax_springs`` reads them when it is called.
+REGION = 40          # texel window for anchor gathering
+FORCE_TOL = 1e-3     # convergence: max net force below this, texels
+MAX_ITERS = 2000     # per phase
+MAX_ANCHORS = 12     # nearest anchors kept per movable point
 
 
 @dataclass
@@ -321,20 +311,21 @@ def build_springs(tex_pos, original, new_points, region, max_anchors):
     return sys, moved, np.concatenate(skipped)
 
 
-def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None = None):
+def relax_springs(P_ext: UVMap, new_points: np.ndarray,
+                  tex_w: int | None = None, tex_h: int | None = None):
     """Relax extrapolated UV entries in texture space; returns (UVMap, RelaxResult).
 
-    Original entries never move.  Points without any original anchor
-    inside the search region are left where extrapolation put them.
-    Non-convergence within the iteration budget is reported in
-    ``RelaxResult.converged``.
+    Distances are measured in texels of a ``tex_w`` x ``tex_h`` texture,
+    the image size when omitted.  Original entries never move.  Points
+    without any original anchor inside the ``REGION`` box are left where
+    extrapolation put them.  Non-convergence within ``MAX_ITERS`` per
+    phase is reported in ``RelaxResult.converged``.
     """
-    cfg = cfg or SpringConfig()
     new_points = np.asarray(new_points, dtype=np.int64).reshape(-1, 2)
     if len(new_points) == 0:
         return P_ext.copy(), RelaxResult(moved=new_points.copy())
-    tw = cfg.tex_w or P_ext.width
-    th = cfg.tex_h or P_ext.height
+    tw = tex_w or P_ext.width
+    th = tex_h or P_ext.height
 
     sil = P_ext.silhouette
     if not sil[new_points[:, 0], new_points[:, 1]].all():
@@ -344,13 +335,13 @@ def relax_springs(P_ext: UVMap, new_points: np.ndarray, cfg: SpringConfig | None
     original = sil.copy()
     original[new_points[:, 0], new_points[:, 1]] = False
     sys, pidx, skipped = build_springs(tex_pos, original, new_points,
-                                       cfg.region, cfg.max_anchors)
+                                       REGION, MAX_ANCHORS)
     if len(pidx) == 0:
         return P_ext.copy(), RelaxResult(moved=pidx, skipped=skipped)
 
     d_before = sys.distortion()
-    push_it, _, ok1 = sys.relax_phase("push", cfg.force_tol, cfg.max_iters)
-    pull_it, fmax, ok2 = sys.relax_phase("pull", cfg.force_tol, cfg.max_iters)
+    push_it, _, ok1 = sys.relax_phase("push", FORCE_TOL, MAX_ITERS)
+    pull_it, fmax, ok2 = sys.relax_phase("pull", FORCE_TOL, MAX_ITERS)
 
     uv = P_ext.uv.data.copy()
     c = pixel_center_grid(P_ext.width, P_ext.height)

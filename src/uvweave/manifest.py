@@ -66,15 +66,18 @@ def uv_pairs(samples: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     return uv if mask is not None else uv.reshape(h, w, 2)
 
 
-def _check_shape(path: Path, samples: np.ndarray, size, kind: str):
+def _check_shape(path: Path, samples: np.ndarray, size, kind: str,
+                 channels: int | None = 3):
     """Raise unless a ``kind`` file's (H, W, C) ``samples`` are ``size``
-    (width, height) with three channels."""
+    (width, height) with ``channels`` channels, or with any number when
+    ``channels`` is None."""
     w, h = size
-    fh, fw, channels = samples.shape
-    if (fh, fw, channels) != (h, w, 3):
+    fh, fw, c = samples.shape
+    if (fh, fw) != (h, w) or channels not in (None, c):
+        expected = f"{w}x{h}" if channels is None else f"{w}x{h} with {channels}"
         raise ValidationError(
-            f"{path.name}: {kind} file is {fw}x{fh} with {channels} channel(s), "
-            f"expected {w}x{h} with 3")
+            f"{path.name}: {kind} file is {fw}x{fh} with {c} channel(s), "
+            f"expected {expected}")
 
 
 def _file_names(directory: str) -> set:
@@ -252,7 +255,11 @@ class Manifest:
         self.set_frame_item(index, key, rel)
 
     def read_mask(self, index: int, key: str) -> np.ndarray:
-        return read_pfm(self.frame_item(index, key))[..., 0] > 0.5
+        """Channel 0 above 0.5 of a mask file of the image size, any channel count."""
+        path = self.frame_item(index, key)
+        samples = read_pfm(path)
+        _check_shape(path, samples, self.image_size, "mask", channels=None)
+        return samples[..., 0] > 0.5
 
     def write_image(self, index: int, key: str, img: Field2):
         rel = f"frames/f{index:04d}_{key}.ppm"
@@ -260,7 +267,11 @@ class Manifest:
         self.set_frame_item(index, key, rel)
 
     def read_image(self, index: int, key: str, valid: np.ndarray | None = None) -> Field2:
-        return Field2(read_ppm(self.frame_item(index, key)), valid=valid)
+        """An image file of the image size as a 3-channel ``Field2``."""
+        path = self.frame_item(index, key)
+        img = read_ppm(path)
+        _check_shape(path, img, self.image_size, "image")
+        return Field2(img, valid=valid)
 
     def write_texture(self, key: str, T: Field2, frame: int | None = None):
         rel = f"{key}.pfm" if frame is None else f"frames/f{frame:04d}_{key}.pfm"

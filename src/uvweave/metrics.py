@@ -8,9 +8,6 @@ sequence is.  A learned perceptual metric is deliberately out of scope
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ValidationError
@@ -20,6 +17,11 @@ from .render import render_lookup
 from .warpmap import UVMap, image_grid, texture_grid, warp
 
 PSNR_CAP = 99.0
+# The notes every sequence report in ``metrics.json`` carries.
+METRIC_NOTES = {
+    "t_lp": "unavailable: requires a pretrained perceptual network",
+    "t_diff": "frame t warped by its motion field, compared against frame t+1",
+}
 
 
 def loss_l2(Pa: UVMap, Pb: UVMap) -> float:
@@ -151,28 +153,3 @@ def metric_tof(real_flows, gen, map_fn=map):
     per_pair = [float(np.mean(np.abs(flow_texels(fr) - flow_texels(fg))))
                 for fr, fg in zip(real_flows, pair_flows(gen, map_fn))]
     return float(np.mean(per_pair)), per_pair
-
-
-@dataclass
-class MetricReport:
-    psnr_mean: float = 0.0
-    psnr_per_frame: list = field(default_factory=list)
-    t_diff: float = 0.0
-    t_diff_per_pair: list = field(default_factory=list)
-    t_of: float = 0.0
-    t_of_per_pair: list = field(default_factory=list)
-    notes: dict = field(default_factory=lambda: {
-        "t_lp": "unavailable: requires a pretrained perceptual network",
-        "t_diff": "frame t warped by its motion field, compared against frame t+1",
-    })
-
-    def to_dict(self) -> dict:
-        return {
-            "psnr": {"mean": self.psnr_mean, "per_frame": self.psnr_per_frame},
-            "t_diff": {"mean": self.t_diff, "per_pair": self.t_diff_per_pair},
-            "t_of": {"mean": self.t_of, "per_pair": self.t_of_per_pair},
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

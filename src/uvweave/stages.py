@@ -13,17 +13,18 @@ import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .extend import SpringConfig, extrapolate_uv, label_fill, relax_springs
+from .extend import extrapolate_uv, label_fill, relax_springs
 from .fields import Field2
 from .formats import quantize, read_pfm_samples, read_ppm, write_json, write_ppm_samples
 from .gradcore import fd_probe_check
 from .manifest import Manifest, config_dict, uv_pairs, uv_silhouette
-from .metrics import MetricReport, metric_psnr, metric_tdiff, metric_tof, pair_flows
+from .metrics import METRIC_NOTES, metric_psnr, metric_tdiff, metric_tof, pair_flows
 from .relocate import (RelocateConfig, frame_zero_products, read_flo,
                        relocate_frame, write_flo)
 from .render import LookupRenderer
@@ -63,6 +64,45 @@ def _write_trace(m: Manifest, index: int, stage: str, record: dict):
     m.set_frame_item(index, f"{stage}_trace", rel)
 
 
+def _render_frames(m: Manifest, render: LookupRenderer, uv_key: str, tag: str,
+                   threads: int) -> list:
+    """Render every frame from its packed ``uv_key`` samples and write it as
+    frame item ``tag``; returns each frame's LookupStats.
+
+    Only foreground pixels are rendered and quantized; each frame is
+    scattered into a zeroed 8-bit frame that one worker reuses for all its
+    frames, and written as soon as it is rendered.  The background is 0,
+    so the bytes are those of ``write_ppm`` of ``render.frame``.
+    """
+    w, h = m.image_size
+    rels = [f"frames/f{i:04d}_{tag}.ppm" for i in range(m.n_frames)]
+
+    def run(frames):
+        out = np.empty((h * w, 3), dtype=np.uint8)
+        pixels = out.view(np.dtype((np.void, 3))).reshape(-1)
+        stats = []
+        for i in frames:
+            samples = m.read_uv_samples(i, uv_key)
+            mask = uv_silhouette(samples)
+            index = np.flatnonzero(mask)
+            vals, st = render(index, uv_pairs(samples, mask), w, h)
+            fg = np.empty((index.size, 3), dtype=np.uint8)
+            quantize(vals, fg)
+            out.fill(0)
+            # a boolean scatter copies each run of foreground pixels at once
+            pixels[mask.reshape(-1)] = fg.view(pixels.dtype).reshape(-1)
+            write_ppm_samples(m.root / rels[i], out.reshape(h, w, 3))
+            stats.append(st)
+        return stats
+
+    # One buffer per worker: worker k takes frames k, k + workers, ...
+    workers = min(threads, m.n_frames)
+    stats = _map_frames(run, [range(k, m.n_frames, workers) for k in range(workers)], workers)
+    for i, rel in enumerate(rels):
+        m.set_frame_item(i, tag, rel)
+    return [stats[i % workers][i // workers] for i in range(m.n_frames)]
+
+
 def stage_gen(out_dir, cfg: SceneConfig) -> Manifest:
     fs = gen_sequence(cfg)
     m = Manifest.create(out_dir, (cfg.image_w, cfg.image_h),
@@ -90,14 +130,10 @@ def stage_corrupt(root, cfg: CorruptConfig) -> Manifest:
     return m
 
 
-def stage_extend(root, cfg: SpringConfig | None = None, threads: int = 1) -> Manifest:
+def stage_extend(root, threads: int = 1) -> Manifest:
     m = Manifest.load(root)
     m.require_prereq("extend")
-    cfg = cfg or SpringConfig()
-    if cfg.tex_w is None:
-        tw, th = m.texture_size
-        cfg = SpringConfig(**{**config_dict(cfg), "tex_w": tw, "tex_h": th})
-
+    tw, th = m.texture_size
     (m.root / "traces").mkdir(exist_ok=True)
 
     def run(i):
@@ -105,7 +141,7 @@ def stage_extend(root, cfg: SpringConfig | None = None, threads: int = 1) -> Man
         full = m.read_mask(i, "mask")
         labeled = label_fill(raw, full)
         extended, new_pts = extrapolate_uv(labeled, known=raw.silhouette)
-        return relax_springs(extended, new_pts, cfg)
+        return relax_springs(extended, new_pts, tw, th)
 
     results = _map_frames(run, range(m.n_frames), threads)
     for i, (P, res) in enumerate(results):
@@ -116,7 +152,7 @@ def stage_extend(root, cfg: SpringConfig | None = None, threads: int = 1) -> Man
             "distortion_before": float(res.distortion_before),
             "distortion_after": float(res.distortion_after),
             "moved": len(res.moved), "skipped": len(res.skipped)})
-    m.mark_stage("extend", config_dict(cfg))
+    m.mark_stage("extend")
     m.save()
     return m
 
@@ -125,15 +161,13 @@ def stage_optimize(root, cfg: OptConfig | None = None, threads: int = 1) -> Mani
     m = Manifest.load(root)
     m.require_prereq("optimize")
     cfg = cfg or OptConfig()
-    if cfg.tex_w is None:
-        tw, th = m.texture_size
-        cfg = OptConfig(**{**config_dict(cfg), "tex_w": tw, "tex_h": th})
+    tw, th = m.texture_size
     (m.root / "traces").mkdir(exist_ok=True)
 
     def run(i):
         P = m.read_uv(i, "uv_ext")
         I = m.read_image(i, "image", valid=m.read_mask(i, "mask"))
-        return optimize_uv(P, I, cfg)
+        return optimize_uv(P, I, cfg, tw, th)
 
     results = _map_frames(run, range(m.n_frames), threads)
     for i, (P, trace) in enumerate(results):
@@ -194,18 +228,8 @@ def stage_synth(root, threads: int = 1) -> Manifest:
     m = Manifest.load(root)
     m.require_prereq("synth")
     render = LookupRenderer(m.read_texture("texture_o").data)
-
-    def run(i):
-        return render.frame(m.read_uv(i, "uv_final"))
-
-    results = _map_frames(run, range(m.n_frames), threads)
-    stats = []
-    for i, (img, st) in enumerate(results):
-        m.write_image(i, "synth", img)
-        stats.append({"frame": i, "fetches": st.fetches,
-                      "foreground_pixels": st.foreground_pixels,
-                      "texel_reads_per_pixel": st.texel_reads_per_pixel,
-                      "madds_per_channel_per_pixel": st.madds_per_channel_per_pixel})
+    stats = [{"frame": i, **asdict(st)}
+             for i, st in enumerate(_render_frames(m, render, "uv_final", "synth", threads))]
     write_json(m.root / "synth_stats.json", stats, indent=2)
     m.set_item("synth_stats", "synth_stats.json")
     m.mark_stage("synth", {})
@@ -217,10 +241,8 @@ def stage_retexture(root, texture_path, tag: str = "retex", threads: int = 1) ->
     """Re-render the sequence from a different texture; touches no UV files.
 
     A PFM look is rendered from its float32 samples as stored, a PPM look
-    from its float64 decode.  Only foreground pixels are rendered and
-    quantized; each frame is scattered into a zeroed 8-bit frame that one
-    worker reuses for all its frames, and written as soon as it is
-    rendered.  The tag and the look are checked before any frame is.
+    from its float64 decode, through ``_render_frames``.  The tag and the
+    look are checked before any frame is rendered.
     """
     if not RETEXTURE_TAG.fullmatch(tag) or tag in FRAME_ITEMS:
         raise ValidationError(f"retexture tag {tag!r} must match {RETEXTURE_TAG.pattern} "
@@ -241,30 +263,7 @@ def stage_retexture(root, texture_path, tag: str = "retex", threads: int = 1) ->
         raise ValidationError(f"retexture needs a 3-channel texture, "
                               f"{texture_path} has {look.shape[2]}")
 
-    render = LookupRenderer(look)
-    w, h = m.image_size
-    rels = [f"frames/f{i:04d}_{tag}.ppm" for i in range(m.n_frames)]
-
-    def run(frames):
-        out = np.empty((h * w, 3), dtype=np.uint8)
-        pixels = out.view(np.dtype((np.void, 3))).reshape(-1)
-        for i in frames:
-            samples = m.read_uv_samples(i, "uv_final")
-            mask = uv_silhouette(samples)
-            index = np.flatnonzero(mask)
-            vals, _ = render(index, uv_pairs(samples, mask), w, h)
-            fg = np.empty((index.size, 3), dtype=np.uint8)
-            quantize(vals, fg)
-            out.fill(0)
-            # a boolean scatter copies each run of foreground pixels at once
-            pixels[mask.reshape(-1)] = fg.view(pixels.dtype).reshape(-1)
-            write_ppm_samples(m.root / rels[i], out.reshape(h, w, 3))
-
-    # One buffer per worker: worker k takes frames k, k + workers, ...
-    workers = min(threads, m.n_frames)
-    _map_frames(run, [range(k, m.n_frames, workers) for k in range(workers)], workers)
-    for i, rel in enumerate(rels):
-        m.set_frame_item(i, tag, rel)
+    _render_frames(m, LookupRenderer(look), "uv_final", tag, threads)
     m.mark_stage("retexture", {"texture": str(texture_path), "tag": tag})
     m.save()
     return m
@@ -279,11 +278,14 @@ def _sequence_metrics(m: Manifest, uv_key: str, image_key: str,
         gens.append(gen)
         Ps.append(m.read_uv(i, uv_key))
         psnrs.append(metric_psnr(gen, real))
-    rep = MetricReport(psnr_mean=float(np.mean(psnrs)), psnr_per_frame=psnrs)
+    t_diff, t_diff_per_pair, t_of, t_of_per_pair = 0.0, [], 0.0, []
     if m.n_frames >= 2:
-        rep.t_diff, rep.t_diff_per_pair = metric_tdiff(gens, Ps, tw, th)
-        rep.t_of, rep.t_of_per_pair = metric_tof(real_flows, gens, map_fn)
-    return rep.to_dict()
+        t_diff, t_diff_per_pair = metric_tdiff(gens, Ps, tw, th)
+        t_of, t_of_per_pair = metric_tof(real_flows, gens, map_fn)
+    return {"psnr": {"mean": float(np.mean(psnrs)), "per_frame": psnrs},
+            "t_diff": {"mean": t_diff, "per_pair": t_diff_per_pair},
+            "t_of": {"mean": t_of, "per_pair": t_of_per_pair},
+            "notes": METRIC_NOTES}
 
 
 def stage_metrics(root, threads: int = 1) -> Manifest:
@@ -292,26 +294,17 @@ def stage_metrics(root, threads: int = 1) -> Manifest:
     # Both reports score against the same real frames and real-frame flows.
     reals = [m.read_image(i, "image", valid=m.read_mask(i, "mask"))
              for i in range(m.n_frames)]
+    # Also score a baseline rendered straight from the raw UVs, so the
+    # recovery margin is visible.
+    tw, th = m.texture_size
+    T_raw, _ = frame_zero_products(m.read_uv(0, "uv_raw"), reals[0], tw, th)
+    _render_frames(m, LookupRenderer(T_raw.data), "uv_raw", "baseline", threads)
     with _frame_map(threads) as map_fn:
         real_flows = pair_flows(reals, map_fn)
         report = {"recovered": _sequence_metrics(m, "uv_final", "synth", reals,
-                                                 real_flows, map_fn)}
-
-        # When the sequence was corrupted, also score a baseline rendered
-        # straight from the raw UVs so the recovery margin is visible.
-        if "corrupt" in m.data["stages"]:
-            tw, th = m.texture_size
-            T_raw, _ = frame_zero_products(m.read_uv(0, "uv_raw"), reals[0], tw, th)
-            render = LookupRenderer(T_raw.data)
-
-            def run(i):
-                img, _ = render.frame(m.read_uv(i, "uv_raw"))
-                return img
-
-            for i, img in enumerate(map_fn(run, range(m.n_frames))):
-                m.write_image(i, "baseline", img)
-            report["corrupted_baseline"] = _sequence_metrics(
-                m, "uv_raw", "baseline", reals, real_flows, map_fn)
+                                                 real_flows, map_fn),
+                  "corrupted_baseline": _sequence_metrics(m, "uv_raw", "baseline", reals,
+                                                          real_flows, map_fn)}
 
     write_json(m.root / "metrics.json", report, indent=2)
     m.set_item("metrics", "metrics.json")
@@ -320,9 +313,8 @@ def stage_metrics(root, threads: int = 1) -> Manifest:
     return m
 
 
-def stage_pipeline(root, extend_cfg=None, opt_cfg=None, reloc_cfg=None,
-                   threads: int = 1) -> Manifest:
-    stage_extend(root, extend_cfg, threads)
+def stage_pipeline(root, opt_cfg=None, reloc_cfg=None, threads: int = 1) -> Manifest:
+    stage_extend(root, threads)
     stage_optimize(root, opt_cfg, threads)
     stage_relocate(root, reloc_cfg, threads)
     stage_synth(root, threads)

@@ -35,8 +35,6 @@ MU_64 = 1.2e7   # data weight at a 64x64 image
 class OptConfig:
     alpha1: float = 100.0
     alpha2: float = 10.0
-    tex_w: int | None = None   # texture resolution; image size when None
-    tex_h: int | None = None
 
     def __post_init__(self):
         require_finite(self, "alpha1", "alpha2")
@@ -64,8 +62,11 @@ def data_weight(width: int, height: int) -> float:
     return MU_64 * (width * height / 64.0 ** 2) ** 2
 
 
-def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
-    """Refine a UV map on one frame; returns (UVMap, OptTrace)."""
+def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None,
+                tex_w: int | None = None, tex_h: int | None = None):
+    """Refine a UV map on one frame; returns (UVMap, OptTrace).  The trace's
+    appearance losses sample a ``tex_w`` x ``tex_h`` texture, by default the
+    image size."""
     cfg = cfg or OptConfig()
     if (P_init.height, P_init.width) != (I.height, I.width):
         raise ValidationError("uv map and image resolutions differ")
@@ -90,7 +91,7 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None):
 
     trace = OptTrace()
     for Q, q in ((P_init, v), (P, x)):
-        trace.l_app.append(loss_app(Q, I, cfg.tex_w, cfg.tex_h))
+        trace.l_app.append(loss_app(Q, I, tex_w, tex_h))
         trace.l_reg.append(reg.loss(q))
     trace.residual = float(np.abs(A @ x - b).max(initial=0.0)
                            / max(np.abs(b).max(initial=0.0), 1e-300))

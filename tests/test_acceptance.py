@@ -21,7 +21,7 @@ from uvweave.metrics import loss_ce, loss_img_s, loss_l2, loss_smo, metric_psnr,
 from uvweave.relocate import (RelocateConfig, block_flow,
                               frame_zero_products, init_correspondence, patch_fill)
 from uvweave.render import MADDS_PER_CHANNEL, TEXEL_READS_PER_PIXEL, render_lookup
-from uvweave.extend import SpringConfig, extrapolate_uv, label_fill, relax_springs
+from uvweave.extend import extrapolate_uv, label_fill, relax_springs
 from uvweave.scenegen import CorruptConfig, SceneConfig, corrupt, gen_sequence
 from uvweave.uvopt import OptConfig
 from uvweave.warpmap import UVMap, texture_grid, warp
@@ -56,7 +56,7 @@ def recovery(tmp_path_factory):
     stages.stage_corrupt(root, CorruptConfig(margin=4, dup_blocks=8, dup_size=8,
                                              uv_noise=0.01, seed=1))
     t0 = time.perf_counter()
-    stages.stage_pipeline(root, None, OptConfig(), None, threads=4)
+    stages.stage_pipeline(root, OptConfig(), threads=4)
     elapsed = time.perf_counter() - t0
     return Manifest.load(root), elapsed
 
@@ -132,14 +132,13 @@ def test_temporal_recovery_from_constant_texture(recovery):
 
 def test_spring_extension_accuracy():
     fs = corrupt(gen_sequence(SceneConfig(**SCENE)), CorruptConfig(margin=4))
-    cfg = SpringConfig(tex_w=128, tex_h=128)
     worst_within = 1.0
     all_dec, all_conv, worst_force = True, True, 0.0
     for t in (0, 7, 15):
         fr = fs.frames[t]
         labeled = label_fill(fr.uv_raw, fr.mask)
         ext, new_pts = extrapolate_uv(labeled, known=fr.uv_raw.silhouette)
-        relaxed, rel = relax_springs(ext, new_pts, cfg)
+        relaxed, rel = relax_springs(ext, new_pts, 128, 128)
         err = np.linalg.norm(
             (relaxed.uv.data - fr.uv_gt.uv.data)[new_pts[:, 0], new_pts[:, 1]],
             axis=1) * 128
@@ -322,8 +321,7 @@ def test_bitwise_determinism(tmp_path):
         stages.stage_corrupt(root, CorruptConfig(margin=2, dup_blocks=2,
                                                  dup_size=6, uv_noise=0.01,
                                                  seed=1))
-        stages.stage_pipeline(root, None, OptConfig(), None,
-                              threads=threads)
+        stages.stage_pipeline(root, OptConfig(), threads=threads)
         return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
                 for pat in ("*.pfm", "*.ppm", "*.flo", "*.json")
                 for p in sorted(root.rglob(pat))}

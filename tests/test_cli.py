@@ -16,7 +16,9 @@ import pytest
 from uvweave import stages
 from uvweave.cli import main
 from uvweave.formats import read_pfm, read_ppm, write_pfm, write_ppm
-from uvweave.manifest import STAGE_PREREQ
+from uvweave.manifest import STAGE_PREREQ, Manifest
+from uvweave.relocate import frame_zero_products
+from uvweave.render import LookupRenderer
 from uvweave.stages import FRAME_ITEMS
 
 SMALL = ["--width", "48", "--height", "48", "--tex-width", "48",
@@ -524,6 +526,46 @@ def test_bad_packed_uv_file_exit_2(piped, tmp_path, capsys, command, edit, messa
     assert capsys.readouterr().err == f"error: f0000_uv_final.pfm: packed UV file {message}\n"
     assert (d / "manifest.json").read_bytes() == manifest
 
+
+
+@pytest.mark.parametrize("name, message", [
+    ("f0001_image.ppm", "image file is 32x32 with 3 channel(s), expected 48x48 with 3"),
+    ("f0001_mask.pfm", "mask file is 32x32 with 1 channel(s), expected 48x48"),
+], ids=["image", "mask"])
+def test_wrong_size_frame_file_exit_2(piped, tmp_path, capsys, name, message):
+    # the first stage that reads a frame image or mask of another size
+    # names it, before any later stage compares frames
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    path = d / "frames" / name
+    if name.endswith(".ppm"):
+        write_ppm(path, read_ppm(path)[:32, :32])
+    else:
+        write_pfm(path, read_pfm(path)[:32, :32, 0])
+    manifest = (d / "manifest.json").read_bytes()
+    assert main(["relocate", str(d)]) == 2
+    assert capsys.readouterr().err == f"error: {name}: {message}\n"
+    assert (d / "manifest.json").read_bytes() == manifest
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_synth_and_baseline_equal_full_frame_render(piped, tmp_path, threads):
+    # synth and the metrics baseline render only foreground pixels; their
+    # files are those of the full-frame render written by write_ppm
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    assert main(["synth", str(d), "--threads", threads]) == 0
+    assert main(["metrics", str(d), "--threads", threads]) == 0
+    m = Manifest.load(d)
+    real0 = m.read_image(0, "image", valid=m.read_mask(0, "mask"))
+    T_raw, _ = frame_zero_products(m.read_uv(0, "uv_raw"), real0, *m.texture_size)
+    want = tmp_path / "want.ppm"
+    for key, texture, uv_key in (("synth", m.read_texture("texture_o"), "uv_final"),
+                                 ("baseline", T_raw, "uv_raw")):
+        render = LookupRenderer(texture.data)
+        for i in range(m.n_frames):
+            write_ppm(want, render.frame(m.read_uv(i, uv_key))[0].data)
+            assert m.frame_item(i, key).read_bytes() == want.read_bytes(), (key, i)
 
 def test_retexture_one_channel_look_exit_2(piped, tmp_path, capsys):
     d = tmp_path / "seq"

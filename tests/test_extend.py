@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
-from uvweave import (CorruptConfig, SceneConfig, SpringConfig, SpringSystem, UVMap,
+from uvweave import (CorruptConfig, SceneConfig, SpringSystem, UVMap,
                      ValidationError, corrupt, extrapolate_uv, gen_sequence, label_fill,
                      relax_springs)
-from uvweave.extend import _BUILD_CHUNK, _known_neighbors, _known_scale, build_springs
+from uvweave import extend
+from uvweave.extend import (_BUILD_CHUNK, FORCE_TOL, MAX_ITERS, _known_neighbors, _known_scale,
+                            build_springs)
 from uvweave.fields import pixel_center_grid, scatter_add
 from uvweave.warpmap import texture_positions
 
@@ -323,7 +325,7 @@ def test_springs_never_move_originals():
     fr = fs_c.frames[1]
     labeled = label_fill(fr.uv_raw, fr.mask)
     ext, new_pts = extrapolate_uv(labeled, known=fr.uv_raw.silhouette)
-    relaxed, _ = relax_springs(ext, new_pts, SpringConfig(tex_w=96, tex_h=96))
+    relaxed, _ = relax_springs(ext, new_pts, 96, 96)
     orig = fr.uv_raw.silhouette
     assert (relaxed.uv.data[orig] == ext.uv.data[orig]).all()
 
@@ -333,7 +335,7 @@ def test_springs_distortion_decreases_and_converges():
     fr = fs_c.frames[1]
     labeled = label_fill(fr.uv_raw, fr.mask)
     ext, new_pts = extrapolate_uv(labeled, known=fr.uv_raw.silhouette)
-    relaxed, res = relax_springs(ext, new_pts, SpringConfig(tex_w=96, tex_h=96))
+    relaxed, res = relax_springs(ext, new_pts, 96, 96)
     assert res.converged
     assert res.max_force < 1e-3
     assert res.distortion_after < res.distortion_before
@@ -345,7 +347,7 @@ def test_springs_help_under_noise():
     fr = fs_c.frames[1]
     labeled = label_fill(fr.uv_raw, fr.mask)
     ext, new_pts = extrapolate_uv(labeled, known=fr.uv_raw.silhouette)
-    relaxed, res = relax_springs(ext, new_pts, SpringConfig(tex_w=96, tex_h=96))
+    relaxed, res = relax_springs(ext, new_pts, 96, 96)
     P_star = fs.frames[1].uv_gt
     ys, xs = new_pts[:, 0], new_pts[:, 1]
     e_ext = np.linalg.norm((ext.uv.data[ys, xs] - P_star.uv.data[ys, xs]) * 96, axis=-1)
@@ -355,16 +357,17 @@ def test_springs_help_under_noise():
     assert np.percentile(e_rel, 90) < np.percentile(e_ext, 90)
 
 
-def test_springs_record_nonconvergence():
+def test_springs_record_nonconvergence(monkeypatch):
     # a budget too small for the pull phase is reported in the result, not
     # as a warning
+    monkeypatch.setattr(extend, "MAX_ITERS", 50)
     fs, fs_c = cropped_scene(uv_noise=0.01)
     fr = fs_c.frames[1]
     labeled = label_fill(fr.uv_raw, fr.mask)
     ext, new_pts = extrapolate_uv(labeled, known=fr.uv_raw.silhouette)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, res = relax_springs(ext, new_pts, SpringConfig(max_iters=50, tex_w=96, tex_h=96))
+        _, res = relax_springs(ext, new_pts, 96, 96)
     assert res.converged is False
     assert res.max_force >= 1e-3
     assert res.pull_iters == 50
@@ -373,14 +376,15 @@ def test_springs_record_nonconvergence():
 def test_springs_empty_new_points_noop():
     sil = np.ones((8, 8), dtype=bool)
     P = ramp_uvmap(8, 8, sil)
-    out, res = relax_springs(P, np.zeros((0, 2), dtype=np.int64), SpringConfig(tex_w=8, tex_h=8))
+    out, res = relax_springs(P, np.zeros((0, 2), dtype=np.int64), 8, 8)
     assert (out.uv.data == P.uv.data).all()
     assert len(res.moved) == 0
 
 
-def test_springs_skip_anchorless_points():
+def test_springs_skip_anchorless_points(monkeypatch):
     # two far-apart islands in texture space: the lone movable point has no
     # anchor within the region box and must stay where extrapolation put it
+    monkeypatch.setattr(extend, "REGION", 10)
     sil = np.ones((2, 2), dtype=bool)
     c = pixel_center_grid(2, 2)
     uv = np.zeros((2, 2, 2))
@@ -388,7 +392,7 @@ def test_springs_skip_anchorless_points():
     uv[1, 1] = c[1, 1] - 0.9             # far island
     P = UVMap(uv, sil)
     new_pts = np.array([[1, 1]])
-    out, res = relax_springs(P, new_pts, SpringConfig(region=10, tex_w=128, tex_h=128))
+    out, res = relax_springs(P, new_pts, 128, 128)
     assert (out.uv.data[1, 1] == P.uv.data[1, 1]).all()
     assert len(res.skipped) == 1
 
@@ -500,14 +504,12 @@ def recover_systems():
 def test_table_relaxes_like_flat_springs_on_recover_frames():
     # under the global loop, positions, iterations, forces and distortions
     # are bit for bit the flat list's
-    cfg = SpringConfig()
     for sys in recover_systems():
         flat = flat_springs(sys)
         got, ref = [sys.distortion()], [flat.distortion()]
         for mode in ("push", "pull"):
-            got.append(global_phase(sys.forces, sys.points, mode, cfg.force_tol, cfg.max_iters))
-            ref.append(global_phase(flat.forces, flat.points, mode, cfg.force_tol,
-                                    cfg.max_iters))
+            got.append(global_phase(sys.forces, sys.points, mode, FORCE_TOL, MAX_ITERS))
+            ref.append(global_phase(flat.forces, flat.points, mode, FORCE_TOL, MAX_ITERS))
         got.append(sys.distortion())
         ref.append(flat.distortion())
         assert got == ref and got[1][2] and got[2][2]
@@ -518,18 +520,16 @@ def test_settled_points_stop_on_recover_frames():
     # each point stops once its own force is below the tolerance: the same
     # iteration counts as the global loop, positions within 0.1 texel, and
     # a point settled when a phase starts stays exactly where it was
-    cfg = SpringConfig()
     n_settled = 0
     for sys in recover_systems():
         ref = SpringSystem(sys.points.copy(), sys.anchors, sys.rest)
         for mode in ("push", "pull"):
             before = sys.points.copy()
-            settled = np.abs(sys.forces(mode)[0]).max(axis=1) < cfg.force_tol
-            it, fmax, ok = sys.relax_phase(mode, cfg.force_tol, cfg.max_iters)
-            ref_it, _, ref_ok = global_phase(ref.forces, ref.points, mode, cfg.force_tol,
-                                             cfg.max_iters)
+            settled = np.abs(sys.forces(mode)[0]).max(axis=1) < FORCE_TOL
+            it, fmax, ok = sys.relax_phase(mode, FORCE_TOL, MAX_ITERS)
+            ref_it, _, ref_ok = global_phase(ref.forces, ref.points, mode, FORCE_TOL, MAX_ITERS)
             assert (it, ok) == (ref_it, ref_ok) == (ref_it, True)
-            assert fmax == np.abs(sys.forces(mode)[0]).max() and fmax < cfg.force_tol
+            assert fmax == np.abs(sys.forces(mode)[0]).max() and fmax < FORCE_TOL
             assert sys.points[settled].tobytes() == before[settled].tobytes()
             n_settled += settled.sum()
         assert np.abs(sys.points - ref.points).max() <= 0.1
@@ -698,6 +698,6 @@ def test_spring_iterations_cut_to_a_third():
     fr = fs_c.frames[1]
     labeled = label_fill(fr.uv_raw, fr.mask)
     ext, new_pts = extrapolate_uv(labeled, known=fr.uv_raw.silhouette)
-    _, res = relax_springs(ext, new_pts, SpringConfig(tex_w=96, tex_h=96))
+    _, res = relax_springs(ext, new_pts, 96, 96)
     assert res.converged
     assert 3 * (res.push_iters + res.pull_iters) < 330 + 873

@@ -249,6 +249,10 @@ def test_mask_roundtrip(tmp_path):
     mask[2:4, 1:6] = True
     m.write_mask(2, "mask_raw", mask)
     assert np.array_equal(m.read_mask(2, "mask_raw"), mask)
+    # a mask of any channel count is read from its channel 0
+    write_pfm(m.root / "frames" / "f0002_mask_raw.pfm",
+              np.stack([mask, ~mask, ~mask], axis=2).astype(np.float64))
+    assert np.array_equal(m.read_mask(2, "mask_raw"), mask)
 
 
 def test_image_roundtrip_quantized(tmp_path):

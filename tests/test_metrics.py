@@ -7,7 +7,7 @@ import pytest
 
 import uvweave.metrics as metrics
 import uvweave.stages as stages
-from uvweave import (CorruptConfig, Field2, Manifest, MetricReport, SceneConfig, UVMap,
+from uvweave import (CorruptConfig, Field2, Manifest, SceneConfig, UVMap,
                      ValidationError, block_flow, gen_sequence, loss_ce, loss_img_s,
                      loss_l2, loss_smo, metric_psnr, metric_tdiff, metric_tof, pair_flows,
                      render_lookup)
@@ -251,15 +251,3 @@ def test_stage_metrics_computes_real_flows_once(tmp_path, monkeypatch):
     assert (root / "metrics.json").read_text() == text
     assert len(calls) == 3 * (frames - 1) and threading.get_ident() not in calls
 
-
-def test_metric_report_serialization():
-    rep = MetricReport(psnr_mean=30.0, psnr_per_frame=[29.0, 31.0],
-                       t_diff=0.01, t_diff_per_pair=[0.01],
-                       t_of=1.5, t_of_per_pair=[1.5])
-    d = rep.to_dict()
-    assert d["psnr"]["mean"] == 30.0
-    assert d["t_of"]["per_pair"] == [1.5]
-    assert "t_lp" in d["notes"]
-    parsed = json.loads(rep.to_json())
-    assert parsed == d
-    assert rep.to_json() == json.dumps(d, sort_keys=True, indent=2) + "\n"

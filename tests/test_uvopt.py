@@ -82,7 +82,7 @@ def test_converged_on_constant_image():
 def test_texture_size_defaults_to_image():
     _, fr = noisy_frame()
     out_a, tr_a = optimize_uv(fr.uv_raw, fr.image)
-    out_b, tr_b = optimize_uv(fr.uv_raw, fr.image, OptConfig(tex_w=48, tex_h=48))
+    out_b, tr_b = optimize_uv(fr.uv_raw, fr.image, OptConfig(), 48, 48)
     assert (out_a.uv.data == out_b.uv.data).all()
     assert tr_a.l_app == tr_b.l_app
 
