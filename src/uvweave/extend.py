@@ -54,24 +54,21 @@ def _known_neighbors(known: np.ndarray) -> np.ndarray:
     return ndi.correlate(known.astype(np.int64), _NEIGHBORS, mode="constant")
 
 
-def extrapolate_uv(P_labeled: UVMap, known: np.ndarray | None = None):
+def extrapolate_uv(P_labeled: UVMap, known: np.ndarray):
     """Fill empty UV entries on the silhouette; returns (UVMap, new_points).
 
-    ``known`` marks pixels whose UVs are data (defaults to the whole
-    silhouette, making the call a no-op).  Each sweep fills every pixel
-    with at least two known neighbors in its 3x3 window from the previous
-    sweep's state; unreachable islands fall back to the nearest known UV.
-    A non-empty silhouette without any known UVs is an error.
+    ``known`` marks the pixels of the silhouette whose UVs are data.  Each
+    sweep fills every pixel with at least two known neighbors in its 3x3
+    window from the previous sweep's state; unreachable islands fall back
+    to the nearest known UV.  A non-empty silhouette without any known UVs
+    is an error.
     """
     sil = P_labeled.silhouette
-    if known is None:
-        known = sil.copy()
-    else:
-        known = np.asarray(known, dtype=bool)
-        if known.shape != sil.shape:
-            raise ValidationError("known mask shape does not match uv map")
-        if (known & ~sil).any():
-            raise ValidationError("known mask must lie inside the silhouette")
+    known = np.asarray(known, dtype=bool)
+    if known.shape != sil.shape:
+        raise ValidationError("known mask shape does not match uv map")
+    if (known & ~sil).any():
+        raise ValidationError("known mask must lie inside the silhouette")
     if sil.any() and not known.any():
         raise ValidationError("no known UVs on the silhouette")
 

@@ -205,20 +205,18 @@ class Manifest:
     def set_frame_item(self, index: int, key: str, rel: str):
         self.data["frames"][index][key] = rel
 
-    def frame_item(self, index: int, key: str, required: bool = True):
+    def frame_item(self, index: int, key: str):
+        """Path of frame ``index``'s ``key`` artifact; ValidationError if unnamed."""
         rel = self.data["frames"][index].get(key)
         if rel is None:
-            if required:
-                raise ValidationError(f"frame {index} has no {key!r} artifact")
-            return None
+            raise ValidationError(f"frame {index} has no {key!r} artifact")
         return self.root / rel
 
-    def item(self, key: str, required: bool = True):
+    def item(self, key: str):
+        """Path of the sequence's ``key`` artifact; ValidationError if unnamed."""
         rel = self.data.get(key)
         if rel is None:
-            if required:
-                raise ValidationError(f"manifest has no {key!r} artifact")
-            return None
+            raise ValidationError(f"manifest has no {key!r} artifact")
         return self.root / rel
 
     # -- typed readers/writers ----------------------------------------------

@@ -26,7 +26,7 @@ import scipy.ndimage as ndi
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError, require_finite
-from .fields import Field2, pixel_center_grid, sample_bilinear
+from .fields import Field2, pixel_center_grid, sample_bilinear, scatter_add
 from .formats import overwrite, read_body
 from .warpmap import UVMap, texture_grid, texture_positions, warp
 
@@ -202,14 +202,10 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
         a, b = pyr_a[level], pyr_b[level]
         h, w = a.shape[:2]
         if base.shape[:2] != (h, w):
+            # an odd row or column past the doubled grid repeats its edge
             rep = np.repeat(np.repeat(base, 2, axis=0), 2, axis=1) * 2.0
-            base = np.zeros((h, w, 2))
-            hh, ww = min(h, rep.shape[0]), min(w, rep.shape[1])
-            base[:hh, :ww] = rep[:hh, :ww]
-            if hh < h:
-                base[hh:] = base[hh - 1]
-            if ww < w:
-                base[:, ww:] = base[:, ww - 1:ww]
+            base = np.pad(rep, ((0, h - len(rep)), (0, w - rep.shape[1]), (0, 0)),
+                          mode="edge")
         # Smooth the carried-over estimate so neighboring blocks search
         # around consistent centers.
         base = ndi.uniform_filter(base, size=(blk, blk, 1), mode="nearest")
@@ -500,8 +496,8 @@ def patch_fill(Q: Field2, T_o: Field2, T_t: Field2, Q0: Field2,
     (``_fill_offsets``: coarse-to-fine, about 130 offsets of the default
     21×21 window; the exhaustive loop over every offset stays in the tests
     as the reference cost), then donates the reference correspondences at
-    that offset.  Overlapping donations are averaged in tile raster order;
-    valid texels are never modified.
+    that offset.  Overlapping donations are averaged, summed in tile raster
+    order by one ordered scatter; valid texels are never modified.
 
     A ``record`` dict, when given, receives ``fill_tiles``, the tiles that
     searched, and ``fill_candidates``, the in-bounds offsets they scored
@@ -529,29 +525,19 @@ def patch_fill(Q: Field2, T_o: Field2, T_t: Field2, Q0: Field2,
     if record is not None:
         record.update(fill_tiles=len(tiles), fill_candidates=scored)
 
-    # Pass (ry, rx) gives each texel the donation of the tile ry tile rows
-    # and rx tile columns above and left of the last one covering it, so a
-    # pass donates at most once to a texel, and the passes add each texel's
-    # donations in tile raster order.  Row and column -1 of ``tile_at``
-    # stand for no tile.
-    tile_at = np.full((len(ty) + 1, len(tx) + 1), -1)
-    tile_at[ti, tj] = np.arange(len(tiles))
-    ys, xs = np.arange(h), np.arange(w)
-    acc = np.zeros((h, w, 2))
-    cnt = np.zeros((h, w))
-    donor = Q0.data
-    per_axis = -(-patch // stride)       # tiles that cover a texel, per axis
-    for ry in range(per_axis - 1, -1, -1):
-        i = ys // stride - ry
-        i[(i < 0) | (ys - i * stride >= patch)] = -1
-        for rx in range(per_axis - 1, -1, -1):
-            j = xs // stride - rx
-            j[(j < 0) | (xs - j * stride >= patch)] = -1
-            t = tile_at[i][:, j]
-            yy, xx = np.nonzero(fill & (t >= 0))
-            t = t[yy, xx]
-            acc[yy, xx] += donor[yy + best[t, 0], xx + best[t, 1]]
-            cnt[yy, xx] += 1.0
+    # Every (tile, fill texel) pair donates the reference correspondence at
+    # the tile's offset.  Tiles come in raster order and texels row-major
+    # within each, and bincount adds in input order, so each texel's
+    # donations add in tile raster order.
+    dy, dx = np.divmod(np.arange(patch * patch), patch)
+    yy, xx = tiles[:, :1] + dy, tiles[:, 1:2] + dx          # (tiles, patch²)
+    pair = (yy < tiles[:, 2:3]) & (xx < tiles[:, 3:4])
+    pair[pair] = fill[yy[pair], xx[pair]]
+    t = np.nonzero(pair)[0]
+    yy, xx = yy[pair], xx[pair]
+    at = yy * w + xx
+    acc = scatter_add(at, Q0.data[yy + best[t, 0], xx + best[t, 1]], h * w).reshape(h, w, 2)
+    cnt = np.bincount(at, minlength=h * w).reshape(h, w)
 
     target = Q.data.copy()
     filled = fill & (cnt > 0)

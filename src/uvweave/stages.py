@@ -121,10 +121,12 @@ def stage_gen(out_dir, cfg: SceneConfig) -> Manifest:
 def stage_corrupt(root, cfg: CorruptConfig) -> Manifest:
     m = Manifest.load(root)
     m.require_prereq("corrupt")
-    # Read the ground truth from disk so corrupt composes with external data.
+    # Read the ground truth from disk so corrupt composes with external data,
+    # and corrupt every frame before writing any, so a bad one writes nothing.
     rng = np.random.default_rng(cfg.seed)
-    for i in range(m.n_frames):
-        m.write_uv(i, "uv_raw", corrupt_uv(m.read_uv(i, "uv_gt"), cfg, rng))
+    raws = [corrupt_uv(m.read_uv(i, "uv_gt"), cfg, rng) for i in range(m.n_frames)]
+    for i, raw in enumerate(raws):
+        m.write_uv(i, "uv_raw", raw)
     m.mark_stage("corrupt", config_dict(cfg))
     m.save()
     return m
@@ -192,12 +194,9 @@ def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
         return P, I
 
     # Frame 0 defines the reference texture; every frame needs it first.
+    # Nothing is written before every frame is relocated.
     P0, I0 = load(0)
     T_o, Q0 = frame_zero_products(P0, I0, tw, th)
-    m.write_texture("texture_o", T_o)
-    m.write_corr("corr0", Q0)
-
-    (m.root / "traces").mkdir(exist_ok=True)
 
     def run(i):
         P, I = (P0, I0) if i == 0 else load(i)
@@ -211,6 +210,9 @@ def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
         return relocate_frame(P, I, T_o, Q0, cfg, external_flow=ext, record=record), record
 
     results = _map_frames(run, range(m.n_frames), threads)
+    m.write_texture("texture_o", T_o)
+    m.write_corr("corr0", Q0)
+    (m.root / "traces").mkdir(exist_ok=True)
     for i, ((P_f, Qt, flow, T_t), record) in enumerate(results):
         _write_trace(m, i, "rel", record)
         m.write_uv(i, "uv_final", P_f)

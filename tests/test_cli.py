@@ -548,6 +548,38 @@ def test_wrong_size_frame_file_exit_2(piped, tmp_path, capsys, name, message):
     assert (d / "manifest.json").read_bytes() == manifest
 
 
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _cut(path):
+    write_ppm(path, read_ppm(path)[:32, :32])
+
+
+def _darken(path):
+    write_ppm(path, 0.5 * read_ppm(path))
+
+
+@pytest.mark.parametrize("command, args, damage", [
+    ("extend", [], {"f0001_uv_raw.pfm": _truncate}),
+    ("optimize", [], {"f0001_uv_ext.pfm": _truncate}),
+    # frame 0 changes too, so a texture_o.pfm written from it would differ
+    ("relocate", [], {"f0000_image.ppm": _darken, "f0001_image.ppm": _cut}),
+    ("corrupt", ["--margin", "3", "--seed", "9"], {"f0001_uv_gt.pfm": _truncate}),
+], ids=["extend", "optimize", "relocate", "corrupt"])
+def test_stage_failing_on_frame_1_writes_nothing(piped, tmp_path, command, args, damage):
+    # a stage that exits 2 part way leaves every file as it was, so no
+    # manifest tag vouches for a file it rewrote
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    for name, spoil in damage.items():
+        spoil(d / "frames" / name)
+    before = {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()}
+    assert main([command, str(d)] + args) == 2
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()} == before
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_synth_and_baseline_equal_full_frame_render(piped, tmp_path, threads):
     # synth and the metrics baseline render only foreground pixels; their

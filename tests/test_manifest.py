@@ -194,10 +194,8 @@ def test_frame_item_and_item_errors(tmp_path):
     m = fresh(tmp_path)
     with pytest.raises(ValidationError, match="frame 1 has no 'uv_opt'"):
         m.frame_item(1, "uv_opt")
-    assert m.frame_item(1, "uv_opt", required=False) is None
     with pytest.raises(ValidationError, match="manifest has no 'texture_gt'"):
         m.item("texture_gt")
-    assert m.item("texture_gt", required=False) is None
 
 
 def test_uv_roundtrip_without_parts(tmp_path):
