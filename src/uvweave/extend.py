@@ -28,7 +28,7 @@ import scipy.ndimage as ndi
 
 from .errors import ValidationError
 from .fields import pixel_center_grid
-from .warpmap import UVMap, texture_positions
+from .warpmap import UVMap, fill_from_nearest, texture_positions
 
 
 def label_fill(P_raw: UVMap, full_mask: np.ndarray) -> UVMap:
@@ -102,9 +102,7 @@ def extrapolate_uv(P_labeled: UVMap, known: np.ndarray):
 
     rest = sil & ~cur
     if rest.any():
-        inds = ndi.distance_transform_edt(~cur, return_distances=False,
-                                          return_indices=True)
-        uv[rest] = uv[inds[0][rest], inds[1][rest]]
+        uv[rest] = fill_from_nearest(uv, cur)[rest]
         ys, xs = np.nonzero(rest)
         new_rows.append(ys)
         new_cols.append(xs)

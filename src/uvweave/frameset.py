@@ -25,6 +25,3 @@ class FrameSet:
     config: object
     texture: Field2                       # the constant ground-truth texture
     frames: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.frames)

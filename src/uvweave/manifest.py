@@ -1,12 +1,12 @@
 """Directory-backed sequence manifest tying the pipeline stages together.
 
 A sequence lives in one directory with a ``manifest.json`` naming every
-per-frame artifact by a relative path.  Stages record a provenance tag
-(name plus config snapshot) when they run; later stages refuse to start
-until their prerequisites are tagged, and re-running a stage drops the
-tags of every stage downstream of it.  All JSON is written with sorted
-keys and no timestamps so re-running a stage on unchanged inputs is
-byte-identical.
+artifact by a relative path; ``new_item`` and ``write_trace`` make every
+name.  Stages record a provenance tag (name plus config snapshot) when
+they run; later stages refuse to start until their prerequisites are
+tagged, and re-running a stage drops the tags of every stage downstream
+of it.  All JSON is written with sorted keys and no timestamps so
+re-running a stage on unchanged inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -134,6 +134,8 @@ class Manifest:
         frames = data["frames"]
         if not (isinstance(frames, list) and all(isinstance(fr, dict) for fr in frames)):
             raise ValidationError("manifest frames must be a list of objects")
+        if not frames:
+            raise ValidationError("manifest frames must list at least one frame")
         for i, fr in enumerate(frames):
             if fr.get("index") != i:
                 raise ValidationError("manifest frame indices must be contiguous from 0")
@@ -196,14 +198,25 @@ class Manifest:
 
     # -- artifact helpers ---------------------------------------------------
 
-    def path(self, rel: str) -> Path:
+    def new_item(self, key: str, suffix: str, frame: int | None = None) -> Path:
+        """Name the sequence's ``key`` artifact ``<key>.<suffix>``, or frame
+        ``frame``'s ``frames/f<frame>_<key>.<suffix>``, and return its path.
+        The name may precede the file: stages save the manifest only once
+        every write has succeeded."""
+        if frame is None:
+            rel = self.data[key] = f"{key}.{suffix}"
+        else:
+            rel = self.data["frames"][frame][key] = f"frames/f{frame:04d}_{key}.{suffix}"
         return self.root / rel
 
-    def set_item(self, key: str, rel: str):
-        self.data[key] = rel
-
-    def set_frame_item(self, index: int, key: str, rel: str):
-        self.data["frames"][index][key] = rel
+    def write_trace(self, index: int, stage: str, record: dict):
+        """Write frame ``index``'s ``stage`` record as sorted-key JSON,
+        ``traces/f<index>_<stage>.json``, item ``<stage>_trace``; the first
+        record makes ``traces/``."""
+        rel = f"traces/f{index:04d}_{stage}.json"
+        (self.root / "traces").mkdir(exist_ok=True)
+        write_json(self.root / rel, record)
+        self.data["frames"][index][f"{stage}_trace"] = rel
 
     def frame_item(self, index: int, key: str):
         """Path of frame ``index``'s ``key`` artifact; ValidationError if unnamed."""
@@ -222,11 +235,10 @@ class Manifest:
     # -- typed readers/writers ----------------------------------------------
 
     def write_uv(self, index: int, key: str, P: UVMap):
-        rel = f"frames/f{index:04d}_{key}.pfm"
+        """Frame ``index``'s packed UV item ``key``: (u, v) and the silhouette."""
         packed = np.concatenate([P.uv.data, P.silhouette[..., None].astype(np.float64)],
                                 axis=2)
-        write_pfm(self.root / rel, packed)
-        self.set_frame_item(index, key, rel)
+        write_pfm(self.new_item(key, "pfm", frame=index), packed)
 
     def read_uv_samples(self, index: int, key: str) -> np.ndarray:
         """A packed UV file's samples as stored: float32 (H, W, 3), the (u, v)
@@ -248,9 +260,7 @@ class Manifest:
         return UVMap(Field2._wrap(uv_pairs(samples)), uv_silhouette(samples))
 
     def write_mask(self, index: int, key: str, mask: np.ndarray):
-        rel = f"frames/f{index:04d}_{key}.pfm"
-        write_pfm(self.root / rel, mask.astype(np.float64))
-        self.set_frame_item(index, key, rel)
+        write_pfm(self.new_item(key, "pfm", frame=index), mask.astype(np.float64))
 
     def read_mask(self, index: int, key: str) -> np.ndarray:
         """Channel 0 above 0.5 of a mask file of the image size, any channel count."""
@@ -260,9 +270,7 @@ class Manifest:
         return samples[..., 0] > 0.5
 
     def write_image(self, index: int, key: str, img: Field2):
-        rel = f"frames/f{index:04d}_{key}.ppm"
-        write_ppm(self.root / rel, img.data)
-        self.set_frame_item(index, key, rel)
+        write_ppm(self.new_item(key, "ppm", frame=index), img.data)
 
     def read_image(self, index: int, key: str, valid: np.ndarray | None = None) -> Field2:
         """An image file of the image size as a 3-channel ``Field2``."""
@@ -272,12 +280,8 @@ class Manifest:
         return Field2(img, valid=valid)
 
     def write_texture(self, key: str, T: Field2, frame: int | None = None):
-        rel = f"{key}.pfm" if frame is None else f"frames/f{frame:04d}_{key}.pfm"
-        write_pfm(self.root / rel, T.data)
-        if frame is None:
-            self.set_item(key, rel)
-        else:
-            self.set_frame_item(frame, key, rel)
+        """The sequence's, or frame ``frame``'s, texture item ``key``."""
+        write_pfm(self.new_item(key, "pfm", frame), T.data)
 
     def read_texture(self, key: str, frame: int | None = None,
                      valid: np.ndarray | None = None) -> Field2:
@@ -292,14 +296,10 @@ class Manifest:
         return Field2(tex, valid=valid)
 
     def write_corr(self, key: str, Q: Field2, frame: int | None = None):
-        rel = f"{key}.pfm" if frame is None else f"frames/f{frame:04d}_{key}.pfm"
+        """The sequence's, or frame ``frame``'s, packed correspondence item ``key``."""
         packed = np.concatenate([Q.data, Q.mask()[..., None].astype(np.float64)],
                                 axis=2)
-        write_pfm(self.root / rel, packed)
-        if frame is None:
-            self.set_item(key, rel)
-        else:
-            self.set_frame_item(frame, key, rel)
+        write_pfm(self.new_item(key, "pfm", frame), packed)
 
     def read_corr(self, key: str, frame: int | None = None) -> Field2:
         """A packed correspondence file as ``Field2(positions, valid=mask)``.

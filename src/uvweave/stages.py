@@ -57,17 +57,10 @@ def _map_frames(fn, indices, threads: int):
         return list(map_fn(fn, indices))
 
 
-def _write_trace(m: Manifest, index: int, stage: str, record: dict):
-    """Write one frame's stage record as sorted-key JSON, item ``<stage>_trace``."""
-    rel = f"traces/f{index:04d}_{stage}.json"
-    write_json(m.root / rel, record)
-    m.set_frame_item(index, f"{stage}_trace", rel)
-
-
 def _render_frames(m: Manifest, render: LookupRenderer, uv_key: str, tag: str,
                    threads: int) -> list:
-    """Render every frame from its packed ``uv_key`` samples and write it as
-    frame item ``tag``; returns each frame's LookupStats.
+    """Render every frame from its packed ``uv_key`` samples into frame item
+    ``tag``, named by ``Manifest.new_item``; returns each frame's LookupStats.
 
     Only foreground pixels are rendered and quantized; each frame is
     scattered into a zeroed 8-bit frame that one worker reuses for all its
@@ -75,7 +68,7 @@ def _render_frames(m: Manifest, render: LookupRenderer, uv_key: str, tag: str,
     so the bytes are those of ``write_ppm`` of ``render.frame``.
     """
     w, h = m.image_size
-    rels = [f"frames/f{i:04d}_{tag}.ppm" for i in range(m.n_frames)]
+    paths = [m.new_item(tag, "ppm", frame=i) for i in range(m.n_frames)]
 
     def run(frames):
         out = np.empty((h * w, 3), dtype=np.uint8)
@@ -91,15 +84,13 @@ def _render_frames(m: Manifest, render: LookupRenderer, uv_key: str, tag: str,
             out.fill(0)
             # a boolean scatter copies each run of foreground pixels at once
             pixels[mask.reshape(-1)] = fg.view(pixels.dtype).reshape(-1)
-            write_ppm_samples(m.root / rels[i], out.reshape(h, w, 3))
+            write_ppm_samples(paths[i], out.reshape(h, w, 3))
             stats.append(st)
         return stats
 
     # One buffer per worker: worker k takes frames k, k + workers, ...
     workers = min(threads, m.n_frames)
     stats = _map_frames(run, [range(k, m.n_frames, workers) for k in range(workers)], workers)
-    for i, rel in enumerate(rels):
-        m.set_frame_item(i, tag, rel)
     return [stats[i % workers][i // workers] for i in range(m.n_frames)]
 
 
@@ -136,7 +127,6 @@ def stage_extend(root, threads: int = 1) -> Manifest:
     m = Manifest.load(root)
     m.require_prereq("extend")
     tw, th = m.texture_size
-    (m.root / "traces").mkdir(exist_ok=True)
 
     def run(i):
         raw = m.read_uv(i, "uv_raw")
@@ -148,7 +138,7 @@ def stage_extend(root, threads: int = 1) -> Manifest:
     results = _map_frames(run, range(m.n_frames), threads)
     for i, (P, res) in enumerate(results):
         m.write_uv(i, "uv_ext", P)
-        _write_trace(m, i, "ext", {
+        m.write_trace(i, "ext", {
             "converged": bool(res.converged), "push_iters": int(res.push_iters),
             "pull_iters": int(res.pull_iters), "max_force": float(res.max_force),
             "distortion_before": float(res.distortion_before),
@@ -164,7 +154,6 @@ def stage_optimize(root, cfg: OptConfig | None = None, threads: int = 1) -> Mani
     m.require_prereq("optimize")
     cfg = cfg or OptConfig()
     tw, th = m.texture_size
-    (m.root / "traces").mkdir(exist_ok=True)
 
     def run(i):
         P = m.read_uv(i, "uv_ext")
@@ -174,8 +163,8 @@ def stage_optimize(root, cfg: OptConfig | None = None, threads: int = 1) -> Mani
     results = _map_frames(run, range(m.n_frames), threads)
     for i, (P, trace) in enumerate(results):
         m.write_uv(i, "uv_opt", P)
-        _write_trace(m, i, "opt", {"l_app": trace.l_app, "l_reg": trace.l_reg,
-                                   "steps": trace.steps, "residual": trace.residual})
+        m.write_trace(i, "opt", {"l_app": trace.l_app, "l_reg": trace.l_reg,
+                                 "steps": trace.steps, "residual": trace.residual})
     m.mark_stage("optimize", config_dict(cfg))
     m.save()
     return m
@@ -212,15 +201,12 @@ def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
     results = _map_frames(run, range(m.n_frames), threads)
     m.write_texture("texture_o", T_o)
     m.write_corr("corr0", Q0)
-    (m.root / "traces").mkdir(exist_ok=True)
     for i, ((P_f, Qt, flow, T_t), record) in enumerate(results):
-        _write_trace(m, i, "rel", record)
+        m.write_trace(i, "rel", record)
         m.write_uv(i, "uv_final", P_f)
         m.write_corr("corr", Qt, frame=i)
         m.write_texture("texframe", T_t, frame=i)
-        rel = f"frames/f{i:04d}_flow.flo"
-        write_flo(m.root / rel, flow)
-        m.set_frame_item(i, "flow", rel)
+        write_flo(m.new_item("flow", "flo", frame=i), flow)
     m.mark_stage("relocate", config_dict(cfg))
     m.save()
     return m
@@ -232,8 +218,7 @@ def stage_synth(root, threads: int = 1) -> Manifest:
     render = LookupRenderer(m.read_texture("texture_o").data)
     stats = [{"frame": i, **asdict(st)}
              for i, st in enumerate(_render_frames(m, render, "uv_final", "synth", threads))]
-    write_json(m.root / "synth_stats.json", stats, indent=2)
-    m.set_item("synth_stats", "synth_stats.json")
+    write_json(m.new_item("synth_stats", "json"), stats, indent=2)
     m.mark_stage("synth", {})
     m.save()
     return m
@@ -308,8 +293,7 @@ def stage_metrics(root, threads: int = 1) -> Manifest:
                   "corrupted_baseline": _sequence_metrics(m, "uv_raw", "baseline", reals,
                                                           real_flows, map_fn)}
 
-    write_json(m.root / "metrics.json", report, indent=2)
-    m.set_item("metrics", "metrics.json")
+    write_json(m.new_item("metrics", "json"), report, indent=2)
     m.mark_stage("metrics", {})
     m.save()
     return m

@@ -692,6 +692,71 @@ def test_retexture_bad_tag_exit_2(piped, tmp_path, capsys, tag):
     assert _files(d) == before
 
 
+def test_manifest_names_every_file_on_disk(piped, tmp_path):
+    # every file a stage writes is named in manifest.json, and every name
+    # is a file
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    rng = np.random.default_rng(3)
+    write_pfm(tmp_path / "a.pfm", rng.uniform(size=(32, 40, 3)))
+    write_ppm(tmp_path / "b.ppm", rng.uniform(size=(48, 48, 3)))
+    assert main(["retexture", str(d), str(tmp_path / "a.pfm")]) == 0
+    assert main(["retexture", str(d), str(tmp_path / "b.ppm"), "--tag", "b"]) == 0
+    man = json.loads((d / "manifest.json").read_text())
+    named = {rel for key, rel in man.items()
+             if key not in ("version", "image_size", "texture_size", "frames", "stages")}
+    named |= {rel for fr in man["frames"] for key, rel in fr.items() if key != "index"}
+    assert set(_files(d)) == named | {"manifest.json"}
+
+
+def test_retexture_tag_ending_in_trace_names_a_frame(piped, tmp_path):
+    # a tag is routed by nothing but new_item: x_trace is a frame item
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    traces = {k: v for k, v in _files(d).items() if k.startswith("traces")}
+    assert main(["retexture", str(d), str(d / "texture_gt.pfm"), "--tag", "x_trace"]) == 0
+    man = json.loads((d / "manifest.json").read_text())
+    for i in range(3):
+        assert man["frames"][i]["x_trace"] == f"frames/f{i:04d}_x_trace.ppm"
+        assert (d / "frames" / f"f{i:04d}_x_trace.ppm").is_file()
+    assert {k: v for k, v in _files(d).items() if k.startswith("traces")} == traces
+
+
+def test_retexture_with_a_frame_cut_short_exits_2(piped, tmp_path, capsys):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    _truncate(d / "frames" / "f0001_uv_final.pfm")
+    manifest = (d / "manifest.json").read_bytes()
+    assert main(["retexture", str(d), str(d / "texture_gt.pfm")]) == 2
+    assert capsys.readouterr().err.startswith("error: truncated pfm data")
+    assert (d / "manifest.json").read_bytes() == manifest
+
+
+@pytest.mark.parametrize("command", ["corrupt", "extend", "optimize", "relocate"])
+def test_manifest_without_frames_exit_2(piped, tmp_path, capsys, command):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    manifest = json.loads((d / "manifest.json").read_text())
+    (d / "manifest.json").write_text(json.dumps({**manifest, "frames": []}))
+    before = _files(d)
+    assert main([command, str(d)]) == 2
+    assert capsys.readouterr().err == "error: manifest frames must list at least one frame\n"
+    assert _files(d) == before
+
+
+def test_failing_extend_makes_no_traces_folder(tmp_path):
+    # traces/ is made with the first record, so the first stage that
+    # writes records leaves none behind when it exits 2
+    d = tmp_path / "seq"
+    assert main(["gen", str(d)] + SMALL) == 0
+    assert main(["corrupt", str(d)] + CORRUPT) == 0
+    _truncate(d / "frames" / "f0001_uv_raw.pfm")
+    before = _files(d)
+    assert main(["extend", str(d)]) == 2
+    assert not (d / "traces").exists()
+    assert _files(d) == before
+
+
 def test_frame_items_are_the_stages_items(piped):
     # FRAME_ITEMS lists every frame item a pipeline writes, and no other
     items = {"index"}

@@ -1,10 +1,13 @@
 """Tests for the directory-backed sequence manifest."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uvweave
 from uvweave.errors import ValidationError
 from uvweave.fields import Field2
 from uvweave.formats import read_pfm, write_pfm
@@ -71,9 +74,18 @@ def test_load_noncontiguous_frames(tmp_path):
         Manifest.load(tmp_path / "seq")
 
 
+def test_load_rejects_a_sequence_without_frames(tmp_path):
+    m = fresh(tmp_path)
+    m.data["frames"] = []
+    m.save()
+    with pytest.raises(ValidationError) as e:
+        Manifest.load(tmp_path / "seq")
+    assert str(e.value) == "manifest frames must list at least one frame"
+
+
 def test_load_missing_referenced_file(tmp_path):
     m = fresh(tmp_path)
-    m.set_frame_item(0, "uv_raw", "frames/f0000_uv_raw.pfm")
+    m.data["frames"][0]["uv_raw"] = "frames/f0000_uv_raw.pfm"
     m.save()
     with pytest.raises(ValidationError, match="missing file frames/f0000_uv_raw.pfm"):
         Manifest.load(tmp_path / "seq")
@@ -81,14 +93,14 @@ def test_load_missing_referenced_file(tmp_path):
 
 def test_load_checks_top_level_artifacts(tmp_path):
     m = fresh(tmp_path)
-    m.set_item("texture_o", "texture_o.pfm")
+    m.data["texture_o"] = "texture_o.pfm"
     m.data["has_parts"] = False
     m.save()
     with pytest.raises(ValidationError, match="missing file texture_o.pfm"):
         Manifest.load(tmp_path / "seq")
-    write_pfm(m.path("texture_o.pfm"), np.zeros((12, 10, 3)))
-    assert Manifest.load(tmp_path / "seq").item("texture_o") == m.path("texture_o.pfm")
-    m.set_item("metrics", 7)
+    write_pfm(m.root / "texture_o.pfm", np.zeros((12, 10, 3)))
+    assert Manifest.load(tmp_path / "seq").item("texture_o") == m.root / "texture_o.pfm"
+    m.data["metrics"] = 7
     m.save()
     with pytest.raises(ValidationError, match="manifest metrics is not a path"):
         Manifest.load(tmp_path / "seq")
@@ -112,9 +124,9 @@ def _referencing(tmp_path, rel):
     """A saved manifest whose frame 0 names ``rel``, and the frames it
     really holds."""
     m = fresh(tmp_path)
-    write_pfm(m.path("frames/f0001_uv.pfm"), np.zeros((6, 8, 3)))
-    m.set_frame_item(1, "uv", "frames/f0001_uv.pfm")
-    m.set_frame_item(0, "x", rel)
+    write_pfm(m.root / "frames/f0001_uv.pfm", np.zeros((6, 8, 3)))
+    m.data["frames"][1]["uv"] = "frames/f0001_uv.pfm"
+    m.data["frames"][0]["x"] = rel
     m.save()
     return m
 
@@ -132,7 +144,7 @@ def _referencing(tmp_path, rel):
 def test_load_rejects_what_is_not_a_file(tmp_path, rel, make):
     m = _referencing(tmp_path, rel)
     if make is not None:
-        make(m.path(rel))
+        make(m.root / rel)
     with pytest.raises(ValidationError) as e:
         Manifest.load(m.root)
     assert str(e.value) == f"manifest references missing file {rel}"
@@ -149,8 +161,8 @@ def test_load_rejects_what_is_not_a_file(tmp_path, rel, make):
 def test_load_accepts_files_and_links_to_files(tmp_path, rel, make):
     m = _referencing(tmp_path, rel)
     if make is not None:
-        make(m.path(rel))
-    assert Manifest.load(m.root).frame_item(0, "x") == m.path(rel)
+        make(m.root / rel)
+    assert Manifest.load(m.root).frame_item(0, "x") == m.root / rel
 
 
 def test_load_accepts_an_absolute_path(tmp_path):
@@ -158,7 +170,7 @@ def test_load_accepts_an_absolute_path(tmp_path):
     Manifest.load(m.root)
     # an absolute name that is missing is not looked up under the root
     target = tmp_path / "outside.pfm"
-    m.set_frame_item(0, "x", str(target))
+    m.data["frames"][0]["x"] = str(target)
     (m.root / "outside.pfm").write_bytes(b"x")
     m.save()
     with pytest.raises(ValidationError, match=f"missing file {target}"):
@@ -235,7 +247,7 @@ def test_uv_read_accepts_big_endian_files(tmp_path):
     for i, order in enumerate("<>"):
         rel = f"frames/f{i:04d}_uv.pfm"
         write_pfm(m.root / rel, packed, byte_order=order)
-        m.set_frame_item(i, "uv", rel)
+        m.data["frames"][i]["uv"] = rel
     little, big = m.read_uv(0, "uv"), m.read_uv(1, "uv")
     assert np.array_equal(big.uv.data, little.uv.data)
     assert np.array_equal(big.uv.data, uv.astype(np.float32).astype(np.float64))
@@ -299,7 +311,7 @@ def test_corr_roundtrip(tmp_path):
 def test_read_corr_checks_file(tmp_path, packed, message):
     m = fresh(tmp_path)
     write_pfm(m.root / "corr0.pfm", packed)
-    m.set_item("corr0", "corr0.pfm")
+    m.data["corr0"] = "corr0.pfm"
     with pytest.raises(ValidationError) as err:
         m.read_corr("corr0")
     assert str(err.value) == f"corr0.pfm: packed correspondence file {message}"
@@ -311,3 +323,64 @@ def test_config_dict_flattens_dataclass():
     assert d["seed"] == 0
     assert json.dumps(d, sort_keys=True)
     assert config_dict({"a": 1}) == {"a": 1}
+
+
+def test_new_item_names_and_places_an_artifact(tmp_path):
+    m = fresh(tmp_path)
+    assert m.new_item("texture_o", "pfm") == m.root / "texture_o.pfm"
+    assert m.data["texture_o"] == "texture_o.pfm"
+    assert m.new_item("flow", "flo", frame=2) == m.root / "frames" / "f0002_flow.flo"
+    assert m.data["frames"][2] == {"index": 2, "flow": "frames/f0002_flow.flo"}
+    assert "flow" not in m.data["frames"][1]
+
+
+def test_write_trace_makes_traces_with_the_first_record(tmp_path):
+    m = fresh(tmp_path)
+    assert not (m.root / "traces").exists()
+    m.write_trace(1, "ext", {"b": 2, "a": [1.5]})
+    assert m.data["frames"][1]["ext_trace"] == "traces/f0001_ext.json"
+    assert (m.root / "traces" / "f0001_ext.json").read_text() == '{"a": [1.5], "b": 2}\n'
+    m.write_trace(0, "ext", {})
+    m.save()
+    assert Manifest.load(m.root).frame_item(0, "ext_trace") == m.root / "traces/f0000_ext.json"
+
+
+ARTIFACT_FOLDERS = ("frames/", "traces/")
+
+
+def _artifact_names(tree):
+    """Line numbers of the string constants and f-string parts in ``tree``
+    that start with an artifact folder; docstrings are not names."""
+    docstrings = {id(n.body[0].value) for n in ast.walk(tree)
+                  if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                    ast.AsyncFunctionDef))
+                  and n.body and isinstance(n.body[0], ast.Expr)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings and node.value.startswith(ARTIFACT_FOLDERS)):
+            yield node.lineno
+
+
+def test_only_the_manifest_names_artifacts():
+    # Manifest.new_item and write_trace make every artifact name, so no
+    # other module builds a path under frames/ or traces/
+    found = {}
+    for path in sorted(Path(uvweave.__file__).parent.glob("*.py")):
+        if path.name == "manifest.py":
+            continue
+        lines = list(_artifact_names(ast.parse(path.read_text())))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def test_artifact_name_guard_sees_names():
+    for code in ('rel = f"frames/f{i:04d}_{tag}.ppm"', 'm.root / "traces/f0000_ext.json"',
+                 '"frames/" + name', 'f"{x}" + f"traces/{y}"',
+                 'def f():\n    x = 1\n    "frames/f0000_x.pfm"'):
+        assert list(_artifact_names(ast.parse(code))), code
+    for code in ('"""frames/ are named by the manifest."""',
+                 'def f():\n    """traces/f0000_ext.json"""',
+                 'class C:\n    """frames/x"""', '"frame/x"', 'f"{root}/frames/x"',
+                 'm.new_item("flow", "flo", frame=i)', '(root / "frames").mkdir()'):
+        assert not list(_artifact_names(ast.parse(code))), code
