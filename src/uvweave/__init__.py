@@ -19,7 +19,7 @@ from .gradcore import (AppForward, LossReport, fd_probe_check, forward_app, grad
                        grad_reg, loss_app, loss_reg)
 from .extend import RelaxResult, SpringSystem, extrapolate_uv, label_fill, relax_springs
 from .uvopt import OptConfig, OptTrace, optimize_uv
-from .relocate import (FlowConfig, RelocateConfig, block_flow, flow_texels,
+from .relocate import (RelocateConfig, block_flow, flow_texels,
                        frame_zero_products, identity_correspondence, init_correspondence,
                        patch_fill, prune_mismatch, read_flo, relocate_frame, to_image_uv,
                        write_flo)
@@ -34,7 +34,7 @@ from .manifest import Manifest
 __version__ = "0.1.0"
 
 __all__ = [
-    "AppForward", "CorruptConfig", "Field2", "FlowConfig",
+    "AppForward", "CorruptConfig", "Field2",
     "FrameRecord", "FrameSet", "LookupRenderer", "LookupStats",
     "LossReport", "Manifest", "NumericalError",
     "OptConfig", "OptTrace", "RelaxResult", "RelocateConfig",

@@ -4,19 +4,21 @@ Exit codes: 0 on success, 2 for input/validation problems, 3 for numerical
 failures.  `--threads` (or the UVWEAVE_THREADS environment variable) sets
 the frame-level worker count; outputs are bit-identical for any value.
 `extend`, `optimize`, `relocate` and `pipeline` print one summary line per
-stage, built from the per-frame traces.
+stage, built from the per-frame traces.  An option that sets a config field
+carries the field's name and takes its default from the config dataclass.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import stages
 from .errors import NumericalError, ValidationError
-from .relocate import FlowConfig, RelocateConfig
-from .scenegen import CorruptConfig, SceneConfig
+from .relocate import RelocateConfig
+from .scenegen import PATTERNS, SILHOUETTES, CorruptConfig, SceneConfig
 from .uvopt import OptConfig
 
 
@@ -42,40 +44,29 @@ def _add_threads(p):
                    help="frame-level workers (default: UVWEAVE_THREADS or 1)")
 
 
-def _scene_config(args) -> SceneConfig:
-    return SceneConfig(image_w=args.width, image_h=args.height,
-                       tex_w=args.tex_width, tex_h=args.tex_height,
-                       frames=args.frames, seed=args.seed,
-                       amplitude=args.amplitude, frequency=args.frequency,
-                       silhouette=args.silhouette, pattern=args.pattern)
-
-
-def _opt_config(args) -> OptConfig:
-    return OptConfig(alpha1=args.alpha1, alpha2=args.alpha2)
-
-
-def _reloc_config(args) -> RelocateConfig:
-    flow = FlowConfig(block=args.block, search_radius=args.search_radius)
-    return RelocateConfig(flow=flow, tau=args.tau, patch=args.patch,
-                          window=args.window)
+def _config(cls, args):
+    """A ``cls`` config of the parsed options named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _add_opt_args(p):
-    p.add_argument("--alpha1", type=float, default=100.0)
-    p.add_argument("--alpha2", type=float, default=10.0)
+    p.add_argument("--alpha1", type=float)
+    p.add_argument("--alpha2", type=float)
     p.add_argument("--max-steps", type=int, default=None,
                    help="ignored: optimize is one solve per frame, with no steps")
+    p.set_defaults(**dataclasses.asdict(OptConfig()))
 
 
 def _add_reloc_args(p):
-    p.add_argument("--block", type=int, default=8)
-    p.add_argument("--search-radius", type=int, default=4,
+    p.add_argument("--block", type=int)
+    p.add_argument("--search-radius", type=int,
                    help="radius at the coarsest level; finer levels refine ±2")
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--patch", type=int, default=8)
-    p.add_argument("--window", type=int, default=21)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--patch", type=int)
+    p.add_argument("--window", type=int)
     p.add_argument("--flow-dir", default=None,
                    help="directory of externally computed f%%04d.flo files")
+    p.set_defaults(**dataclasses.asdict(RelocateConfig()))
 
 
 def _summarize(root, *names):
@@ -90,25 +81,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic ground-truth sequence")
     p.add_argument("out_dir")
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--height", type=int, default=128)
-    p.add_argument("--tex-width", type=int, default=128)
-    p.add_argument("--tex-height", type=int, default=128)
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--amplitude", type=float, default=0.02)
-    p.add_argument("--frequency", type=float, default=2.0)
-    p.add_argument("--silhouette", choices=["ellipse", "blobs"], default="ellipse")
-    p.add_argument("--pattern", choices=["blobs", "checker", "grid"], default="blobs")
+    p.add_argument("--width", type=int, dest="image_w")
+    p.add_argument("--height", type=int, dest="image_h")
+    p.add_argument("--tex-width", type=int, dest="tex_w")
+    p.add_argument("--tex-height", type=int, dest="tex_h")
+    p.add_argument("--frames", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--amplitude", type=float)
+    p.add_argument("--frequency", type=float)
+    p.add_argument("--silhouette", choices=SILHOUETTES)
+    p.add_argument("--pattern", choices=PATTERNS)
+    p.set_defaults(**dataclasses.asdict(SceneConfig()))
 
     p = sub.add_parser("corrupt", help="degrade the generated UV maps")
     p.add_argument("dir")
-    p.add_argument("--margin", type=int, default=0)
-    p.add_argument("--dup-blocks", type=int, default=0)
-    p.add_argument("--dup-size", type=int, default=8)
-    p.add_argument("--uv-noise", type=float, default=0.0)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--margin", type=int)
+    p.add_argument("--dup-blocks", type=int)
+    p.add_argument("--dup-size", type=int)
+    p.add_argument("--uv-noise", type=float)
+    p.add_argument("--jitter", type=float)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(**dataclasses.asdict(CorruptConfig()))
 
     p = sub.add_parser("extend", help="fill and relax UVs over the full silhouette")
     p.add_argument("dir")
@@ -157,20 +150,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gen":
-            stages.stage_gen(args.out_dir, _scene_config(args))
+            stages.stage_gen(args.out_dir, _config(SceneConfig, args))
         elif args.command == "corrupt":
-            cfg = CorruptConfig(margin=args.margin, dup_blocks=args.dup_blocks,
-                                dup_size=args.dup_size, uv_noise=args.uv_noise,
-                                jitter=args.jitter, seed=args.seed)
-            stages.stage_corrupt(args.dir, cfg)
+            stages.stage_corrupt(args.dir, _config(CorruptConfig, args))
         elif args.command == "extend":
             stages.stage_extend(args.dir, threads=_threads(args))
             _summarize(args.dir, "extend")
         elif args.command == "optimize":
-            stages.stage_optimize(args.dir, _opt_config(args), _threads(args))
+            stages.stage_optimize(args.dir, _config(OptConfig, args), _threads(args))
             _summarize(args.dir, "optimize")
         elif args.command == "relocate":
-            stages.stage_relocate(args.dir, _reloc_config(args), _threads(args),
+            stages.stage_relocate(args.dir, _config(RelocateConfig, args), _threads(args),
                                   flow_dir=args.flow_dir)
             _summarize(args.dir, "relocate")
         elif args.command == "synth":
@@ -180,8 +170,9 @@ def main(argv=None) -> int:
         elif args.command == "metrics":
             stages.stage_metrics(args.dir, _threads(args))
         elif args.command == "pipeline":
-            stages.stage_pipeline(args.dir, opt_cfg=_opt_config(args),
-                                  reloc_cfg=_reloc_config(args), threads=_threads(args))
+            stages.stage_pipeline(args.dir, opt_cfg=_config(OptConfig, args),
+                                  reloc_cfg=_config(RelocateConfig, args),
+                                  threads=_threads(args))
             _summarize(args.dir, "extend", "optimize", "relocate")
         elif args.command == "grad-check":
             worst = stages.run_grad_check(seeds=tuple(args.seeds), size=args.size,

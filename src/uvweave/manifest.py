@@ -36,8 +36,7 @@ STAGE_PREREQ = {"corrupt": "gen", "extend": "corrupt", "optimize": "extend",
 
 def config_dict(cfg) -> dict:
     if dataclasses.is_dataclass(cfg):
-        return {k: config_dict(v) if dataclasses.is_dataclass(v) else v
-                for k, v in dataclasses.asdict(cfg).items()}
+        return dataclasses.asdict(cfg)
     return dict(cfg)
 
 

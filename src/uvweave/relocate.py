@@ -19,7 +19,7 @@ reference position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -31,16 +31,27 @@ from .formats import overwrite, read_body
 from .warpmap import UVMap, texture_grid, texture_positions, warp
 
 
+# Flow search settings; ``block_flow`` reads them when it is called.
+PYRAMID_LEVELS = 3   # fewer where a level would be narrower than two blocks
+SUBPIXEL = True      # parabolic refinement on the finest level
+
+
 @dataclass
-class FlowConfig:
-    pyramid_levels: int = 3
+class RelocateConfig:
     block: int = 8
     search_radius: int = 4     # coarsest level, in its texels; finer levels refine ±2
-    subpixel: bool = True
+    tau: float = 0.05
+    patch: int = 8
+    window: int = 21
 
     def __post_init__(self):
-        if self.pyramid_levels < 1 or self.block < 2 or self.search_radius < 1:
+        if self.block < 2 or self.search_radius < 1:
             raise ValidationError("bad flow configuration")
+        require_finite(self, "tau")
+        if self.tau < 0:
+            raise ValidationError("tau must be non-negative")
+        if self.patch < 1 or self.window < 1:
+            raise ValidationError("bad patch configuration")
 
 
 def flow_texels(flow: Field2) -> np.ndarray:
@@ -134,16 +145,16 @@ def _needed(domain: np.ndarray, shapes: list, blk: int) -> list:
     return need
 
 
-def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
+def block_flow(T_a: Field2, T_b: Field2, cfg: RelocateConfig | None = None,
                domain: np.ndarray | None = None,
                record: dict | None = None) -> Field2:
     """Coarse-to-fine block-matching flow from T_a to T_b.
 
-    Per-texel SSD over a block window, searched within
-    ``cfg.search_radius`` at the coarsest level and ``_REFINE_RADIUS``
-    (or less) around the carried-over estimate at each finer level; ties
-    go to the smaller displacement, then scanline order.  Parabolic
-    refinement on the finest level yields subpixel output.  Memory is one
+    Per-texel SSD over a ``cfg.block`` window, searched within
+    ``cfg.search_radius`` at the coarsest of ``PYRAMID_LEVELS`` levels and
+    ``_REFINE_RADIUS`` (or less) around the carried-over estimate at each
+    finer level; ties go to the smaller displacement, then scanline order.
+    ``SUBPIXEL`` refines the finest level parabolically.  Memory is one
     candidate cost per searched texel and offset of the level with the
     most, plus a buffer of ``_BATCH_TEXELS`` (or one level-0 image) and its
     index arrays, however many displacements a level scores.
@@ -158,7 +169,7 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
     summed over levels: ``flow_volumes``, the displacements scored, and
     ``flow_volume_texels``, the texels their SSD and box filter covered.
     """
-    cfg = cfg or FlowConfig()
+    cfg = cfg or RelocateConfig()
     if (T_a.width, T_a.height) != (T_b.width, T_b.height):
         raise ValidationError("flow inputs must share a resolution")
     if T_a.channels != 3 or T_b.channels != 3:
@@ -168,7 +179,7 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
     elif np.shape(domain) != (T_a.height, T_a.width):
         raise ValidationError("flow domain must match the flow inputs' resolution")
     pyr_a, pyr_b = [T_a.data], [T_b.data]
-    for _ in range(cfg.pyramid_levels - 1):
+    for _ in range(PYRAMID_LEVELS - 1):
         if min(pyr_a[-1].shape[:2]) < 2 * cfg.block:
             break
         pyr_a.append(_downsample(pyr_a[-1]))
@@ -319,7 +330,7 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: FlowConfig | None = None,
         best = np.argmin(vol, axis=0)[col]  # first minimum wins: our tie order
         found = fb + np.array(offs, dtype=np.float64)[best]
 
-        if level == 0 and cfg.subpixel:
+        if level == 0 and SUBPIXEL:
             # Candidate index of each offset, -1 one step outside the window.
             index_of = np.full((2 * r + 3, 2 * r + 3), -1, dtype=np.int64)
             index_of[off_y + r + 1, off_x + r + 1] = np.arange(len(offs))
@@ -384,8 +395,9 @@ def init_correspondence(Q0: Field2, flow: Field2) -> Field2:
     return Field2._wrap(vals, validity > 0.5)
 
 
-def prune_mismatch(Q: Field2, T_o: Field2, T_t: Field2, tau: float = 0.05) -> Field2:
-    """Clear validity where the reference content does not match the frame."""
+def prune_mismatch(Q: Field2, T_o: Field2, T_t: Field2, tau: float) -> Field2:
+    """Clear validity where the reference at ``Q`` lies more than ``tau``
+    (RGB distance) from the frame texture."""
     if tau < 0:
         raise ValidationError("tau must be non-negative")
     if (T_t.height, T_t.width) != (Q.height, Q.width):
@@ -485,15 +497,15 @@ def _fill_offsets(ref: np.ndarray, tex: np.ndarray, mask: np.ndarray,
 
 
 def patch_fill(Q: Field2, T_o: Field2, T_t: Field2, Q0: Field2,
-               patch: int = 8, window: int = 21,
+               patch: int, window: int,
                domain: np.ndarray | None = None,
                record: dict | None = None) -> Field2:
     """Fill invalid correspondences by appearance patch matching.
 
-    Invalid texels inside the domain of definition are covered by patch
-    tiles, a half patch apart; each tile searches the reference within a
-    centered window for the offset minimizing SSD against the frame texture
-    (``_fill_offsets``: coarse-to-fine, about 130 offsets of the default
+    Invalid texels inside the domain of definition are covered by tiles of
+    ``patch``², a half patch apart; each tile searches the reference within
+    a centered ``window``² for the offset minimizing SSD against the frame
+    texture (``_fill_offsets``: coarse-to-fine, about 130 offsets of a
     21×21 window; the exhaustive loop over every offset stays in the tests
     as the reference cost), then donates the reference correspondences at
     that offset.  Overlapping donations are averaged, summed in tile raster
@@ -559,21 +571,6 @@ def to_image_uv(Qt: Field2, P_o: UVMap) -> UVMap:
     return UVMap(uv, P_o.silhouette)
 
 
-@dataclass
-class RelocateConfig:
-    flow: FlowConfig = dc_field(default_factory=FlowConfig)
-    tau: float = 0.05
-    patch: int = 8
-    window: int = 21
-
-    def __post_init__(self):
-        require_finite(self, "tau")
-        if self.tau < 0:
-            raise ValidationError("tau must be non-negative")
-        if self.patch < 1 or self.window < 1:
-            raise ValidationError("bad patch configuration")
-
-
 def frame_zero_products(P_o0: UVMap, I0: Field2, tex_w: int, tex_h: int):
     """Reference texture and identity correspondence from frame 0."""
     g = texture_grid(P_o0, tex_w, tex_h)
@@ -603,7 +600,7 @@ def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Field2,
     T_t = warp(I, g)
     work = {"flow_volumes": 0, "flow_volume_texels": 0}
     flow = (external_flow if external_flow is not None
-            else block_flow(T_t, T_o, cfg.flow, domain=covered, record=work))
+            else block_flow(T_t, T_o, cfg, domain=covered, record=work))
     Qr = init_correspondence(Q0, flow)
     Qr.valid &= covered
     Qc = prune_mismatch(Qr, T_o, T_t, cfg.tau)

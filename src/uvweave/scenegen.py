@@ -31,6 +31,8 @@ from .warpmap import UVMap, splat_record
 
 MIN_SIZE = 32
 CHART_MARGIN = 0.1
+SILHOUETTES = ("ellipse", "blobs")          # blobs: a union of lobes
+PATTERNS = ("blobs", "checker", "grid")
 
 
 @dataclass
@@ -43,17 +45,17 @@ class SceneConfig:
     seed: int = 0
     amplitude: float = 0.02    # content motion, normalized units; 0 = static
     frequency: float = 2.0     # spatial cycles of the content motion
-    silhouette: str = "ellipse"   # or "blobs" (union of lobes)
-    pattern: str = "blobs"        # or "checker" | "grid"
+    silhouette: str = "ellipse"   # one of SILHOUETTES
+    pattern: str = "blobs"        # one of PATTERNS
 
     def __post_init__(self):
         if min(self.image_w, self.image_h, self.tex_w, self.tex_h) < MIN_SIZE:
             raise ValidationError(f"scene sizes must be at least {MIN_SIZE}")
         if self.frames < 1:
             raise ValidationError("scene needs at least one frame")
-        if self.silhouette not in ("ellipse", "blobs"):
+        if self.silhouette not in SILHOUETTES:
             raise ValidationError(f"unknown silhouette {self.silhouette!r}")
-        if self.pattern not in ("blobs", "checker", "grid"):
+        if self.pattern not in PATTERNS:
             raise ValidationError(f"unknown pattern {self.pattern!r}")
         require_finite(self, "amplitude", "frequency")
         if self.amplitude < 0 or self.frequency <= 0:

@@ -23,7 +23,7 @@ from .extend import extrapolate_uv, label_fill, relax_springs
 from .fields import Field2
 from .formats import quantize, read_pfm_samples, read_ppm, write_json, write_ppm_samples
 from .gradcore import fd_probe_check
-from .manifest import Manifest, config_dict, uv_pairs, uv_silhouette
+from .manifest import MANIFEST_NAME, Manifest, config_dict, uv_pairs, uv_silhouette
 from .metrics import METRIC_NOTES, metric_psnr, metric_tdiff, metric_tof, pair_flows
 from .relocate import (RelocateConfig, frame_zero_products, read_flo,
                        relocate_frame, write_flo)
@@ -95,6 +95,8 @@ def _render_frames(m: Manifest, render: LookupRenderer, uv_key: str, tag: str,
 
 
 def stage_gen(out_dir, cfg: SceneConfig) -> Manifest:
+    if (Path(out_dir) / MANIFEST_NAME).exists():
+        raise ValidationError(f"{out_dir} already holds a sequence ({MANIFEST_NAME})")
     fs = gen_sequence(cfg)
     m = Manifest.create(out_dir, (cfg.image_w, cfg.image_h),
                         (cfg.tex_w, cfg.tex_h), cfg.frames)
@@ -195,6 +197,9 @@ def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
             if not p.is_file():
                 raise ValidationError(f"missing external flow {p}")
             ext = read_flo(p)
+            if (ext.width, ext.height) != (tw, th):
+                raise ValidationError(f"{p.name}: flow is {ext.width}x{ext.height}, "
+                                      f"expected {tw}x{th}")
         record = {}
         return relocate_frame(P, I, T_o, Q0, cfg, external_flow=ext, record=record), record
 
@@ -224,7 +229,7 @@ def stage_synth(root, threads: int = 1) -> Manifest:
     return m
 
 
-def stage_retexture(root, texture_path, tag: str = "retex", threads: int = 1) -> Manifest:
+def stage_retexture(root, texture_path, tag: str, threads: int = 1) -> Manifest:
     """Re-render the sequence from a different texture; touches no UV files.
 
     A PFM look is rendered from its float32 samples as stored, a PPM look
@@ -344,9 +349,9 @@ def stage_summary(root, stage: str) -> str:
             f"{total('filled')} filled, {total('unfilled')} unfilled")
 
 
-def run_grad_check(seeds=(0, 1, 2), size: int = 8, probes: int = 20,
-                   eps: float = 1e-3, tol: float = 1e-3) -> float:
-    """Finite-difference audit of the analytic gradient on small scenes.
+def run_grad_check(seeds, size: int, probes: int, tol: float) -> float:
+    """Finite-difference audit of the analytic gradient at ``OptConfig()``'s
+    weights: ``probes`` probes of a ``size``-square scene per seed.
 
     Raises ValidationError, before any work, unless the grid is at least
     5x5 (the regularizer's smallest), there is a probe, every seed is
@@ -361,7 +366,7 @@ def run_grad_check(seeds=(0, 1, 2), size: int = 8, probes: int = 20,
         raise ValidationError(f"grad-check seeds must be non-negative, got {list(seeds)}")
     if not tol > 0 or not np.isfinite(tol):
         raise ValidationError(f"grad-check tolerance must be positive and finite, got {tol}")
-    worst = 0.0
+    cfg, worst = OptConfig(), 0.0
     for seed in seeds:
         rng = np.random.default_rng(seed)
         img = rng.uniform(0.1, 0.9, size=(size, size, 3))
@@ -374,8 +379,8 @@ def run_grad_check(seeds=(0, 1, 2), size: int = 8, probes: int = 20,
         xs = rng.integers(1, size - 1, size=probes)
         cs = rng.integers(0, 2, size=probes)
         pr = np.stack([ys, xs, cs], axis=1)
-        worst = max(worst, fd_probe_check(P, I, alpha1=100.0, alpha2=10.0,
-                                          probes=pr, eps=eps))
+        worst = max(worst, fd_probe_check(P, I, alpha1=cfg.alpha1, alpha2=cfg.alpha2,
+                                          probes=pr))
     if worst >= tol:
         raise NumericalError(f"gradient check failed: max relative error {worst:.3e}")
     return worst

@@ -163,7 +163,7 @@ def test_relocation_fidelity():
         fr = fs.frames[t]
         g = texture_grid(fr.uv_gt, 128, 128)
         T_t = warp(fr.image, g)
-        flow = block_flow(T_t, T_o, cfg.flow)
+        flow = block_flow(T_t, T_o, cfg)
         Qr = init_correspondence(Q0, flow)
         Qr.valid &= g.valid
         oracle = fr.corr_gt

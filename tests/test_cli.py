@@ -5,6 +5,7 @@ checked directly.  One small corrupted sequence is built per module and
 shared by the read-only assertions.
 """
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -16,10 +17,13 @@ import pytest
 from uvweave import stages
 from uvweave.cli import main
 from uvweave.formats import read_pfm, read_ppm, write_pfm, write_ppm
-from uvweave.manifest import STAGE_PREREQ, Manifest
-from uvweave.relocate import frame_zero_products
+from uvweave.fields import Field2
+from uvweave.manifest import STAGE_PREREQ, Manifest, config_dict
+from uvweave.relocate import RelocateConfig, frame_zero_products, write_flo
 from uvweave.render import LookupRenderer
+from uvweave.scenegen import CorruptConfig, SceneConfig
 from uvweave.stages import FRAME_ITEMS
+from uvweave.uvopt import OptConfig
 
 SMALL = ["--width", "48", "--height", "48", "--tex-width", "48",
          "--tex-height", "48", "--frames", "3", "--seed", "5",
@@ -807,3 +811,70 @@ def test_pipeline_deterministic_across_threads(piped, tmp_path):
     assert set(b) == set(baseline)
     for k in sorted(b):
         assert b[k] == baseline[k], f"artifact {k} differs across thread counts"
+
+
+def test_gen_refuses_a_directory_holding_a_sequence(piped, tmp_path, capsys):
+    # a second gen would leave the first sequence's artifacts unnamed
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    before = {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()}
+    assert main(["gen", str(d)] + SMALL) == 2
+    assert capsys.readouterr().err == f"error: {d} already holds a sequence (manifest.json)\n"
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()} == before
+
+
+def test_relocate_external_flow_of_wrong_size_exit_2(piped, tmp_path, capsys):
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    flows = tmp_path / "flows"
+    flows.mkdir()
+    for i in (0, 2):
+        shutil.copy(d / "frames" / f"f{i:04d}_flow.flo", flows / f"f{i:04d}.flo")
+    write_flo(flows / "f0001.flo", Field2(np.zeros((16, 16, 2))))
+    before = {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()}
+    assert main(["relocate", str(d), "--flow-dir", str(flows)]) == 2
+    assert capsys.readouterr().err == "error: f0001.flo: flow is 16x16, expected 48x48\n"
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()} == before
+
+
+# Each command's config options, every one set away from its default, and
+# the config each stage it runs should record for them.  The four sizes
+# differ, so an option bound to the wrong field shows.
+OPT_OPTIONS = (["--alpha1", "50", "--alpha2", "5"], OptConfig(alpha1=50.0, alpha2=5.0))
+RELOC_OPTIONS = (["--block", "6", "--search-radius", "3", "--tau", "0.08",
+                  "--patch", "6", "--window", "9"],
+                 RelocateConfig(block=6, search_radius=3, tau=0.08, patch=6, window=9))
+CONFIG_OPTIONS = {
+    "gen": (["--width", "40", "--height", "36", "--tex-width", "34", "--tex-height", "38",
+             "--frames", "2", "--seed", "4", "--amplitude", "0.01", "--frequency", "1.5",
+             "--silhouette", "blobs", "--pattern", "grid"],
+            {"gen": SceneConfig(image_w=40, image_h=36, tex_w=34, tex_h=38, frames=2,
+                                seed=4, amplitude=0.01, frequency=1.5,
+                                silhouette="blobs", pattern="grid")}),
+    "corrupt": (["--margin", "1", "--dup-blocks", "1", "--dup-size", "4",
+                 "--uv-noise", "0.005", "--jitter", "0.002", "--seed", "3"],
+                {"corrupt": CorruptConfig(margin=1, dup_blocks=1, dup_size=4,
+                                          uv_noise=0.005, jitter=0.002, seed=3)}),
+    "optimize": (OPT_OPTIONS[0], {"optimize": OPT_OPTIONS[1]}),
+    "relocate": (RELOC_OPTIONS[0], {"relocate": RELOC_OPTIONS[1]}),
+    "pipeline": (OPT_OPTIONS[0] + RELOC_OPTIONS[0],
+                 {"optimize": OPT_OPTIONS[1], "relocate": RELOC_OPTIONS[1]}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_OPTIONS))
+def test_cli_options_reach_their_configs(piped, tmp_path, command):
+    args, configs = CONFIG_OPTIONS[command]
+    for cfg in configs.values():
+        default = type(cfg)()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(cfg))
+    defaults = {stage: type(cfg)() for stage, cfg in configs.items()}
+    for i, (argv, want) in enumerate((([], defaults), (args, configs))):
+        d = tmp_path / f"seq{i}"
+        if command != "gen":
+            shutil.copytree(piped[0], d)
+        assert main([command, str(d)] + argv) == 0
+        recorded = json.loads((d / "manifest.json").read_text())["stages"]
+        for stage, cfg in want.items():
+            assert recorded[stage]["config"] == config_dict(cfg), (stage, argv)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
-from uvweave import (CorruptConfig, Field2, FlowConfig, SceneConfig, ValidationError,
+from uvweave import (CorruptConfig, Field2, SceneConfig, ValidationError,
                      block_flow, corrupt, flow_texels, gen_sequence,
                      identity_correspondence, init_correspondence, patch_fill,
                      prune_mismatch, read_flo, to_image_uv, write_flo)
@@ -52,11 +52,9 @@ def brute_single_level(a, b, radius, block):
 
 def test_flow_config_validation():
     with pytest.raises(ValidationError):
-        FlowConfig(pyramid_levels=0)
+        RelocateConfig(block=1)
     with pytest.raises(ValidationError):
-        FlowConfig(block=1)
-    with pytest.raises(ValidationError):
-        FlowConfig(search_radius=0)
+        RelocateConfig(search_radius=0)
 
 
 def test_candidates_prefer_small_displacements():
@@ -114,12 +112,14 @@ def test_block_flow_integer_shifts_exact():
         assert np.abs(f - np.array([s[1], s[0]])).max() == 0.0
 
 
-def test_block_flow_matches_single_level_oracle():
+def test_block_flow_matches_single_level_oracle(monkeypatch):
     tex = noise_texture()
     a = Field2(tex)
     b = Field2(0.7 * np.roll(tex, (3, -2), axis=(0, 1))
                + 0.3 * np.roll(tex, (4, -2), axis=(0, 1)))
-    got = flow_texels(block_flow(a, b, FlowConfig(pyramid_levels=1, subpixel=False)))
+    monkeypatch.setattr(relocate, "PYRAMID_LEVELS", 1)
+    monkeypatch.setattr(relocate, "SUBPIXEL", False)
+    got = flow_texels(block_flow(a, b))
     want = brute_single_level(a.data, b.data, 4, 8)
     m = 12
     assert (got[m:-m, m:-m] == want[m:-m, m:-m]).all()
@@ -129,13 +129,14 @@ def union_block_flow(T_a, T_b, cfg, record=None):
     """Reference: the union-volume loop.  Every level scores the full-size
     box-filtered SSD of each displacement any texel tests, then gathers
     each texel's candidates by fancy indexing.  The coarsest level searches
-    ``cfg.search_radius``, the finer ones at most ``_REFINE_RADIUS``.
+    ``cfg.search_radius``, the finer ones at most ``_REFINE_RADIUS``; the
+    pyramid depth and subpixel step are ``relocate``'s constants.
     Returns the flow and, per
     level, (distinct rounded bases, displacements scored, h, w).  A
     ``record`` dict receives the counts ``block_flow`` records, with each
     displacement's crop found by a loop over the bases that test it."""
     pyr_a, pyr_b = [T_a.data], [T_b.data]
-    for _ in range(cfg.pyramid_levels - 1):
+    for _ in range(relocate.PYRAMID_LEVELS - 1):
         if min(pyr_a[-1].shape[:2]) < 2 * cfg.block:
             break
         pyr_a.append(_downsample(pyr_a[-1]))
@@ -193,7 +194,7 @@ def union_block_flow(T_a, T_b, cfg, record=None):
         vol[vol < 1e-12] = 0.0
         best = np.argmin(vol, axis=0)
         flow = ibase + np.array(offs, dtype=np.float64)[best]
-        if level == 0 and cfg.subpixel:
+        if level == 0 and relocate.SUBPIXEL:
             idx_of = {d: i for i, d in enumerate(offs)}
             c0 = vol[best, gy, gx]
             sub = np.zeros((h, w, 2))
@@ -273,7 +274,7 @@ def test_ssd_channel_order_matches_axis_sum():
 def test_block_flow_matches_union_reference_on_relocate_pairs(corrupted_pairs):
     most_bases = 0
     for T_t, T_o in corrupted_pairs:
-        want, levels = union_block_flow(T_t, T_o, FlowConfig())
+        want, levels = union_block_flow(T_t, T_o, RelocateConfig())
         got = block_flow(T_t, T_o)
         assert got.data.tobytes() == want.data.tobytes()
         most_bases = max(most_bases, levels[-1][0])
@@ -283,21 +284,22 @@ def test_block_flow_matches_union_reference_on_relocate_pairs(corrupted_pairs):
 def test_block_flow_matches_union_reference_on_odd_sizes():
     for h, w in ((37, 37), (40, 50), (64, 66), (96, 80)):
         a, b = varying_shift_pair(h, w)
-        want, _ = union_block_flow(a, b, FlowConfig())
+        want, _ = union_block_flow(a, b, RelocateConfig())
         assert block_flow(a, b).data.tobytes() == want.data.tobytes()
 
 
-def test_block_flow_matches_union_reference_across_configs():
+def test_block_flow_matches_union_reference_across_configs(monkeypatch):
     a, b = varying_shift_pair(48, 56, seed=6)
     cases = [(3, 1, 1, False), (5, 2, 2, True), (6, 3, 3, False), (7, 4, 4, True),
              (8, 4, 2, False), (3, 4, 4, False), (6, 1, 4, True), (7, 2, 1, True),
              (5, 3, 4, False), (8, 1, 3, True)]
     for blk, radius, levels, subpixel in cases:
-        cfg = FlowConfig(pyramid_levels=levels, block=blk, search_radius=radius,
-                         subpixel=subpixel)
+        monkeypatch.setattr(relocate, "PYRAMID_LEVELS", levels)
+        monkeypatch.setattr(relocate, "SUBPIXEL", subpixel)
+        cfg = RelocateConfig(block=blk, search_radius=radius)
         want, _ = union_block_flow(a, b, cfg)
         got = block_flow(a, b, cfg)
-        assert got.data.tobytes() == want.data.tobytes(), cfg
+        assert got.data.tobytes() == want.data.tobytes(), (cfg, levels, subpixel)
 
 
 def test_block_flow_chunk_seams_match_union_reference(monkeypatch):
@@ -315,7 +317,7 @@ def test_block_flow_chunk_seams_match_union_reference(monkeypatch):
     a, b = varying_shift_pair(96, 96, seed=3)
     got, want = {}, {}
     flow = block_flow(a, b, record=got)
-    ref, _ = union_block_flow(a, b, FlowConfig(), record=want)
+    ref, _ = union_block_flow(a, b, RelocateConfig(), record=want)
     assert flow.data.tobytes() == ref.data.tobytes()
     assert got == want
     crop, chunks = plans[-1]                 # the finest level comes last
@@ -342,11 +344,11 @@ def test_block_flow_memory_does_not_grow_with_keys(corrupted_pairs):
     # times the 25 of one rounded base there; a pair of identical textures
     # has one rounded base, so 81 at the coarsest level and 25 below
     T_t, T_o = corrupted_pairs[0]
-    _, levels = union_block_flow(T_t, T_o, FlowConfig())
+    _, levels = union_block_flow(T_t, T_o, RelocateConfig())
     _, keys, h, w = levels[-1]
     assert keys >= 12 * 25
     same = Field2(noise_texture(64, 64))
-    _, same_levels = union_block_flow(same, same, FlowConfig())
+    _, same_levels = union_block_flow(same, same, RelocateConfig())
     assert [k for _, k, _, _ in same_levels] == [81, 25, 25]
     many = traced_peak(lambda: block_flow(T_t, T_o))
     few = traced_peak(lambda: block_flow(same, same))
@@ -359,7 +361,7 @@ def test_block_flow_records_cropped_volumes(corrupted_pairs):
     T_t, T_o = corrupted_pairs[2]
     rec = {}
     block_flow(T_t, T_o, record=rec)
-    _, levels = union_block_flow(T_t, T_o, FlowConfig())
+    _, levels = union_block_flow(T_t, T_o, RelocateConfig())
     assert sorted(rec) == ["flow_volume_texels", "flow_volumes"]
     assert rec["flow_volumes"] == sum(k for _, k, _, _ in levels)
     # the crops cover well under the union loop's full-size volumes
@@ -407,11 +409,12 @@ def test_block_flow_subpixel_refinement():
     assert e.mean() < 0.08
 
 
-def test_block_flow_pyramid_extends_range():
+def test_block_flow_pyramid_extends_range(monkeypatch):
     tex = noise_texture()
     a = Field2(tex)
     b = Field2(np.roll(tex, (6, -5), axis=(0, 1)))
-    single = flow_texels(block_flow(a, b, FlowConfig(pyramid_levels=1)))[16:-16, 16:-16]
+    monkeypatch.setattr(relocate, "PYRAMID_LEVELS", 1)
+    single = flow_texels(block_flow(a, b))[16:-16, 16:-16]
     assert np.linalg.norm(single - np.array([-5, 6]), axis=-1).min() > 0.5
 
 
@@ -532,12 +535,12 @@ def test_patch_fill_noop_and_self_match():
     tex = noise_texture(48, 48)
     T = Field2(tex)
     Q0 = identity_correspondence(48, 48)
-    out = patch_fill(Q0.copy(), T, T, Q0)
+    out = patch_fill(Q0.copy(), T, T, Q0, 8, 21)
     assert (out.data == Q0.data).all()
     assert out.valid.all()
     holed = Q0.copy()
     holed.valid[20:28, 20:28] = False
-    filled = patch_fill(holed, T, T, Q0)
+    filled = patch_fill(holed, T, T, Q0, 8, 21)
     assert filled.valid.all()
     # identical textures: the best tile is the tile itself, fill == Q0
     assert np.allclose(filled.data, Q0.data, atol=1e-12)
@@ -550,7 +553,7 @@ def test_patch_fill_never_modifies_valid():
     rng = np.random.default_rng(0)
     Qp = Qr.copy()
     Qp.valid &= rng.uniform(size=Qp.valid.shape) >= 0.2
-    out = patch_fill(Qp, T_o, T_t, Q0, domain=g.valid)
+    out = patch_fill(Qp, T_o, T_t, Q0, 8, 21, domain=g.valid)
     assert (out.data[Qp.valid] == Qp.data[Qp.valid]).all()
     assert (out.valid & Qp.valid).sum() == Qp.valid.sum()
     assert (out.valid | ~g.valid.reshape(out.valid.shape)).all()
@@ -564,7 +567,7 @@ def test_patch_fill_pruned_scene_accuracy():
     drop = rng.uniform(size=Qr.valid.shape) < 0.2
     Qp = Qr.copy()
     Qp.valid &= ~drop
-    out = patch_fill(Qp, T_o, T_t, Q0, domain=g.valid)
+    out = patch_fill(Qp, T_o, T_t, Q0, 8, 21, domain=g.valid)
     gt = f1.corr_gt
     filled = out.valid & drop & g.valid.reshape(out.valid.shape) & gt.valid
     e = np.linalg.norm((out.data - gt.data) * 96, axis=-1)[filled]
@@ -575,9 +578,9 @@ def test_patch_fill_config_errors():
     Q = identity_correspondence(16, 16)
     T = Field2(np.zeros((16, 16, 3)))
     with pytest.raises(ValidationError, match="patch"):
-        patch_fill(Q, T, T, Q, patch=0)
+        patch_fill(Q, T, T, Q, patch=0, window=21)
     with pytest.raises(ValidationError, match="patch"):
-        patch_fill(Q, T, T, Q, window=0)
+        patch_fill(Q, T, T, Q, patch=8, window=0)
     # the stage's configuration rejects the same values before any work
     for bad in ({"patch": 0}, {"window": 0}, {"patch": -1, "window": 5}):
         with pytest.raises(ValidationError, match="patch"):
@@ -742,7 +745,7 @@ def test_patch_fill_exact_shift_matches_offset_loop(shift):
     Q0 = Field2(ident.data + rng.normal(0, 1e-3, size=(h, w, 2)), valid=ident.valid)
     Q = Q0.copy()
     Q.valid[18:h - 18, 18:w - 18] &= rng.uniform(size=(h - 36, w - 36)) >= 0.3
-    out = patch_fill(Q, T_o, T_t, Q0)
+    out = patch_fill(Q, T_o, T_t, Q0, 8, 21)
     target, valid = loop_patch_fill(Q, T_o, T_t, Q0)
     assert (out.valid == valid).all() and (valid & ~Q.valid).sum() > 150
     assert out.data.tobytes() == target.tobytes()
@@ -838,7 +841,7 @@ def test_patch_fill_huge_window_equals_texture_wide_window(size, monkeypatch):
     runs = []
     for window in (2 * max(h, w) - 1, 10 ** 9):
         rec = {}
-        out = patch_fill(Q, T_o, T_t, Q0, window=window, record=rec)
+        out = patch_fill(Q, T_o, T_t, Q0, 8, window, record=rec)
         runs.append((out.data.tobytes(), out.valid.tobytes(), rec))
     assert runs[0] == runs[1]
     _, valid = loop_patch_fill(Q, T_o, T_t, Q0, window=2 * max(h, w) - 1)
@@ -854,7 +857,7 @@ def test_patch_fill_memory_does_not_grow_with_fill_tiles():
     every.valid[:] = False
     quarter.valid[:h // 2, :w // 2] = False
     counts = [{}, {}]
-    many = traced_peak(lambda: patch_fill(every, T_o, T_t, Q0, record=counts[0]))
-    few = traced_peak(lambda: patch_fill(quarter, T_o, T_t, Q0, record=counts[1]))
+    many = traced_peak(lambda: patch_fill(every, T_o, T_t, Q0, 8, 21, record=counts[0]))
+    few = traced_peak(lambda: patch_fill(quarter, T_o, T_t, Q0, 8, 21, record=counts[1]))
     assert counts[0]["fill_tiles"] == 256 and counts[1]["fill_tiles"] == 64
     assert many <= 1.5 * few
