@@ -25,7 +25,7 @@ from .relocate import (RelocateConfig, block_flow, flow_texels,
                        write_flo)
 from .render import LookupRenderer, LookupStats, render_lookup
 from .metrics import (loss_ce, loss_img_s, loss_l2, loss_smo, metric_psnr, metric_tdiff,
-                      metric_tof, pair_flows, uv_motion_fields)
+                      metric_tof, uv_motion_fields)
 from .frameset import FrameRecord, FrameSet
 from .scenegen import CorruptConfig, SceneConfig, corrupt, gen_sequence
 from .formats import read_pfm, read_ppm, write_pfm, write_ppm
@@ -45,7 +45,7 @@ __all__ = [
     "image_grid", "init_correspondence", "label_fill", "loss_app",
     "loss_ce", "loss_img_s", "loss_l2", "loss_reg", "loss_smo",
     "metric_psnr", "metric_tdiff", "metric_tof", "optimize_uv",
-    "pair_flows", "patch_fill", "pixel_center_grid", "prune_mismatch",
+    "patch_fill", "pixel_center_grid", "prune_mismatch",
     "read_flo", "read_pfm", "read_ppm", "relax_springs", "relocate_frame",
     "render_lookup", "sample_bilinear", "texture_grid",
     "texture_positions", "to_image_uv", "warp", "write_flo", "write_pfm",

@@ -64,8 +64,6 @@ def _add_reloc_args(p):
     p.add_argument("--tau", type=float)
     p.add_argument("--patch", type=int)
     p.add_argument("--window", type=int)
-    p.add_argument("--flow-dir", default=None,
-                   help="directory of externally computed f%%04d.flo files")
     p.set_defaults(**dataclasses.asdict(RelocateConfig()))
 
 
@@ -116,6 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relocate", help="re-anchor UVs against the frame-0 texture")
     p.add_argument("dir")
     _add_reloc_args(p)
+    p.add_argument("--flow-dir", default=None,
+                   help="directory of externally computed f%%04d.flo files")
     _add_threads(p)
 
     p = sub.add_parser("synth", help="render frames from the reference texture")

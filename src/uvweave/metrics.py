@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import Field2, pixel_center_grid, sample_bilinear
-from .relocate import block_flow, flow_texels
+from .relocate import flow_texels
 from .render import render_lookup
 from .warpmap import UVMap, image_grid, texture_grid, warp
 
@@ -135,21 +135,18 @@ def metric_tdiff(frames, P_list, tex_w: int | None = None, tex_h: int | None = N
     return float(np.mean(per_pair)), per_pair
 
 
-def pair_flows(frames, map_fn=map):
-    """Block flow of every consecutive pair of a sequence, F - 1 in all,
-    computed through ``map_fn`` (a thread pool's ``map`` gives the same)."""
-    return list(map_fn(block_flow, frames[:-1], frames[1:]))
+def metric_tof(real_flows, gen_flows):
+    """Mean L1 gap between the block flows of real and generated frame
+    pairs, in texels; returns (mean, per-pair).
 
-
-def metric_tof(real_flows, gen, map_fn=map):
-    """Mean L1 gap between block flows of real and generated pairs, in texels.
-
-    ``real_flows`` are the real sequence's ``pair_flows``, computed once so
-    several generated sequences can be scored against them."""
-    if len(gen) < 2:
+    Each list holds ``block_flow(a, b)`` of every consecutive pair of its
+    sequence.  With no config the flows use ``RelocateConfig()``'s block
+    and search radius, so the score does not move with the ``--block`` or
+    ``--search-radius`` a relocation was run with."""
+    if not gen_flows:
         raise ValidationError("needs >=2 frames")
-    if len(real_flows) != len(gen) - 1:
+    if len(real_flows) != len(gen_flows):
         raise ValidationError("length mismatch between sequences")
     per_pair = [float(np.mean(np.abs(flow_texels(fr) - flow_texels(fg))))
-                for fr, fg in zip(real_flows, pair_flows(gen, map_fn))]
+                for fr, fg in zip(real_flows, gen_flows)]
     return float(np.mean(per_pair)), per_pair

@@ -20,6 +20,7 @@ reference position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -362,22 +363,26 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: RelocateConfig | None = None,
 
 
 def read_flo(path) -> Field2:
-    """Middlebury .flo file; values are texel displacements."""
+    """Middlebury .flo file; values are texel displacements.  Every error
+    names the file."""
+    path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != b"PIEH":
-            raise ValidationError(f"not a .flo file: bad magic {magic!r}")
+            raise ValidationError(f"{path.name}: not a .flo file: bad magic {magic!r}")
         dims = fh.read(8)
         if len(dims) != 8:
-            raise ValidationError("truncated .flo header")
+            raise ValidationError(f"{path.name}: truncated .flo header")
         w, h = (int(v) for v in np.frombuffer(dims, dtype="<i4"))
         if w < 1 or h < 1:
-            raise ValidationError("truncated .flo header")
+            raise ValidationError(f"{path.name}: truncated .flo header")
         raw = read_body(fh, w * h * 8)
         if len(raw) != w * h * 8:
-            raise ValidationError("truncated .flo data")
+            raise ValidationError(f"{path.name}: truncated .flo data")
     tex = np.frombuffer(raw, dtype="<f4").reshape(h, w, 2).astype(np.float64)
-    return Field2(tex / np.array([w, h]))
+    if not np.isfinite(tex).all():
+        raise ValidationError(f"{path.name}: flow holds non-finite samples")
+    return Field2._wrap(tex / np.array([w, h]))
 
 
 def write_flo(path, flow: Field2):

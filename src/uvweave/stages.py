@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,8 +23,8 @@ from .fields import Field2
 from .formats import quantize, read_pfm_samples, read_ppm, write_json, write_ppm_samples
 from .gradcore import fd_probe_check
 from .manifest import MANIFEST_NAME, Manifest, config_dict, uv_pairs, uv_silhouette
-from .metrics import METRIC_NOTES, metric_psnr, metric_tdiff, metric_tof, pair_flows
-from .relocate import (RelocateConfig, frame_zero_products, read_flo,
+from .metrics import METRIC_NOTES, metric_psnr, metric_tdiff, metric_tof
+from .relocate import (RelocateConfig, block_flow, frame_zero_products, read_flo,
                        relocate_frame, write_flo)
 from .render import LookupRenderer
 from .scenegen import CorruptConfig, SceneConfig, corrupt_uv, gen_sequence
@@ -42,19 +41,13 @@ FRAME_ITEMS = ("index", "image", "mask", "uv_gt", "corr_gt", "uv_raw", "uv_ext",
 RETEXTURE_TAG = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
 
 
-@contextmanager
-def _frame_map(threads: int):
-    """``map``, run on a pool of ``threads`` threads when there is more than one."""
+def _map_frames(fn, items, threads: int) -> list:
+    """``fn`` of every item, in order, on a pool of ``threads`` threads when
+    there is more than one: the one frame-level fan-out of every stage."""
     if threads <= 1:
-        yield map
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield pool.map
-
-
-def _map_frames(fn, indices, threads: int):
-    with _frame_map(threads) as map_fn:
-        return list(map_fn(fn, indices))
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _render_frames(m: Manifest, render: LookupRenderer, uv_key: str, tag: str,
@@ -261,19 +254,15 @@ def stage_retexture(root, texture_path, tag: str, threads: int = 1) -> Manifest:
     return m
 
 
-def _sequence_metrics(m: Manifest, uv_key: str, image_key: str,
-                      reals: list, real_flows: list, map_fn) -> dict:
+def _sequence_metrics(m: Manifest, uv_key: str, reals: list, gens: list,
+                      real_flows: list, gen_flows: list) -> dict:
     tw, th = m.texture_size
-    gens, Ps, psnrs = [], [], []
-    for i, real in enumerate(reals):
-        gen = m.read_image(i, image_key, valid=real.valid)
-        gens.append(gen)
-        Ps.append(m.read_uv(i, uv_key))
-        psnrs.append(metric_psnr(gen, real))
+    Ps = [m.read_uv(i, uv_key) for i in range(m.n_frames)]
+    psnrs = [metric_psnr(gen, real) for gen, real in zip(gens, reals)]
     t_diff, t_diff_per_pair, t_of, t_of_per_pair = 0.0, [], 0.0, []
     if m.n_frames >= 2:
         t_diff, t_diff_per_pair = metric_tdiff(gens, Ps, tw, th)
-        t_of, t_of_per_pair = metric_tof(real_flows, gens, map_fn)
+        t_of, t_of_per_pair = metric_tof(real_flows, gen_flows)
     return {"psnr": {"mean": float(np.mean(psnrs)), "per_frame": psnrs},
             "t_diff": {"mean": t_diff, "per_pair": t_diff_per_pair},
             "t_of": {"mean": t_of, "per_pair": t_of_per_pair},
@@ -283,7 +272,6 @@ def _sequence_metrics(m: Manifest, uv_key: str, image_key: str,
 def stage_metrics(root, threads: int = 1) -> Manifest:
     m = Manifest.load(root)
     m.require_prereq("metrics")
-    # Both reports score against the same real frames and real-frame flows.
     reals = [m.read_image(i, "image", valid=m.read_mask(i, "mask"))
              for i in range(m.n_frames)]
     # Also score a baseline rendered straight from the raw UVs, so the
@@ -291,13 +279,19 @@ def stage_metrics(root, threads: int = 1) -> Manifest:
     tw, th = m.texture_size
     T_raw, _ = frame_zero_products(m.read_uv(0, "uv_raw"), reals[0], tw, th)
     _render_frames(m, LookupRenderer(T_raw.data), "uv_raw", "baseline", threads)
-    with _frame_map(threads) as map_fn:
-        real_flows = pair_flows(reals, map_fn)
-        report = {"recovered": _sequence_metrics(m, "uv_final", "synth", reals,
-                                                 real_flows, map_fn),
-                  "corrupted_baseline": _sequence_metrics(m, "uv_raw", "baseline", reals,
-                                                          real_flows, map_fn)}
-
+    synth, baseline = ([m.read_image(i, key, valid=real.valid) for i, real in enumerate(reals)]
+                       for key in ("synth", "baseline"))
+    # Every consecutive pair's flow in one pass: reals, then synth, then
+    # baseline, each in frame order.  Both reports share the real flows.
+    seqs = (reals, synth, baseline)
+    flows = _map_frames(lambda pair: block_flow(*pair),
+                        [pair for seq in seqs for pair in zip(seq, seq[1:])], threads)
+    n = m.n_frames - 1
+    real_flows, synth_flows, baseline_flows = (flows[k * n:(k + 1) * n] for k in range(3))
+    report = {"recovered": _sequence_metrics(m, "uv_final", reals, synth,
+                                             real_flows, synth_flows),
+              "corrupted_baseline": _sequence_metrics(m, "uv_raw", reals, baseline,
+                                                      real_flows, baseline_flows)}
     write_json(m.new_item("metrics", "json"), report, indent=2)
     m.mark_stage("metrics", {})
     m.save()

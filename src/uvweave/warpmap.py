@@ -23,7 +23,7 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from .errors import ValidationError
-from .fields import Field2, _axis_split, pixel_center_grid, sample_bilinear, scatter_add
+from .fields import Field2, _bilinear_corners, pixel_center_grid, sample_bilinear, scatter_add
 
 COVER_EPS = 1e-12
 
@@ -109,12 +109,10 @@ def splat_record(P: UVMap, tex_w: int, tex_h: int) -> SplatRecord:
     pix_y, pix_x = np.nonzero(sil)
     u = texture_positions(P)[pix_y, pix_x]
     c = pixel_center_grid(P.width, P.height)[pix_y, pix_x]
-    gx = u[:, 0] * tex_w - 0.5
-    gy = u[:, 1] * tex_h - 0.5
-    x0, x1, fx = _axis_split(gx, tex_w)
-    y0, y1, fy = _axis_split(gy, tex_h)
-    corners = np.stack([y0 * tex_w + x0, y0 * tex_w + x1,
-                        y1 * tex_w + x0, y1 * tex_w + x1], axis=1)
+    # corners in (y0x0, y0x1, y1x0, y1x1) order, which grad_app relies on
+    g = u.T * np.array([[tex_w], [tex_h]], dtype=np.float64) - 0.5
+    corners, fx, fy = _bilinear_corners(g, tex_w, tex_h)
+    corners = np.stack(corners, axis=1)
     weights = np.stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
                         (1.0 - fx) * fy, fx * fy], axis=1)
     wsum = scatter_add(corners.ravel(), weights.reshape(-1, 1), tex_w * tex_h)[:, 0]

@@ -837,6 +837,36 @@ def test_relocate_external_flow_of_wrong_size_exit_2(piped, tmp_path, capsys):
     assert {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()} == before
 
 
+def test_relocate_external_flow_with_a_nan_exit_2(piped, tmp_path, capsys):
+    # every flow is read before anything is written, and the error names the file
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    flows = tmp_path / "flows"
+    flows.mkdir()
+    for i in range(3):
+        shutil.copy(d / "frames" / f"f{i:04d}_flow.flo", flows / f"f{i:04d}.flo")
+    raw = bytearray((flows / "f0001.flo").read_bytes())
+    raw[12 + 8 * 100:12 + 8 * 100 + 4] = np.float32(np.nan).tobytes()
+    (flows / "f0001.flo").write_bytes(bytes(raw))
+    before = {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()}
+    assert main(["relocate", str(d), "--flow-dir", str(flows)]) == 2
+    assert capsys.readouterr().err == "error: f0001.flo: flow holds non-finite samples\n"
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()} == before
+
+
+def test_pipeline_rejects_flow_dir(piped, tmp_path, capsys):
+    # external flows are a relocate option; pipeline would relocate without them
+    d = tmp_path / "seq"
+    shutil.copytree(piped[0], d)
+    before = {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()}
+    with pytest.raises(SystemExit) as e:
+        main(["pipeline", str(d), "--flow-dir", str(tmp_path / "x")])
+    assert e.value.code == 2
+    assert "--flow-dir" in capsys.readouterr().err
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()} == before
+    assert not (tmp_path / "x").exists()
+
+
 # Each command's config options, every one set away from its default, and
 # the config each stage it runs should record for them.  The four sizes
 # differ, so an option bound to the wrong field shows.

@@ -384,3 +384,47 @@ def test_artifact_name_guard_sees_names():
                  'class C:\n    """frames/x"""', '"frame/x"', 'f"{root}/frames/x"',
                  'm.new_item("flow", "flo", frame=i)', '(root / "frames").mkdir()'):
         assert not list(_artifact_names(ast.parse(code))), code
+
+
+THREAD_PACKAGES = ("threading", "concurrent")
+
+
+def _thread_imports(tree):
+    """Line numbers of the imports in ``tree`` of ``threading`` or of
+    ``concurrent`` (``concurrent.futures`` and its pools)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in THREAD_PACKAGES for name in names):
+            yield node.lineno
+
+
+def test_only_stages_starts_threads():
+    # stages._map_frames is the one frame-level fan-out: no other module
+    # imports a thread API, and no metric takes a map function to thread
+    found = {}
+    for path in sorted(Path(uvweave.__file__).parent.glob("*.py")):
+        if path.name == "stages.py":
+            continue
+        lines = list(_thread_imports(ast.parse(path.read_text())))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+    metrics = ast.parse((Path(uvweave.__file__).parent / "metrics.py").read_text())
+    takes_map = [f.name for f in ast.walk(metrics) if isinstance(f, ast.FunctionDef)
+                 and "map_fn" in [a.arg for a in f.args.args + f.args.kwonlyargs]]
+    assert takes_map == []
+
+
+def test_thread_guard_sees_imports():
+    for code in ("import threading", "from concurrent.futures import ThreadPoolExecutor",
+                 "import concurrent.futures as cf", "import os, threading",
+                 "from concurrent import futures", "def f():\n    import threading"):
+        assert list(_thread_imports(ast.parse(code))), code
+    for code in ("import numpy as np", "from .fields import Field2",
+                 "from . import stages", "threads = 2"):
+        assert not list(_thread_imports(ast.parse(code))), code

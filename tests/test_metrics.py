@@ -5,11 +5,10 @@ import threading
 import numpy as np
 import pytest
 
-import uvweave.metrics as metrics
 import uvweave.stages as stages
 from uvweave import (CorruptConfig, Field2, Manifest, SceneConfig, UVMap,
                      ValidationError, block_flow, gen_sequence, loss_ce, loss_img_s,
-                     loss_l2, loss_smo, metric_psnr, metric_tdiff, metric_tof, pair_flows,
+                     loss_l2, loss_smo, metric_psnr, metric_tdiff, metric_tof,
                      render_lookup)
 from uvweave.gradcore import loss_app
 
@@ -207,16 +206,20 @@ def test_tdiff_errors():
 
 def test_tof_cases():
     _, _, rendered = scene_render(frames=3)
+
+    def pair_flows(frames):
+        return [block_flow(a, b) for a, b in zip(frames, frames[1:])]
+
     flows = pair_flows(rendered)
     assert len(flows) == 2
-    self_val, per = metric_tof(flows, rendered)
+    self_val, per = metric_tof(flows, pair_flows(rendered))
     assert self_val == 0.0 and all(p == 0.0 for p in per)
-    rev, _ = metric_tof(flows, rendered[::-1])
+    rev, _ = metric_tof(flows, pair_flows(rendered[::-1]))
     assert rev > 0.0
     with pytest.raises(ValidationError, match="length"):
-        metric_tof(flows, rendered[:2])
+        metric_tof(flows, pair_flows(rendered[:2]))
     with pytest.raises(ValidationError, match="frames"):
-        metric_tof(flows[:0], rendered[:1])
+        metric_tof(flows[:0], pair_flows(rendered[:1]))
 
 
 def test_stage_metrics_computes_real_flows_once(tmp_path, monkeypatch):
@@ -240,7 +243,7 @@ def test_stage_metrics_computes_real_flows_once(tmp_path, monkeypatch):
         calls.append(threading.get_ident())
         return block_flow(*args, **kwargs)
 
-    monkeypatch.setattr(metrics, "block_flow", counted)
+    monkeypatch.setattr(stages, "block_flow", counted)
     stages.stage_metrics(root)
     text = (root / "metrics.json").read_text()
     assert set(json.loads(text)) == {"recovered", "corrupted_baseline"}
@@ -250,4 +253,9 @@ def test_stage_metrics_computes_real_flows_once(tmp_path, monkeypatch):
     stages.stage_metrics(root, threads=2)
     assert (root / "metrics.json").read_text() == text
     assert len(calls) == 3 * (frames - 1) and threading.get_ident() not in calls
+    # the one pass keeps its bytes and its flow count at any thread count
+    calls.clear()
+    stages.stage_metrics(root, threads=3)
+    assert (root / "metrics.json").read_text() == text
+    assert len(calls) == 3 * (frames - 1)
 
