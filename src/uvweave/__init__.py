@@ -23,11 +23,10 @@ from .relocate import (RelocateConfig, block_flow, flow_texels,
                        frame_zero_products, identity_correspondence, init_correspondence,
                        patch_fill, prune_mismatch, read_flo, relocate_frame, to_image_uv,
                        write_flo)
-from .render import LookupRenderer, LookupStats, render_lookup
+from .render import LookupRenderer, LookupStats
 from .metrics import (loss_ce, loss_img_s, loss_l2, loss_smo, metric_psnr, metric_tdiff,
                       metric_tof, uv_motion_fields)
-from .frameset import FrameRecord, FrameSet
-from .scenegen import CorruptConfig, SceneConfig, corrupt, gen_sequence
+from .scenegen import CorruptConfig, FrameRecord, FrameSet, SceneConfig, corrupt, gen_sequence
 from .formats import read_pfm, read_ppm, write_pfm, write_ppm
 from .manifest import Manifest
 
@@ -47,7 +46,7 @@ __all__ = [
     "metric_psnr", "metric_tdiff", "metric_tof", "optimize_uv",
     "patch_fill", "pixel_center_grid", "prune_mismatch",
     "read_flo", "read_pfm", "read_ppm", "relax_springs", "relocate_frame",
-    "render_lookup", "sample_bilinear", "texture_grid",
+    "sample_bilinear", "texture_grid",
     "texture_positions", "to_image_uv", "warp", "write_flo", "write_pfm",
     "write_ppm", "uv_motion_fields",
 ]

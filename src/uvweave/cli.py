@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 for input/validation problems, 3 for numerical
-failures.  `--threads` (or the UVWEAVE_THREADS environment variable) sets
-the frame-level worker count; outputs are bit-identical for any value.
+failures.  `--threads` (default 1) is the one setting of the frame-level
+worker count, and no setting is read from the environment; outputs are
+bit-identical for any thread count.
 `extend`, `optimize`, `relocate` and `pipeline` print one summary line per
 stage, built from the per-frame traces.  An option that sets a config field
 carries the field's name and takes its default from the config dataclass.
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from . import stages
@@ -23,25 +23,13 @@ from .uvopt import OptConfig
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValidationError("--threads must be >= 1")
-        return args.threads
-    env = os.environ.get("UVWEAVE_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValidationError(f"UVWEAVE_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise ValidationError("UVWEAVE_THREADS must be >= 1")
-        return n
-    return 1
+    if args.threads < 1:
+        raise ValidationError("--threads must be >= 1")
+    return args.threads
 
 
 def _add_threads(p):
-    p.add_argument("--threads", type=int, default=None,
-                   help="frame-level workers (default: UVWEAVE_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="frame-level workers")
 
 
 def _config(cls, args):

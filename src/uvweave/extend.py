@@ -306,26 +306,22 @@ def build_springs(tex_pos, original, new_points, region, max_anchors):
     return sys, moved, np.concatenate(skipped)
 
 
-def relax_springs(P_ext: UVMap, new_points: np.ndarray,
-                  tex_w: int | None = None, tex_h: int | None = None):
+def relax_springs(P_ext: UVMap, new_points: np.ndarray, tex_w: int, tex_h: int):
     """Relax extrapolated UV entries in texture space; returns (UVMap, RelaxResult).
 
-    Distances are measured in texels of a ``tex_w`` x ``tex_h`` texture,
-    the image size when omitted.  Original entries never move.  Points
-    without any original anchor inside the ``REGION`` box are left where
-    extrapolation put them.  Non-convergence within ``MAX_ITERS`` per
+    Distances are measured in texels of a ``tex_w`` x ``tex_h`` texture.
+    Original entries never move.  Points without any original anchor
+    inside the ``REGION`` box are left where extrapolation put them.  Non-convergence within ``MAX_ITERS`` per
     phase is reported in ``RelaxResult.converged``.
     """
     new_points = np.asarray(new_points, dtype=np.int64).reshape(-1, 2)
     if len(new_points) == 0:
         return P_ext.copy(), RelaxResult(moved=new_points.copy())
-    tw = tex_w or P_ext.width
-    th = tex_h or P_ext.height
 
     sil = P_ext.silhouette
     if not sil[new_points[:, 0], new_points[:, 1]].all():
         raise ValidationError("new points must lie on the silhouette")
-    tex_pos = texture_positions(P_ext) * np.array([tw, th])   # texel units
+    tex_pos = texture_positions(P_ext) * np.array([tex_w, tex_h])   # texel units
 
     original = sil.copy()
     original[new_points[:, 0], new_points[:, 1]] = False
@@ -340,7 +336,7 @@ def relax_springs(P_ext: UVMap, new_points: np.ndarray,
 
     uv = P_ext.uv.data.copy()
     c = pixel_center_grid(P_ext.width, P_ext.height)
-    uv[pidx[:, 0], pidx[:, 1]] = c[pidx[:, 0], pidx[:, 1]] - sys.points / np.array([tw, th])
+    uv[pidx[:, 0], pidx[:, 1]] = c[pidx[:, 0], pidx[:, 1]] - sys.points / np.array([tex_w, tex_h])
     return UVMap(uv, sil), RelaxResult(
         moved=pidx, distortion_before=d_before, distortion_after=sys.distortion(),
         push_iters=push_it, pull_iters=pull_it, max_force=fmax, converged=ok1 and ok2,

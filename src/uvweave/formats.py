@@ -71,8 +71,24 @@ def read_body(fh, nbytes: int) -> bytes:
     return fh.read(max(0, min(nbytes, left)))
 
 
+def float32_samples(name: str, array, byte_order: str = "<") -> np.ndarray:
+    """``array`` as ``byte_order`` float32 samples.
+
+    Raises ValidationError, naming ``name``, when a finite sample lies
+    beyond float32's range, where the cast would make it an infinity.
+    NaN and the infinities are kept as they are.
+    """
+    arr = np.asarray(array, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        samples = arr.astype(byte_order + "f4")
+    if not np.isfinite(samples).all() and (np.isfinite(arr) & ~np.isfinite(samples)).any():
+        raise ValidationError(f"{name}: a sample lies beyond float32's range")
+    return samples
+
+
 def write_pfm(path, array: np.ndarray, byte_order: str = "<"):
-    """Write an (H, W) or (H, W, {1, 3}) float array as PFM."""
+    """Write an (H, W) or (H, W, {1, 3}) float array as PFM.  Raises
+    ValidationError, naming the file, when a sample does not fit float32."""
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[:, :, None]
@@ -82,8 +98,9 @@ def write_pfm(path, array: np.ndarray, byte_order: str = "<"):
         raise ValidationError("byte order must be '<' or '>'")
     header = b"PF\n" if arr.shape[2] == 3 else b"Pf\n"
     scale = -1.0 if byte_order == "<" else 1.0
+    samples = float32_samples(os.path.basename(path), arr, byte_order)
     overwrite(path, header, f"{arr.shape[1]} {arr.shape[0]}\n{scale:.1f}\n".encode(),
-              arr.astype(byte_order + "f4").tobytes())
+              samples.tobytes())
 
 
 def read_pfm_samples(path) -> np.ndarray:

@@ -65,12 +65,10 @@ class AppForward(NamedTuple):
     l_app: float
 
 
-def forward_app(P: UVMap, I: Field2, tex_w: int | None = None,
-                tex_h: int | None = None) -> AppForward:
-    """Run the unwrap and re-render once; the record feeds ``grad_app``."""
+def forward_app(P: UVMap, I: Field2, tex_w: int, tex_h: int) -> AppForward:
+    """Run the unwrap and re-render once, into a ``tex_w`` x ``tex_h``
+    texture; the record feeds ``grad_app``."""
     _check_pair(P, I)
-    tex_w = tex_w or I.width
-    tex_h = tex_h or I.height
     rec = splat_record(P, tex_w, tex_h)
     tgt, cov = splat_average(rec, rec.values)          # (n_tex, 2) normalized
     tgt_filled = fill_from_nearest(tgt.reshape(tex_h, tex_w, 2),
@@ -91,17 +89,13 @@ def forward_app(P: UVMap, I: Field2, tex_w: int | None = None,
     return AppForward(rec, tgt, cov, T, dT_dqx, dT_dqy, T_at, res, l_app)
 
 
-def loss_app(P: UVMap, I: Field2, tex_w: int | None = None,
-             tex_h: int | None = None) -> float:
+def loss_app(P: UVMap, I: Field2, tex_w: int, tex_h: int) -> float:
     """Summed squared round-trip error over foreground pixels."""
     return forward_app(P, I, tex_w, tex_h).l_app
 
 
-def grad_app(P: UVMap, I: Field2, tex_w: int | None = None,
-             tex_h: int | None = None) -> LossReport:
+def grad_app(P: UVMap, I: Field2, tex_w: int, tex_h: int) -> LossReport:
     """Appearance loss and its exact gradient with respect to the UV field."""
-    tex_w = tex_w or I.width
-    tex_h = tex_h or I.height
     rec, tgt, cov, T, dT_dqx, dT_dqy, T_at, res, l_app = forward_app(P, I, tex_w, tex_h)
 
     r = 2.0 * res                                      # dl/dI' per pixel, (n, C)
@@ -220,16 +214,13 @@ def grad_reg(P: UVMap, alpha1: float, alpha2: float) -> LossReport:
     return LossReport(l_app=0.0, l_reg=reg.loss(v), grad=Field2(g))
 
 
-def fd_probe_check(P: UVMap, I: Field2, alpha1: float, alpha2: float,
-                   probes: np.ndarray, eps: float = 1e-3,
-                   tex_w: int | None = None, tex_h: int | None = None) -> float:
+def fd_probe_check(P: UVMap, I: Field2, tex_w: int, tex_h: int, alpha1: float,
+                   alpha2: float, probes: np.ndarray, eps: float = 1e-3) -> float:
     """Max relative error of the analytic gradient against central differences.
 
     ``probes`` is an (n, 3) array of (y, x, channel) indices into the UV
     field.  The oracle side uses only forward loss evaluations.
     """
-    tex_w = tex_w or I.width
-    tex_h = tex_h or I.height
     rep_a = grad_app(P, I, tex_w, tex_h)
     rep_r = grad_reg(P, alpha1, alpha2)
     grad = rep_a.grad.data + rep_r.grad.data

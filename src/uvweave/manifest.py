@@ -35,9 +35,8 @@ STAGE_PREREQ = {"corrupt": "gen", "extend": "corrupt", "optimize": "extend",
 
 
 def config_dict(cfg) -> dict:
-    if dataclasses.is_dataclass(cfg):
-        return dataclasses.asdict(cfg)
-    return dict(cfg)
+    """A config dataclass's fields as the stage tag's snapshot."""
+    return dataclasses.asdict(cfg)
 
 
 def uv_silhouette(samples: np.ndarray) -> np.ndarray:
@@ -282,31 +281,19 @@ class Manifest:
         """The sequence's, or frame ``frame``'s, texture item ``key``."""
         write_pfm(self.new_item(key, "pfm", frame), T.data)
 
-    def read_texture(self, key: str, frame: int | None = None,
-                     valid: np.ndarray | None = None) -> Field2:
-        """A texture file as a 3-channel ``Field2``.
+    def read_texture(self, key: str) -> Field2:
+        """The sequence's texture item ``key`` as a 3-channel ``Field2``.
 
         Raises ValidationError unless the file holds the sequence's texture
         size and three channels.
         """
-        path = self.item(key) if frame is None else self.frame_item(frame, key)
+        path = self.item(key)
         tex = read_pfm(path)
         _check_shape(path, tex, self.texture_size, "texture")
-        return Field2(tex, valid=valid)
+        return Field2(tex)
 
     def write_corr(self, key: str, Q: Field2, frame: int | None = None):
         """The sequence's, or frame ``frame``'s, packed correspondence item ``key``."""
         packed = np.concatenate([Q.data, Q.mask()[..., None].astype(np.float64)],
                                 axis=2)
         write_pfm(self.new_item(key, "pfm", frame), packed)
-
-    def read_corr(self, key: str, frame: int | None = None) -> Field2:
-        """A packed correspondence file as ``Field2(positions, valid=mask)``.
-
-        Raises ValidationError unless the file holds the sequence's texture
-        size and three channels, and its positions are finite.
-        """
-        path = self.item(key) if frame is None else self.frame_item(frame, key)
-        packed = read_pfm(path)
-        _check_shape(path, packed, self.texture_size, "packed correspondence")
-        return Field2(packed[..., :2], valid=packed[..., 2] > 0.5)

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .fields import Field2, pixel_center_grid, sample_bilinear
 from .relocate import flow_texels
-from .render import render_lookup
+from .render import LookupRenderer
 from .warpmap import UVMap, image_grid, texture_grid, warp
 
 PSNR_CAP = 99.0
@@ -50,7 +50,7 @@ def loss_img_s(P: UVMap, T_o: Field2, I: Field2) -> float:
     """Squared error of the texture-lookup render against the frame."""
     if (P.height, P.width) != (I.height, I.width):
         raise ValidationError("uv map and image resolutions differ")
-    rendered, _ = render_lookup(T_o, P)
+    rendered, _ = LookupRenderer(T_o.data).frame(P)
     d = (rendered.data - I.data)[P.silhouette]
     return float(np.sum(d * d))
 
@@ -85,7 +85,7 @@ def metric_psnr(a: Field2, b: Field2) -> float:
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP)
 
 
-def uv_motion_fields(P_list, tex_w: int | None = None, tex_h: int | None = None):
+def uv_motion_fields(P_list, tex_w: int, tex_h: int):
     """Per-pair image-space motion derived purely from the UV maps.
 
     For each consecutive pair, texels carry the image position they map to
@@ -95,12 +95,10 @@ def uv_motion_fields(P_list, tex_w: int | None = None, tex_h: int | None = None)
     """
     if len(P_list) < 2:
         raise ValidationError("needs >=2 frames")
-    tw = tex_w or P_list[0].width
-    th = tex_h or P_list[0].height
     c_img = Field2(pixel_center_grid(P_list[0].width, P_list[0].height))
     placed = []
     for P in P_list:
-        g = texture_grid(P, tw, th)
+        g = texture_grid(P, tex_w, tex_h)
         placed.append((warp(c_img, g), g.valid))
     out = []
     for t in range(len(P_list) - 1):
@@ -112,7 +110,7 @@ def uv_motion_fields(P_list, tex_w: int | None = None, tex_h: int | None = None)
     return out
 
 
-def metric_tdiff(frames, P_list, tex_w: int | None = None, tex_h: int | None = None):
+def metric_tdiff(frames, P_list, tex_w: int, tex_h: int):
     """Temporal difference under UV-derived motion; returns (mean, per-pair).
 
     Each frame t is warped forward by the motion the UV maps imply and

@@ -188,8 +188,14 @@ def block_flow(T_a: Field2, T_b: Field2, cfg: RelocateConfig | None = None,
 
     blk = cfg.block
     need = _needed(np.asarray(domain, dtype=bool), [a.shape[:2] for a in pyr_a], blk)
-    radius = [min(cfg.search_radius, _REFINE_RADIUS)] * (len(pyr_a) - 1)
-    radius.append(cfg.search_radius)
+    # The coarsest level searches around 0, where a displacement of
+    # max(h, w) - 1 or more along an axis reads only the edge row or column
+    # there: it ties with the shorter one at max(h, w) - 1, which wins, so a
+    # larger radius finds the same flow.  The extra 1 keeps the subpixel
+    # step's neighbours.
+    top = min(cfg.search_radius, max(pyr_a[-1].shape[:2]) + 1)
+    radius = [min(top, _REFINE_RADIUS)] * (len(pyr_a) - 1)
+    radius.append(top)
     # A box-filtered cost at row y reads input rows below y + reach, and
     # uniform_filter1d's running sum starts at row 0 (likewise columns), so
     # a crop anchored at the top-left corner that reaches that far is bit
@@ -523,6 +529,9 @@ def patch_fill(Q: Field2, T_o: Field2, T_t: Field2, Q0: Field2,
     if patch < 1 or window < 1:
         raise ValidationError("bad patch configuration")
     h, w = Q.height, Q.width
+    # From 2 * max(h, w) the stride spans the texture and one tile covers
+    # it, so a larger patch fills the same texels.
+    patch = min(patch, 2 * max(h, w))
     if domain is None:
         domain = T_t.mask()
     fill = domain & ~Q.mask()

@@ -95,7 +95,8 @@ class LookupRenderer:
     def frame(self, P: UVMap):
         """Render a whole frame; returns (Field2, LookupStats).
 
-        Background pixels are zero.
+        Background pixels are zero.  ``loss_img_s`` renders through it, and
+        it is the tests' reference for the stages' foreground-only renders.
         """
         index = np.flatnonzero(P.silhouette)
         vals, stats = self(index, P.uv.data.reshape(-1, 2).take(index, axis=0),
@@ -105,12 +106,3 @@ class LookupRenderer:
         img = Field2(out.reshape(P.height, P.width, self.channels),
                      valid=P.silhouette.copy())
         return img, stats
-
-
-def render_lookup(T: Field2, P: UVMap):
-    """Render a frame from a texture; returns (Field2, LookupStats).
-
-    One-off form of ``LookupRenderer(T.data).frame(P)``; to render many
-    frames from one texture, build the renderer once.
-    """
-    return LookupRenderer(T.data).frame(P)

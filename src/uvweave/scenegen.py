@@ -19,20 +19,37 @@ blocks, coordinate noise, and per-frame jitter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.ndimage as ndi
 
 from .errors import ValidationError, require_finite
 from .fields import Field2, pixel_center_grid, sample_bilinear
-from .frameset import FrameRecord, FrameSet
 from .warpmap import UVMap, splat_record
 
 MIN_SIZE = 32
 CHART_MARGIN = 0.1
 SILHOUETTES = ("ellipse", "blobs")          # blobs: a union of lobes
 PATTERNS = ("blobs", "checker", "grid")
+
+
+@dataclass
+class FrameRecord:
+    index: int
+    image: Field2
+    mask: np.ndarray                      # full (uncorrupted) silhouette
+    uv_gt: UVMap | None = None
+    corr_gt: Field2 | None = None         # positions in frame 0's texture
+    uv_raw: UVMap | None = None           # corrupted UVs, set by ``corrupt``
+
+
+@dataclass
+class FrameSet:
+    """An in-memory scene: ``gen_sequence`` builds it, ``corrupt`` degrades it."""
+    config: object
+    texture: Field2                       # the constant ground-truth texture
+    frames: list = field(default_factory=list)
 
 
 @dataclass

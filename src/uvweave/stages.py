@@ -20,7 +20,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .extend import extrapolate_uv, label_fill, relax_springs
 from .fields import Field2
-from .formats import quantize, read_pfm_samples, read_ppm, write_json, write_ppm_samples
+from .formats import (float32_samples, quantize, read_pfm_samples, read_ppm, write_json,
+                      write_ppm_samples)
 from .gradcore import fd_probe_check
 from .manifest import MANIFEST_NAME, Manifest, config_dict, uv_pairs, uv_silhouette
 from .metrics import METRIC_NOTES, metric_psnr, metric_tdiff, metric_tof
@@ -91,6 +92,12 @@ def stage_gen(out_dir, cfg: SceneConfig) -> Manifest:
     if (Path(out_dir) / MANIFEST_NAME).exists():
         raise ValidationError(f"{out_dir} already holds a sequence ({MANIFEST_NAME})")
     fs = gen_sequence(cfg)
+    # PFM files hold float32, so check before the first write.  The texture
+    # and masks lie in [0, 1]; a huge amplitude drifts the UVs and
+    # correspondences past float32's range.
+    for fr in fs.frames:
+        float32_samples(f"frame {fr.index} uv_gt", fr.uv_gt.uv.data)
+        float32_samples(f"frame {fr.index} corr_gt", fr.corr_gt.data)
     m = Manifest.create(out_dir, (cfg.image_w, cfg.image_h),
                         (cfg.tex_w, cfg.tex_h), cfg.frames)
     m.write_texture("texture_gt", fs.texture)
@@ -111,6 +118,8 @@ def stage_corrupt(root, cfg: CorruptConfig) -> Manifest:
     # and corrupt every frame before writing any, so a bad one writes nothing.
     rng = np.random.default_rng(cfg.seed)
     raws = [corrupt_uv(m.read_uv(i, "uv_gt"), cfg, rng) for i in range(m.n_frames)]
+    for i, raw in enumerate(raws):
+        float32_samples(f"frame {i} uv_raw", raw.uv.data)
     for i, raw in enumerate(raws):
         m.write_uv(i, "uv_raw", raw)
     m.mark_stage("corrupt", config_dict(cfg))
@@ -373,8 +382,8 @@ def run_grad_check(seeds, size: int, probes: int, tol: float) -> float:
         xs = rng.integers(1, size - 1, size=probes)
         cs = rng.integers(0, 2, size=probes)
         pr = np.stack([ys, xs, cs], axis=1)
-        worst = max(worst, fd_probe_check(P, I, alpha1=cfg.alpha1, alpha2=cfg.alpha2,
-                                          probes=pr))
+        worst = max(worst, fd_probe_check(P, I, size, size, alpha1=cfg.alpha1,
+                                          alpha2=cfg.alpha2, probes=pr))
     if worst >= tol:
         raise NumericalError(f"gradient check failed: max relative error {worst:.3e}")
     return worst

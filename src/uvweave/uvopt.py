@@ -62,12 +62,9 @@ def data_weight(width: int, height: int) -> float:
     return MU_64 * (width * height / 64.0 ** 2) ** 2
 
 
-def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig | None = None,
-                tex_w: int | None = None, tex_h: int | None = None):
+def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig, tex_w: int, tex_h: int):
     """Refine a UV map on one frame; returns (UVMap, OptTrace).  The trace's
-    appearance losses sample a ``tex_w`` x ``tex_h`` texture, by default the
-    image size."""
-    cfg = cfg or OptConfig()
+    appearance losses sample a ``tex_w`` x ``tex_h`` texture."""
     if (P_init.height, P_init.width) != (I.height, I.width):
         raise ValidationError("uv map and image resolutions differ")
     if I.valid is not None and (I.valid & ~P_init.silhouette).any():

@@ -20,7 +20,7 @@ from uvweave.manifest import Manifest
 from uvweave.metrics import loss_ce, loss_img_s, loss_l2, loss_smo, metric_psnr, metric_tdiff
 from uvweave.relocate import (RelocateConfig, block_flow,
                               frame_zero_products, init_correspondence, patch_fill)
-from uvweave.render import MADDS_PER_CHANNEL, TEXEL_READS_PER_PIXEL, render_lookup
+from uvweave.render import LookupRenderer, MADDS_PER_CHANNEL, TEXEL_READS_PER_PIXEL
 from uvweave.extend import extrapolate_uv, label_fill, relax_springs
 from uvweave.scenegen import CorruptConfig, SceneConfig, corrupt, gen_sequence
 from uvweave.uvopt import OptConfig
@@ -74,7 +74,7 @@ def test_identity_render_and_static_sequence():
     rng = np.random.default_rng(0)
     img = rng.uniform(size=(64, 64, 3))
     ident = UVMap(np.zeros((64, 64, 2)), np.ones((64, 64), dtype=bool))
-    out, _ = render_lookup(Field2(img), ident)
+    out, _ = LookupRenderer(img).frame(ident)
     exact = np.array_equal(out.data, img)
 
     fs = gen_sequence(SceneConfig(image_w=64, image_h=64, tex_w=64, tex_h=64,
@@ -119,7 +119,7 @@ def test_temporal_recovery_from_constant_texture(recovery):
     psnrs = []
     for i in range(m.n_frames):
         P = m.read_uv(i, "uv_final")
-        img, _ = render_lookup(T_o, P)
+        img, _ = LookupRenderer(T_o.data).frame(P)
         real = m.read_image(i, "image", valid=m.read_mask(i, "mask"))
         img.valid = real.valid
         psnrs.append(metric_psnr(img, real))
@@ -251,7 +251,7 @@ def test_render_budget_and_retexture_speed(tmp_path):
     fs = gen_sequence(SceneConfig(image_w=64, image_h=64, tex_w=64, tex_h=64,
                                   frames=1, seed=4))
     fr = fs.frames[0]
-    _, st = render_lookup(fs.texture, fr.uv_gt)
+    _, st = LookupRenderer(fs.texture.data).frame(fr.uv_gt)
     budget_ok = (st.texel_reads_per_pixel <= 4 and
                  st.madds_per_channel_per_pixel <= 11 and
                  TEXEL_READS_PER_PIXEL <= 4 and MADDS_PER_CHANNEL <= 11 and

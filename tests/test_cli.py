@@ -134,22 +134,6 @@ def test_stages_refuse_to_run_before_their_prerequisite(tmp_path, capsys):
     assert _files(d) == before
 
 
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    d = tmp_path / "t"
-    assert main(["gen", str(d)] + SMALL) == 0
-    assert main(["corrupt", str(d)] + CORRUPT) == 0
-    monkeypatch.setenv("UVWEAVE_THREADS", "many")
-    rc = main(["extend", str(d)])
-    assert rc == 2
-    assert "UVWEAVE_THREADS must be an integer" in capsys.readouterr().err
-    monkeypatch.setenv("UVWEAVE_THREADS", "0")
-    rc = main(["extend", str(d)])
-    assert rc == 2
-    assert "UVWEAVE_THREADS must be >= 1" in capsys.readouterr().err
-    monkeypatch.setenv("UVWEAVE_THREADS", "2")
-    assert main(["extend", str(d)]) == 0
-
-
 def test_threads_flag_validation(tmp_path, capsys):
     d = tmp_path / "t"
     assert main(["gen", str(d)] + SMALL) == 0
@@ -821,6 +805,27 @@ def test_gen_refuses_a_directory_holding_a_sequence(piped, tmp_path, capsys):
     assert main(["gen", str(d)] + SMALL) == 2
     assert capsys.readouterr().err == f"error: {d} already holds a sequence (manifest.json)\n"
     assert {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()} == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--amplitude", "1e300", "--frequency", "1e-302"], "frame 1 uv_gt"),
+    (["corrupt", "--uv-noise", "1e300"], "frame 0 uv_raw"),
+    (["corrupt", "--uv-noise", "1.02e38"], "frame 1 uv_raw"),
+    (["corrupt", "--jitter", "1e300"], "frame 0 uv_raw"),
+], ids=["gen-amplitude", "corrupt-uv-noise", "corrupt-uv-noise-frame-1", "corrupt-jitter"])
+def test_samples_beyond_float32_exit_2(piped, tmp_path, capsys, argv, message):
+    # a PFM file holds float32; such a sample used to be written as an
+    # infinity with a RuntimeWarning, for the next stage to reject.  Frame
+    # 0 fits where the message names frame 1, and is not written either.
+    d = tmp_path / "seq"
+    gen = argv[0] == "gen"
+    if not gen:
+        shutil.copytree(piped[0], d)
+    before = {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()}
+    assert main(argv[:1] + [str(d)] + (SMALL if gen else []) + argv[1:]) == 2
+    assert capsys.readouterr().err == f"error: {message}: a sample lies beyond float32's range\n"
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()} == before
+    assert d.exists() != gen       # gen writes nothing, not even its folders
 
 
 def test_relocate_external_flow_of_wrong_size_exit_2(piped, tmp_path, capsys):

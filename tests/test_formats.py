@@ -93,6 +93,24 @@ def test_pfm_write_validation(tmp_path):
         write_pfm(tmp_path / "x.pfm", np.zeros((4, 4, 3)), byte_order="=")
 
 
+@pytest.mark.parametrize("value", [1e300, -3.5e38, 2.0 ** 128 - 2.0 ** 103])
+def test_pfm_write_refuses_a_sample_beyond_float32(tmp_path, value):
+    # float32 would store it as an infinity; the file keeps its bytes
+    p = tmp_path / "x.pfm"
+    write_pfm(p, np.zeros((2, 3)))
+    before = p.read_bytes()
+    arr = np.zeros((2, 3, 3))
+    arr[1, 2, 0] = value
+    with pytest.raises(ValidationError) as err:
+        write_pfm(p, arr)
+    assert str(err.value) == "x.pfm: a sample lies beyond float32's range"
+    assert p.read_bytes() == before
+    # the largest magnitude that rounds to float32's maximum is kept
+    arr[1, 2, 0] = np.nextafter(2.0 ** 128 - 2.0 ** 103, 0.0)
+    write_pfm(p, arr)
+    assert read_pfm(p)[1, 2, 0] == np.finfo(np.float32).max
+
+
 def test_pfm_bad_magic(tmp_path):
     p = tmp_path / "bad.pfm"
     p.write_bytes(b"PX\n2 2\n-1.0\n" + b"\x00" * 16)

@@ -25,7 +25,7 @@ def test_grad_app_matches_finite_differences():
     for seed in (0, 1, 2):
         P, I, rng = rand_scene(seed)
         probes = interior_probes(rng, 8, 12)
-        err = fd_probe_check(P, I, alpha1=0.0, alpha2=0.0, probes=probes, eps=1e-3)
+        err = fd_probe_check(P, I, 8, 8, alpha1=0.0, alpha2=0.0, probes=probes, eps=1e-3)
         assert err < 1e-3, f"seed {seed}: rel err {err}"
 
 
@@ -48,8 +48,8 @@ def test_grad_reg_matches_finite_differences():
 def test_constant_image_zero_loss_and_grad():
     P, _, _ = rand_scene(4)
     I = Field2.constant(8, 8, (0.3, 0.5, 0.2))
-    assert loss_app(P, I) == pytest.approx(0.0, abs=1e-18)
-    rep = grad_app(P, I)
+    assert loss_app(P, I, 8, 8) == pytest.approx(0.0, abs=1e-18)
+    rep = grad_app(P, I, 8, 8)
     assert np.allclose(rep.grad.data, 0.0, atol=1e-12)
 
 
@@ -86,7 +86,7 @@ def test_grad_zero_outside_silhouette():
     uv = np.where(sil[..., None], rng.uniform(0.02, 0.08, size=(8, 8, 2)), 0.0)
     P = UVMap(uv, sil)
     I = Field2(rng.uniform(size=(8, 8, 3)))
-    rep = grad_app(P, I)
+    rep = grad_app(P, I, 8, 8)
     assert (rep.grad.data[:2] == 0.0).all()
     rep2 = grad_reg(P, 100.0, 10.0)
     assert (rep2.grad.data[:2] == 0.0).all()
@@ -96,7 +96,7 @@ def test_resolution_mismatch_error():
     P, _, _ = rand_scene(7)
     I = Field2(np.zeros((6, 6, 3)))
     with pytest.raises(ValidationError, match="resolution"):
-        loss_app(P, I)
+        loss_app(P, I, 6, 6)
 
 
 def test_reg_min_size_error():
@@ -106,11 +106,6 @@ def test_reg_min_size_error():
         loss_reg(P, 1.0, 1.0)
     with pytest.raises(ValidationError):
         reg_operator(sil, 1.0, 1.0)
-
-
-def test_texture_size_defaults_to_image():
-    P, I, _ = rand_scene(8)
-    assert loss_app(P, I) == pytest.approx(loss_app(P, I, tex_w=8, tex_h=8))
 
 
 def scene_fixture():
@@ -124,7 +119,7 @@ def scene_fixture():
 
 def test_ground_truth_loss_below_interpolation_floor():
     P, I, mask = scene_fixture()
-    assert loss_app(P, I) / mask.sum() < 1e-3
+    assert loss_app(P, I, 48, 48) / mask.sum() < 1e-3
 
 
 def test_duplicated_block_raises_loss():
@@ -135,7 +130,7 @@ def test_duplicated_block_raises_loss():
     centers = pixel_center_grid(48, 48)
     uv[20:30, 20:30] = centers[20:30, 20:30] - (centers[24, 24] - c0)
     P_dup = UVMap(uv, P.silhouette)
-    assert loss_app(P_dup, I) > loss_app(P, I)
+    assert loss_app(P_dup, I, 48, 48) > loss_app(P, I, 48, 48)
 
 
 def test_near_stationary_at_ground_truth():
@@ -152,10 +147,10 @@ def test_near_stationary_at_ground_truth():
 
 def test_loss_report_fields():
     P, I, _ = rand_scene(10)
-    rep = grad_app(P, I)
+    rep = grad_app(P, I, 8, 8)
     assert rep.grad.data.shape == (8, 8, 2)
     assert rep.l_app >= 0.0
-    assert rep.l_app == pytest.approx(loss_app(P, I))
+    assert rep.l_app == pytest.approx(loss_app(P, I, 8, 8))
 
 
 def _reg_terms(P: UVMap, alpha1: float, alpha2: float):

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import uvweave.stages as stages
-from uvweave import (CorruptConfig, Field2, Manifest, SceneConfig, UVMap,
-                     ValidationError, block_flow, gen_sequence, loss_ce, loss_img_s,
-                     loss_l2, loss_smo, metric_psnr, metric_tdiff, metric_tof,
-                     render_lookup)
+from uvweave import (CorruptConfig, Field2, LookupRenderer, Manifest, SceneConfig,
+                     UVMap, ValidationError, block_flow, gen_sequence, loss_ce,
+                     loss_img_s, loss_l2, loss_smo, metric_psnr, metric_tdiff, metric_tof)
 from uvweave.gradcore import loss_app
 
 
@@ -165,7 +164,7 @@ def scene_render(frames=4):
                                   frames=frames, seed=5, amplitude=0.02,
                                   frequency=1.5))
     P_list = [f.uv_gt for f in fs.frames]
-    rendered = [render_lookup(fs.texture, P)[0] for P in P_list]
+    rendered = [LookupRenderer(fs.texture.data).frame(P)[0] for P in P_list]
     return fs, P_list, rendered
 
 
@@ -173,24 +172,24 @@ def test_tdiff_static_sequence_zero():
     fs = gen_sequence(SceneConfig(image_w=48, image_h=48, tex_w=48, tex_h=48,
                                   frames=1, seed=5))
     fr = fs.frames[0]
-    img, _ = render_lookup(fs.texture, fr.uv_gt)
-    m, per = metric_tdiff([img, img, img], [fr.uv_gt] * 3)
+    img, _ = LookupRenderer(fs.texture.data).frame(fr.uv_gt)
+    m, per = metric_tdiff([img, img, img], [fr.uv_gt] * 3, 48, 48)
     assert m <= 1e-9
     assert all(p <= 1e-9 for p in per)
 
 
 def test_tdiff_ground_truth_below_floor():
     _, P_list, rendered = scene_render()
-    m, _ = metric_tdiff(rendered, P_list)
+    m, _ = metric_tdiff(rendered, P_list, 96, 96)
     assert m < 0.01
 
 
 def test_tdiff_texture_permutation_invariant():
     fs, P_list, rendered = scene_render()
     perm = Field2(fs.texture.data[..., [2, 0, 1]])
-    rendered_p = [render_lookup(perm, P)[0] for P in P_list]
-    a, _ = metric_tdiff(rendered, P_list)
-    b, _ = metric_tdiff(rendered_p, P_list)
+    rendered_p = [LookupRenderer(perm.data).frame(P)[0] for P in P_list]
+    a, _ = metric_tdiff(rendered, P_list, 96, 96)
+    b, _ = metric_tdiff(rendered_p, P_list, 96, 96)
     assert abs(a - b) < 1e-12
 
 
@@ -199,9 +198,9 @@ def test_tdiff_errors():
                                   frames=1, seed=5))
     fr = fs.frames[0]
     with pytest.raises(ValidationError, match="frames"):
-        metric_tdiff([fr.image], [fr.uv_gt])
+        metric_tdiff([fr.image], [fr.uv_gt], 48, 48)
     with pytest.raises(ValidationError, match="frames"):
-        metric_tdiff([fr.image, fr.image], [fr.uv_gt])
+        metric_tdiff([fr.image, fr.image], [fr.uv_gt], 48, 48)
 
 
 def test_tof_cases():

@@ -302,6 +302,26 @@ def test_block_flow_matches_union_reference_across_configs(monkeypatch):
         assert got.data.tobytes() == want.data.tobytes(), (cfg, levels, subpixel)
 
 
+@pytest.mark.parametrize("levels, top", [(1, 17), (3, 5)])
+def test_block_flow_huge_radius_equals_clamped_radius(levels, top, monkeypatch):
+    # at the coarsest level (16² or 4²) a displacement of max(h, w) - 1 or
+    # more along an axis ties with a shorter one, so radius 10**4 scores no
+    # candidate past max(h, w) + 1 there and gives that radius's bytes,
+    # which the union reference finds at a radius past it as well
+    a, b = varying_shift_pair(16, 16, seed=7)
+    monkeypatch.setattr(relocate, "PYRAMID_LEVELS", levels)
+    want, _ = union_block_flow(a, b, RelocateConfig(block=4, search_radius=top + 3))
+    clamped = block_flow(a, b, RelocateConfig(block=4, search_radius=top))
+
+    def candidates(radius, _f=_candidates):
+        assert radius <= top
+        return _f(radius)
+
+    monkeypatch.setattr(relocate, "_candidates", candidates)
+    got = block_flow(a, b, RelocateConfig(block=4, search_radius=10 ** 4))
+    assert got.data.tobytes() == clamped.data.tobytes() == want.data.tobytes()
+
+
 def test_block_flow_chunk_seams_match_union_reference(monkeypatch):
     # level 0 is scored in many chunks, and a run of keys with equal crops
     # is split between two of them
@@ -818,6 +838,28 @@ def test_patch_fill_edge_tiles_fill_like_loop(size, patch, window):
     _, valid = loop_patch_fill(Q, T_o, T_t, Q0, patch, window)
     assert (out.valid == valid).all() and valid.all()
     check_search(T_o, T_t, None, Q, patch, window)
+
+
+def test_patch_fill_huge_patch_equals_clamped_patch():
+    # from 2 * max(h, w) the stride spans the texture and one tile covers
+    # it, so a patch of 10**9 fills as the patch of 2 * max(h, w) does, and
+    # as the loop reference does with the huge patch
+    h, w = 16, 12
+    tex = noise_texture(h + 4, w + 4, seed=16)
+    # a tile that is not the whole texture matches best one texel up-left
+    T_o, T_t = Field2(tex[1:h + 1, 1:w + 1]), Field2(tex[:h, :w])
+    rng = np.random.default_rng(17)
+    Q0 = Field2(rng.uniform(size=(h, w, 2)))
+    Q = Q0.copy()
+    Q.valid = rng.uniform(size=(h, w)) >= 0.5
+    runs = []
+    for patch in (2 * max(h, w), 10 ** 9):
+        rec = {}
+        out = patch_fill(Q, T_o, T_t, Q0, patch, 21, record=rec)
+        runs.append((out.data.tobytes(), out.valid.tobytes(), rec))
+    assert runs[0] == runs[1]
+    target, valid = loop_patch_fill(Q, T_o, T_t, Q0, 10 ** 9, 21)
+    assert runs[1][:2] == (target.tobytes(), valid.tobytes())
 
 
 @pytest.mark.parametrize("size", [(37, 29), (29, 37), (3, 5)])

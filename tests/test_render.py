@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uvweave import (Field2, LookupRenderer, LookupStats, SceneConfig, UVMap,
-                     gen_sequence, render_lookup)
+                     gen_sequence)
 from uvweave.fields import SNAP_EPS, pixel_center_grid
 from uvweave.formats import read_pfm, read_ppm, write_pfm, write_ppm
 from uvweave.manifest import Manifest
@@ -26,7 +26,7 @@ def test_render_matches_per_pixel_oracle():
     fs = gen_sequence(SceneConfig(image_w=48, image_h=48, tex_w=64, tex_h=64,
                                   frames=1, seed=4))
     fr = fs.frames[0]
-    out, stats = render_lookup(fs.texture, fr.uv_gt)
+    out, stats = LookupRenderer(fs.texture.data).frame(fr.uv_gt)
     c = pixel_center_grid(48, 48)
     u = c - fr.uv_gt.uv.data
     ys, xs = np.nonzero(fr.uv_gt.silhouette)
@@ -77,7 +77,7 @@ def test_render_operation_budget():
     fs = gen_sequence(SceneConfig(image_w=48, image_h=48, tex_w=48, tex_h=48,
                                   frames=1, seed=4))
     fr = fs.frames[0]
-    out, stats = render_lookup(fs.texture, fr.uv_gt)
+    out, stats = LookupRenderer(fs.texture.data).frame(fr.uv_gt)
     n = int(fr.uv_gt.silhouette.sum())
     assert isinstance(stats, LookupStats)
     assert stats.foreground_pixels == n
@@ -94,7 +94,7 @@ def test_render_constant_texture():
     sil[4:12, 4:12] = True
     P = UVMap(np.full((16, 16, 2), 0.01) * sil[..., None], sil)
     T = Field2(np.full((8, 8, 3), 0.7))
-    out, stats = render_lookup(T, P)
+    out, stats = LookupRenderer(T.data).frame(P)
     assert np.allclose(out.data[sil], 0.7, atol=1e-12)
     assert (out.data[~sil] == 0.0).all()
     assert stats.fetches == int(sil.sum())

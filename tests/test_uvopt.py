@@ -35,7 +35,7 @@ def test_resolution_mismatch_error():
     P = UVMap(np.zeros((8, 8, 2)), sil)
     I = Field2(np.zeros((8, 10, 1)))
     with pytest.raises(ValidationError, match="resolutions differ"):
-        optimize_uv(P, I)
+        optimize_uv(P, I, OptConfig(), 10, 8)
 
 
 def test_foreground_coverage_error():
@@ -46,12 +46,12 @@ def test_foreground_coverage_error():
     P = UVMap(np.zeros((8, 8, 2)), sil)
     I = Field2(np.full((8, 8, 1), 0.5), valid=valid.astype(np.float64))
     with pytest.raises(ValidationError, match="cover"):
-        optimize_uv(P, I)
+        optimize_uv(P, I, OptConfig(), 8, 8)
 
 
 def test_trace_non_increasing_and_improves():
     _, fr = noisy_frame()
-    out, tr = optimize_uv(fr.uv_raw, fr.image)
+    out, tr = optimize_uv(fr.uv_raw, fr.image, OptConfig(), 48, 48)
     t = tr.total
     assert all(b <= a for a, b in zip(t, t[1:]))
     assert t[-1] < 0.01 * t[0]
@@ -62,7 +62,7 @@ def test_trace_non_increasing_and_improves():
 
 def test_ground_truth_nearly_stationary():
     gt, _ = noisy_frame()
-    out, tr = optimize_uv(gt.uv_gt, gt.image, OptConfig())
+    out, tr = optimize_uv(gt.uv_gt, gt.image, OptConfig(), 48, 48)
     t = tr.total
     assert all(b <= a for a, b in zip(t, t[1:]))
     # only the smoothness/appearance trade-off moves points, and barely
@@ -74,17 +74,9 @@ def test_converged_on_constant_image():
     sil[3:9, 3:9] = True
     P = UVMap(np.zeros((12, 12, 2)), sil)
     I = Field2(np.full((12, 12, 1), 0.5), valid=sil.astype(np.float64))
-    out, tr = optimize_uv(P, I)
+    out, tr = optimize_uv(P, I, OptConfig(), 12, 12)
     assert tr.residual == 0.0
     assert (out.uv.data == P.uv.data).all()
-
-
-def test_texture_size_defaults_to_image():
-    _, fr = noisy_frame()
-    out_a, tr_a = optimize_uv(fr.uv_raw, fr.image)
-    out_b, tr_b = optimize_uv(fr.uv_raw, fr.image, OptConfig(), 48, 48)
-    assert (out_a.uv.data == out_b.uv.data).all()
-    assert tr_a.l_app == tr_b.l_app
 
 
 def test_solve_is_stationary():
@@ -97,7 +89,7 @@ def test_solve_is_stationary():
     holed = UVMap(fr.uv_raw.uv.data, fr.uv_raw.silhouette & sil)
     cfg = OptConfig()
     for P, I in ((fr.uv_raw, fr.image), (holed, Field2(fr.image.data))):
-        out, _ = optimize_uv(P, I, cfg)
+        out, _ = optimize_uv(P, I, cfg, 48, 48)
         g_reg = grad_reg(out, cfg.alpha1, cfg.alpha2).grad.data
         g = 2.0 * data_weight(48, 48) * (out.uv.data - P.uv.data) + g_reg
         assert np.abs(g).max() <= 1e-8 * np.abs(g_reg).max()
@@ -121,6 +113,6 @@ def test_one_factorization_per_frame(monkeypatch):
     reg = counting("reg", gradcore.reg_operator)
     monkeypatch.setattr(uvopt, "reg_operator", reg)
     monkeypatch.setattr(gradcore, "reg_operator", reg)       # loss_reg would build another
-    _, tr = optimize_uv(fr.uv_raw, fr.image)
+    _, tr = optimize_uv(fr.uv_raw, fr.image, OptConfig(), 48, 48)
     assert sorted(calls) == ["reg", "splu"]
     assert len(tr.l_reg) == 2
