@@ -19,10 +19,9 @@ from .gradcore import (AppForward, LossReport, fd_probe_check, forward_app, grad
                        grad_reg, loss_app, loss_reg)
 from .extend import RelaxResult, SpringSystem, extrapolate_uv, label_fill, relax_springs
 from .uvopt import OptConfig, OptTrace, optimize_uv
-from .relocate import (RelocateConfig, block_flow, flow_texels,
-                       frame_zero_products, identity_correspondence, init_correspondence,
-                       patch_fill, prune_mismatch, read_flo, relocate_frame, to_image_uv,
-                       write_flo)
+from .relocate import (RelocateConfig, block_flow, flow_texels, frame_zero_products,
+                       init_correspondence, patch_fill, prune_mismatch, read_flo,
+                       relocate_frame, to_image_uv, write_flo)
 from .render import LookupRenderer, LookupStats
 from .metrics import (loss_ce, loss_img_s, loss_l2, loss_smo, metric_psnr, metric_tdiff,
                       metric_tof, uv_motion_fields)
@@ -40,7 +39,7 @@ __all__ = [
     "SceneConfig", "SpringSystem", "UVMap",
     "ValidationError", "block_flow", "corrupt",
     "extrapolate_uv", "fd_probe_check", "flow_texels", "forward_app", "frame_zero_products",
-    "gen_sequence", "grad_app", "grad_reg", "identity_correspondence",
+    "gen_sequence", "grad_app", "grad_reg",
     "image_grid", "init_correspondence", "label_fill", "loss_app",
     "loss_ce", "loss_img_s", "loss_l2", "loss_reg", "loss_smo",
     "metric_psnr", "metric_tdiff", "metric_tof", "optimize_uv",

@@ -2,9 +2,11 @@
 
 ValidationError covers malformed inputs (bad shapes, out-of-range configs,
 missing pipeline stages); NumericalError covers runs that start from valid
-inputs but fail numerically (a failed gradient check).  Optimization is a
-linear solve and cannot diverge; its residual is recorded, not raised.  The
-CLI maps them to exit codes 2 and 3.
+inputs but fail numerically (a failed gradient check, or regularizer
+weights so large that the optimization's linear system or its trace
+overflows or turns singular).  Within float64's range optimization is a
+linear solve and cannot diverge; its residual is recorded, not raised.
+The CLI maps them to exit codes 2 and 3.
 """
 
 import math

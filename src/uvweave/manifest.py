@@ -277,9 +277,9 @@ class Manifest:
         _check_shape(path, img, self.image_size, "image")
         return Field2(img, valid=valid)
 
-    def write_texture(self, key: str, T: Field2, frame: int | None = None):
-        """The sequence's, or frame ``frame``'s, texture item ``key``."""
-        write_pfm(self.new_item(key, "pfm", frame), T.data)
+    def write_texture(self, key: str, T: Field2):
+        """The sequence's texture item ``key``."""
+        write_pfm(self.new_item(key, "pfm"), T.data)
 
     def read_texture(self, key: str) -> Field2:
         """The sequence's texture item ``key`` as a 3-channel ``Field2``.
@@ -292,8 +292,9 @@ class Manifest:
         _check_shape(path, tex, self.texture_size, "texture")
         return Field2(tex)
 
-    def write_corr(self, key: str, Q: Field2, frame: int | None = None):
-        """The sequence's, or frame ``frame``'s, packed correspondence item ``key``."""
+    def write_corr(self, index: int, key: str, Q: Field2):
+        """Frame ``index``'s packed correspondence item ``key``: positions in
+        frame 0's texture and their validity."""
         packed = np.concatenate([Q.data, Q.mask()[..., None].astype(np.float64)],
                                 axis=2)
-        write_pfm(self.new_item(key, "pfm", frame), packed)
+        write_pfm(self.new_item(key, "pfm", frame=index), packed)

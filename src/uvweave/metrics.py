@@ -14,7 +14,7 @@ from .errors import ValidationError
 from .fields import Field2, pixel_center_grid, sample_bilinear
 from .relocate import flow_texels
 from .render import LookupRenderer
-from .warpmap import UVMap, image_grid, texture_grid, warp
+from .warpmap import UVMap, image_grid, texture_grid
 
 PSNR_CAP = 99.0
 # The notes every sequence report in ``metrics.json`` carries.
@@ -89,21 +89,18 @@ def uv_motion_fields(P_list, tex_w: int, tex_h: int):
     """Per-pair image-space motion derived purely from the UV maps.
 
     For each consecutive pair, texels carry the image position they map to
-    in both frames; the difference, pulled back through the later frame's
-    UVs, is the per-pixel motion from frame t to t+1.  Returns a list of
-    (motion (H, W, 2), valid mask) tuples.
+    in both frames (the texture grid's positions, on the texels it covers);
+    the difference, pulled back through the later frame's UVs, is the
+    per-pixel motion from frame t to t+1.  Returns a list of (motion
+    (H, W, 2), valid mask) tuples.
     """
     if len(P_list) < 2:
         raise ValidationError("needs >=2 frames")
-    c_img = Field2(pixel_center_grid(P_list[0].width, P_list[0].height))
-    placed = []
-    for P in P_list:
-        g = texture_grid(P, tex_w, tex_h)
-        placed.append((warp(c_img, g), g.valid))
+    grids = [texture_grid(P, tex_w, tex_h) for P in P_list]
     out = []
     for t in range(len(P_list) - 1):
-        (a, cov_a), (b, cov_b) = placed[t], placed[t + 1]
-        v_tex = Field2(b.data - a.data, valid=cov_a & cov_b)
+        a, b = grids[t], grids[t + 1]
+        v_tex = Field2._wrap(b.data - a.data, a.valid & b.valid)
         vals, validity = sample_bilinear(v_tex, image_grid(P_list[t + 1]).data)
         valid = P_list[t + 1].silhouette & (validity > 0.5)
         out.append((vals, valid))

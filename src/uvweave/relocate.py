@@ -12,9 +12,8 @@ texels that hold one.
 
 ``block_flow(a, b)`` returns forward flow anchored on ``a``:
 ``a(p) ~ b(p + flow(p))``.  The pipeline therefore matches the frame
-texture against the reference via ``block_flow(T_t, T_o)``, so sampling
-the identity correspondence at ``u + flow(u)`` lands on the matching
-reference position.
+texture against the reference via ``block_flow(T_t, T_o)``, so the texel
+centre ``u`` plus ``flow(u)`` is the matching reference position.
 """
 
 from __future__ import annotations
@@ -58,13 +57,6 @@ class RelocateConfig:
 def flow_texels(flow: Field2) -> np.ndarray:
     """A flow's displacements in texel units, (H, W, 2)."""
     return flow.data * np.array([flow.width, flow.height])
-
-
-def identity_correspondence(tex_w: int, tex_h: int,
-                            valid: np.ndarray | None = None) -> Field2:
-    if valid is None:
-        valid = np.ones((tex_h, tex_w), dtype=bool)
-    return Field2(pixel_center_grid(tex_w, tex_h), valid=valid)
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:
@@ -397,13 +389,18 @@ def write_flo(path, flow: Field2):
               tex.tobytes())
 
 
-def init_correspondence(Q0: Field2, flow: Field2) -> Field2:
-    """Relocate a correspondence through a flow: sample Q0 at u + flow(u)."""
-    if (Q0.width, Q0.height) != (flow.width, flow.height):
-        raise ValidationError("correspondence and flow resolutions differ")
-    pos = pixel_center_grid(Q0.width, Q0.height) + flow.data
-    vals, validity = sample_bilinear(Q0, pos)
-    return Field2._wrap(vals, validity > 0.5)
+def init_correspondence(covered0: np.ndarray, flow: Field2) -> Field2:
+    """The reference position of every texel under a flow: its centre plus
+    the flow, clipped to the centres of the edge texels.  A position is
+    valid where the bilinear share of ``covered0``, the (H, W) texels frame
+    0 covers, is above 0.5 there."""
+    h, w = flow.height, flow.width
+    if np.shape(covered0) != (h, w):
+        raise ValidationError("coverage and flow resolutions differ")
+    c = pixel_center_grid(w, h)
+    pos = np.clip(c + flow.data, c[0, 0], c[-1, -1])
+    share, _ = sample_bilinear(Field2._wrap(covered0.astype(np.float64)[..., None]), pos)
+    return Field2._wrap(pos, share[..., 0] > 0.5)
 
 
 def prune_mismatch(Q: Field2, T_o: Field2, T_t: Field2, tau: float) -> Field2:
@@ -507,8 +504,7 @@ def _fill_offsets(ref: np.ndarray, tex: np.ndarray, mask: np.ndarray,
     return coarse, best, cost, n_coarse + n_fine
 
 
-def patch_fill(Q: Field2, T_o: Field2, T_t: Field2, Q0: Field2,
-               patch: int, window: int,
+def patch_fill(Q: Field2, T_o: Field2, T_t: Field2, patch: int, window: int,
                domain: np.ndarray | None = None,
                record: dict | None = None) -> Field2:
     """Fill invalid correspondences by appearance patch matching.
@@ -518,7 +514,7 @@ def patch_fill(Q: Field2, T_o: Field2, T_t: Field2, Q0: Field2,
     a centered ``window``² for the offset minimizing SSD against the frame
     texture (``_fill_offsets``: coarse-to-fine, about 130 offsets of a
     21×21 window; the exhaustive loop over every offset stays in the tests
-    as the reference cost), then donates the reference correspondences at
+    as the reference cost), then donates the reference texel centres at
     that offset.  Overlapping donations are averaged, summed in tile raster
     order by one ordered scatter; valid texels are never modified.
 
@@ -551,7 +547,7 @@ def patch_fill(Q: Field2, T_o: Field2, T_t: Field2, Q0: Field2,
     if record is not None:
         record.update(fill_tiles=len(tiles), fill_candidates=scored)
 
-    # Every (tile, fill texel) pair donates the reference correspondence at
+    # Every (tile, fill texel) pair donates the reference texel centre at
     # the tile's offset.  Tiles come in raster order and texels row-major
     # within each, and bincount adds in input order, so each texel's
     # donations add in tile raster order.
@@ -562,7 +558,8 @@ def patch_fill(Q: Field2, T_o: Field2, T_t: Field2, Q0: Field2,
     t = np.nonzero(pair)[0]
     yy, xx = yy[pair], xx[pair]
     at = yy * w + xx
-    acc = scatter_add(at, Q0.data[yy + best[t, 0], xx + best[t, 1]], h * w).reshape(h, w, 2)
+    donated = pixel_center_grid(w, h)[yy + best[t, 0], xx + best[t, 1]]
+    acc = scatter_add(at, donated, h * w).reshape(h, w, 2)
     cnt = np.bincount(at, minlength=h * w).reshape(h, w)
 
     target = Q.data.copy()
@@ -586,18 +583,19 @@ def to_image_uv(Qt: Field2, P_o: UVMap) -> UVMap:
 
 
 def frame_zero_products(P_o0: UVMap, I0: Field2, tex_w: int, tex_h: int):
-    """Reference texture and identity correspondence from frame 0."""
+    """Frame 0's unwrapped texture, the reference, and the (H, W) texels it
+    covers; returns (T_o, covered0)."""
     g = texture_grid(P_o0, tex_w, tex_h)
-    T_o = warp(I0, g)
-    Q0 = identity_correspondence(tex_w, tex_h, valid=g.valid)
-    return T_o, Q0
+    return warp(I0, g), g.valid
 
 
-def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Field2,
+def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, covered0: np.ndarray,
                    cfg: RelocateConfig | None = None,
                    external_flow: Field2 | None = None,
                    record: dict | None = None):
-    """Full relocation of one frame; returns (P_f, Q_t, flow, T_t).
+    """Full relocation of one frame against the reference texture ``T_o``,
+    whose size is the texture size, and the texels ``covered0`` that frame
+    0 covers; returns (P_f, flow).
 
     A ``record`` dict, when given, receives the flow magnitude over the
     texels the frame covers (``flow_mean_texels``, ``flow_max_texels``),
@@ -608,17 +606,16 @@ def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Field2,
     patch matching, or still ``unfilled``.
     """
     cfg = cfg or RelocateConfig()
-    tex_w, tex_h = Q0.width, Q0.height
-    g = texture_grid(P_o, tex_w, tex_h)
+    g = texture_grid(P_o, T_o.width, T_o.height)
     covered = g.valid
     T_t = warp(I, g)
     work = {"flow_volumes": 0, "flow_volume_texels": 0}
     flow = (external_flow if external_flow is not None
             else block_flow(T_t, T_o, cfg, domain=covered, record=work))
-    Qr = init_correspondence(Q0, flow)
+    Qr = init_correspondence(covered0, flow)
     Qr.valid &= covered
     Qc = prune_mismatch(Qr, T_o, T_t, cfg.tau)
-    Qt = patch_fill(Qc, T_o, T_t, Q0, cfg.patch, cfg.window, domain=covered, record=work)
+    Qt = patch_fill(Qc, T_o, T_t, cfg.patch, cfg.window, domain=covered, record=work)
     P_f = to_image_uv(Qt, P_o)
     if record is not None:
         d = flow_texels(flow)[covered]
@@ -630,4 +627,4 @@ def relocate_frame(P_o: UVMap, I: Field2, T_o: Field2, Q0: Field2,
             "pruned": int((Qr.valid & ~Qc.valid).sum()),
             "filled": int((Qt.valid & ~Qc.valid).sum()),
             "unfilled": int((covered & ~Qt.valid).sum()), **work})
-    return P_f, Qt, flow, T_t
+    return P_f, flow

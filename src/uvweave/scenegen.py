@@ -19,6 +19,7 @@ blocks, coordinate noise, and per-frame jitter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,10 @@ class SceneConfig:
         require_finite(self, "amplitude", "frequency")
         if self.amplitude < 0 or self.frequency <= 0:
             raise ValidationError("amplitude must be >=0 and frequency positive")
+        # the content motion's phase is 2*pi*frequency times a coordinate
+        if not math.isfinite(2.0 * math.pi * self.frequency):
+            raise ValidationError(f"frequency must keep 2*pi*frequency finite, "
+                                  f"got {self.frequency}")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
         # The content warp must stay invertible: bound its Jacobian

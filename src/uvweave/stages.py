@@ -37,8 +37,8 @@ from .warpmap import UVMap
 # items the other stages write.  A retexture tag names a frame item and
 # its file, so it must be a plain name and none of these.
 FRAME_ITEMS = ("index", "image", "mask", "uv_gt", "corr_gt", "uv_raw", "uv_ext",
-               "ext_trace", "uv_opt", "opt_trace", "uv_final", "corr", "texframe",
-               "flow", "rel_trace", "synth", "baseline")
+               "ext_trace", "uv_opt", "opt_trace", "uv_final", "flow", "rel_trace",
+               "synth", "baseline")
 RETEXTURE_TAG = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
 
 
@@ -105,7 +105,7 @@ def stage_gen(out_dir, cfg: SceneConfig) -> Manifest:
         m.write_image(fr.index, "image", fr.image)
         m.write_mask(fr.index, "mask", fr.mask)
         m.write_uv(fr.index, "uv_gt", fr.uv_gt)
-        m.write_corr("corr_gt", fr.corr_gt, frame=fr.index)
+        m.write_corr(fr.index, "corr_gt", fr.corr_gt)
     m.mark_stage("gen", config_dict(cfg))
     m.save()
     return m
@@ -189,7 +189,7 @@ def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
     # Frame 0 defines the reference texture; every frame needs it first.
     # Nothing is written before every frame is relocated.
     P0, I0 = load(0)
-    T_o, Q0 = frame_zero_products(P0, I0, tw, th)
+    T_o, covered0 = frame_zero_products(P0, I0, tw, th)
 
     def run(i):
         P, I = (P0, I0) if i == 0 else load(i)
@@ -203,16 +203,13 @@ def stage_relocate(root, cfg: RelocateConfig | None = None, threads: int = 1,
                 raise ValidationError(f"{p.name}: flow is {ext.width}x{ext.height}, "
                                       f"expected {tw}x{th}")
         record = {}
-        return relocate_frame(P, I, T_o, Q0, cfg, external_flow=ext, record=record), record
+        return relocate_frame(P, I, T_o, covered0, cfg, external_flow=ext, record=record), record
 
     results = _map_frames(run, range(m.n_frames), threads)
     m.write_texture("texture_o", T_o)
-    m.write_corr("corr0", Q0)
-    for i, ((P_f, Qt, flow, T_t), record) in enumerate(results):
+    for i, ((P_f, flow), record) in enumerate(results):
         m.write_trace(i, "rel", record)
         m.write_uv(i, "uv_final", P_f)
-        m.write_corr("corr", Qt, frame=i)
-        m.write_texture("texframe", T_t, frame=i)
         write_flo(m.new_item("flow", "flo", frame=i), flow)
     m.mark_stage("relocate", config_dict(cfg))
     m.save()

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import identity
 
-from .errors import ValidationError, require_finite
+from .errors import NumericalError, ValidationError, require_finite
 from .fields import Field2
 from .gradcore import loss_app, reg_operator
 from .warpmap import UVMap
@@ -79,9 +79,19 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig, tex_w: int, tex_h: int
     reg = reg_operator(sil, cfg.alpha1, cfg.alpha2)
     H = reg.matrix()
     A = H + mu * identity(H.shape[0], format="csc")
+    # Weights near float64's range overflow or break the system; fail with
+    # a typed error before the caller writes anything.
+    weights = f"alpha1={cfg.alpha1:g}, alpha2={cfg.alpha2:g}"
+    if not np.isfinite(A.data).all():
+        raise NumericalError(f"regularizer weights {weights} overflow the smoothing system")
     v = P_init.uv.data[sil]                           # (n, 2), one column per channel
     b = mu * v
-    x = splu(A).solve(b)
+    try:
+        x = splu(A).solve(b)
+    except RuntimeError as e:     # SuperLU: "Factor is exactly singular"
+        raise NumericalError(f"smoothing system at {weights} is singular: {e}") from None
+    if not np.isfinite(x).all():
+        raise NumericalError(f"smoothing solve at {weights} gave non-finite UVs")
     uv = np.zeros_like(P_init.uv.data)
     uv[sil] = x
     P = UVMap(uv, sil)
@@ -92,4 +102,6 @@ def optimize_uv(P_init: UVMap, I: Field2, cfg: OptConfig, tex_w: int, tex_h: int
         trace.l_reg.append(reg.loss(q))
     trace.residual = float(np.abs(A @ x - b).max(initial=0.0)
                            / max(np.abs(b).max(initial=0.0), 1e-300))
+    if not np.isfinite(trace.l_app + trace.l_reg + [trace.residual]).all():
+        raise NumericalError(f"optimization trace at {weights} holds a non-finite value")
     return P, trace

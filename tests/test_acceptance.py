@@ -156,7 +156,7 @@ def test_spring_extension_accuracy():
 def test_relocation_fidelity():
     fs = gen_sequence(SceneConfig(**SCENE))
     f0 = fs.frames[0]
-    T_o, Q0 = frame_zero_products(f0.uv_gt, f0.image, 128, 128)
+    T_o, covered0 = frame_zero_products(f0.uv_gt, f0.image, 128, 128)
     cfg = RelocateConfig()
     worst_flow, worst_fill = 1.0, 1.0
     for t in (1, 8, 15):
@@ -164,7 +164,7 @@ def test_relocation_fidelity():
         g = texture_grid(fr.uv_gt, 128, 128)
         T_t = warp(fr.image, g)
         flow = block_flow(T_t, T_o, cfg)
-        Qr = init_correspondence(Q0, flow)
+        Qr = init_correspondence(covered0, flow)
         Qr.valid &= g.valid
         oracle = fr.corr_gt
         both = Qr.valid & oracle.valid
@@ -175,8 +175,7 @@ def test_relocation_fidelity():
         keep = rng.uniform(size=Qr.valid.shape) >= 0.2
         pruned = Qr.valid & ~keep
         Qp = Field2(Qr.data.copy(), valid=Qr.valid & keep)
-        Qt = patch_fill(Qp, T_o, T_t, Q0, cfg.patch, cfg.window,
-                        domain=g.valid)
+        Qt = patch_fill(Qp, T_o, T_t, cfg.patch, cfg.window, domain=g.valid)
         filled = pruned & Qt.valid & oracle.valid
         errf = np.linalg.norm(Qt.data - oracle.data, axis=2) * 128
         worst_fill = min(worst_fill, float((errf[filled] <= 1.5).mean()))

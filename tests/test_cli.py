@@ -10,6 +10,7 @@ import hashlib
 import json
 import shutil
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -442,8 +443,8 @@ def _files(d):
     return {str(p.relative_to(d)): p.read_bytes() for p in d.rglob("*") if p.is_file()}
 
 
-@pytest.mark.parametrize("name", ["texture_gt.pfm", "texture_o.pfm", "corr0.pfm",
-                                  "synth_stats.json", "metrics.json"])
+@pytest.mark.parametrize("name", ["texture_gt.pfm", "texture_o.pfm", "synth_stats.json",
+                                  "metrics.json"])
 def test_missing_top_level_artifact_exit_2(piped, tmp_path, capsys, name):
     d = tmp_path / "seq"
     shutil.copytree(piped[0], d)
@@ -758,6 +759,15 @@ def test_frame_items_are_the_stages_items(piped):
     assert items == set(FRAME_ITEMS)
 
 
+def test_manifest_frame_keys_are_frame_items(tmp_path):
+    # the retexture tag check relies on FRAME_ITEMS naming every key a
+    # frame of a piped sequence holds
+    d = tmp_path / "seq"
+    run_sequence(d)
+    frames = json.loads((d / "manifest.json").read_text())["frames"]
+    assert set().union(*frames) == set(FRAME_ITEMS)
+
+
 def test_relocate_missing_external_flow(piped, tmp_path, capsys):
     piped, _ = piped
     empty = tmp_path / "noflows"
@@ -913,3 +923,51 @@ def test_cli_options_reach_their_configs(piped, tmp_path, command):
         recorded = json.loads((d / "manifest.json").read_text())["stages"]
         for stage, cfg in want.items():
             assert recorded[stage]["config"] == config_dict(cfg), (stage, argv)
+
+
+@pytest.fixture(scope="module")
+def extended(tmp_path_factory):
+    d = tmp_path_factory.mktemp("ext") / "seq"
+    assert main(["gen", str(d)] + SMALL) == 0
+    assert main(["corrupt", str(d)] + CORRUPT) == 0
+    assert main(["extend", str(d)]) == 0
+    return d
+
+
+def _hashes(d):
+    return {k: hashlib.sha256(v).hexdigest() for k, v in _files(d).items()}
+
+
+@pytest.mark.parametrize("command, source", [("optimize", "extended"),
+                                             ("pipeline", "extended"),
+                                             ("optimize", "piped")])
+@pytest.mark.parametrize("option, value, weights", [
+    ("--alpha1", "1e308", "alpha1=1e+308, alpha2=10"),
+    ("--alpha2", "1e305", "alpha1=100, alpha2=1e+305"),
+    ("--alpha2", "1e308", "alpha1=100, alpha2=1e+308"),
+    ("--alpha1", "1e305", "alpha1=1e+305, alpha2=10"),
+], ids=["alpha1-1e308", "alpha2-1e305", "alpha2-1e308", "alpha1-1e305"])
+def test_overflowing_regularizer_weight_exit_3(request, tmp_path, capsys, command, source,
+                                               option, value, weights):
+    # the smoothing system or its trace overflows; optimize fails before it
+    # writes, so no file changes, and a piped sequence keeps its optimize
+    # tag and the UVs it tags
+    d = tmp_path / "seq"
+    seq = request.getfixturevalue(source)
+    shutil.copytree(seq if source == "extended" else seq[0], d)
+    before = _hashes(d)
+    assert main([command, str(d), option, value]) == 3
+    assert capsys.readouterr().err == (f"numerical error: regularizer weights {weights} "
+                                       f"overflow the smoothing system\n")
+    assert _hashes(d) == before
+
+
+def test_gen_overflowing_frequency_exit_2(tmp_path, capsys):
+    d = tmp_path / "seq"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["gen", str(d), "--amplitude", "0", "--frequency", "1e308"]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == ("error: frequency must keep 2*pi*frequency finite, "
+                                       "got 1e+308\n")
+    assert not d.exists()

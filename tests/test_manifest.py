@@ -278,16 +278,14 @@ def test_image_roundtrip_quantized(tmp_path):
     assert not back2.valid.any()
 
 
-def test_texture_roundtrip_global_and_per_frame(tmp_path):
+def test_texture_roundtrip(tmp_path):
     m = fresh(tmp_path)
     rng = np.random.default_rng(2)
     T = Field2(rng.uniform(size=(12, 10, 3)).astype(np.float32).astype(np.float64))
     m.write_texture("texture_gt", T)
     assert np.array_equal(m.read_texture("texture_gt").data, T.data)
     assert m.data["texture_gt"] == "texture_gt.pfm"
-    m.write_texture("tex_ref", T, frame=1)
-    assert np.array_equal(read_pfm(m.frame_item(1, "tex_ref")), T.data)
-    assert m.data["frames"][1]["tex_ref"] == "frames/f0001_tex_ref.pfm"
+    assert all(set(fr) == {"index"} for fr in m.data["frames"])
 
 
 def test_corr_roundtrip(tmp_path):
@@ -296,12 +294,11 @@ def test_corr_roundtrip(tmp_path):
     target = rng.uniform(size=(12, 10, 2)).astype(np.float32).astype(np.float64)
     valid = rng.uniform(size=(12, 10)) < 0.5
     Q = Field2(target, valid=valid)
-    m.write_corr("corr_gt", Q, frame=0)
-    back = read_pfm(m.frame_item(0, "corr_gt"))
+    m.write_corr(1, "corr_gt", Q)
+    assert m.data["frames"][1]["corr_gt"] == "frames/f0001_corr_gt.pfm"
+    back = read_pfm(m.frame_item(1, "corr_gt"))
     assert np.array_equal(back[..., :2], target)
     assert np.array_equal(back[..., 2] > 0.5, valid)
-    m.write_corr("corr_global", Q)
-    assert np.array_equal(read_pfm(m.item("corr_global"))[..., 2] > 0.5, valid)
 
 
 def test_config_dict_flattens_dataclass():

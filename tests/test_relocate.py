@@ -7,10 +7,10 @@ import scipy.ndimage as ndi
 
 from uvweave import (CorruptConfig, Field2, SceneConfig, ValidationError,
                      block_flow, corrupt, flow_texels, gen_sequence,
-                     identity_correspondence, init_correspondence, patch_fill,
-                     prune_mismatch, read_flo, to_image_uv, write_flo)
+                     init_correspondence, patch_fill, prune_mismatch, read_flo,
+                     to_image_uv, write_flo)
 from uvweave import relocate
-from uvweave.fields import pixel_center_grid
+from uvweave.fields import pixel_center_grid, sample_bilinear
 from uvweave.relocate import (_candidates, _downsample, _edge_pad, RelocateConfig,
                               frame_zero_products, relocate_frame)
 from uvweave.warpmap import UVMap, texture_grid, warp
@@ -27,10 +27,16 @@ def scene_pair(size=96):
                                   tex_h=size, frames=2, seed=5,
                                   amplitude=0.02, frequency=1.5))
     f0, f1 = fs.frames
-    T_o, Q0 = frame_zero_products(f0.uv_gt, f0.image, size, size)
+    T_o, covered0 = frame_zero_products(f0.uv_gt, f0.image, size, size)
     g = texture_grid(f1.uv_gt, size, size)
     T_t = warp(f1.image, g)
-    return fs, T_o, Q0, T_t, g, f1
+    return fs, T_o, covered0, T_t, g, f1
+
+
+def centres(w, h):
+    """The texel centres of a w x h texture as a correspondence valid
+    everywhere."""
+    return Field2(pixel_center_grid(w, h).copy(), valid=np.ones((h, w), dtype=bool))
 
 
 def brute_single_level(a, b, radius, block):
@@ -484,33 +490,67 @@ def test_read_flo_errors(tmp_path):
         read_flo(p)
 
 
+def identity_init_correspondence(covered0, flow):
+    """Reference: the identity correspondence, valid on ``covered0``,
+    sampled bilinearly at each texel centre plus its flow."""
+    h, w = covered0.shape
+    ident = Field2(pixel_center_grid(w, h), valid=covered0)
+    vals, validity = sample_bilinear(ident, pixel_center_grid(w, h) + flow.data)
+    return vals, validity > 0.5
+
+
+def test_init_correspondence_matches_identity_sampling(corrupted_frames, corrupted_pairs,
+                                                       corrupted_coverage):
+    covered0 = texture_grid(corrupted_frames[0].uv_raw, 64, 64).valid
+    for (T_t, T_o), covered in zip(corrupted_pairs, corrupted_coverage):
+        flow = block_flow(T_t, T_o, domain=covered)
+        out = init_correspondence(covered0, flow)
+        pos, valid = identity_init_correspondence(covered0, flow)
+        assert np.abs(out.data - pos).max() <= 1e-15
+        assert (out.valid == valid).all()
+
+
+def test_init_correspondence_clips_like_identity_sampling():
+    # flows of up to three texture widths send most positions past an edge
+    rng = np.random.default_rng(6)
+    h, w = 12, 16
+    covered0 = rng.uniform(size=(h, w)) < 0.7
+    flow = Field2(rng.uniform(-3.0, 3.0, size=(h, w, 2)))
+    out = init_correspondence(covered0, flow)
+    c = pixel_center_grid(w, h)
+    assert ((out.data >= c[0, 0]) & (out.data <= c[-1, -1])).all()
+    pos, valid = identity_init_correspondence(covered0, flow)
+    assert np.abs(out.data - pos).max() <= 1e-15
+    assert (out.valid == valid).all()
+
+
 def test_init_correspondence_zero_flow_noop():
-    Q0 = identity_correspondence(16, 12)
-    Q0.valid[3:5, 3:5] = False
-    out = init_correspondence(Q0, Field2(np.zeros((12, 16, 2))))
-    assert (out.data == Q0.data).all()
-    assert (out.valid == Q0.valid).all()
+    covered0 = np.ones((12, 16), dtype=bool)
+    covered0[3:5, 3:5] = False
+    out = init_correspondence(covered0, Field2(np.zeros((12, 16, 2))))
+    assert (out.data == pixel_center_grid(16, 12)).all()
+    assert (out.valid == covered0).all()
 
 
 def test_init_correspondence_constant_shift():
-    Q0 = identity_correspondence(16, 16)
     d = np.array([2.0 / 16, -1.0 / 16])
-    out = init_correspondence(Q0, Field2(np.full((16, 16, 2), d)))
-    want = pixel_center_grid(16, 16) + d
-    inner = out.data[2:-2, 2:-2]
-    assert np.allclose(inner, want[2:-2, 2:-2], atol=1e-12)
+    out = init_correspondence(np.ones((16, 16), dtype=bool),
+                              Field2(np.full((16, 16, 2), d)))
+    c = pixel_center_grid(16, 16)
+    assert (out.data == np.clip(c + d, c[0, 0], c[-1, -1])).all()
+    assert np.allclose(out.data[2:-2, 2:-2], (c + d)[2:-2, 2:-2], atol=1e-12)
+    assert out.valid.all()
 
 
 def test_init_correspondence_resolution_error():
-    Q0 = identity_correspondence(16, 16)
     with pytest.raises(ValidationError, match="resolution"):
-        init_correspondence(Q0, Field2(np.zeros((8, 8, 2))))
+        init_correspondence(np.ones((16, 16), dtype=bool), Field2(np.zeros((8, 8, 2))))
 
 
 def test_flow_derived_correspondence_accuracy():
-    _, T_o, Q0, T_t, g, f1 = scene_pair()
+    _, T_o, covered0, T_t, g, f1 = scene_pair()
     flow = block_flow(T_t, T_o)
-    Qr = init_correspondence(Q0, flow)
+    Qr = init_correspondence(covered0, flow)
     Qr.valid &= g.valid
     gt = f1.corr_gt
     both = Qr.valid & gt.valid
@@ -525,7 +565,7 @@ def test_flow_derived_correspondence_accuracy():
 def test_prune_mismatch_rules():
     tex = noise_texture(32, 32)
     T = Field2(tex)
-    Q = identity_correspondence(32, 32)
+    Q = centres(32, 32)
     kept = prune_mismatch(Q, T, T, 0.05)
     assert (kept.valid == Q.valid).all()         # exact match: nothing pruned
     bad = tex.copy()
@@ -540,9 +580,9 @@ def test_prune_mismatch_rules():
 
 
 def test_prune_monotone_in_tau():
-    _, T_o, Q0, T_t, g, _ = scene_pair()
+    _, T_o, covered0, T_t, g, _ = scene_pair()
     flow = block_flow(T_t, T_o)
-    Qr = init_correspondence(Q0, flow)
+    Qr = init_correspondence(covered0, flow)
     Qr.valid &= g.valid
     small = prune_mismatch(Qr, T_o, T_t, 0.01)
     large = prune_mismatch(Qr, T_o, T_t, 0.10)
@@ -554,40 +594,41 @@ def test_prune_monotone_in_tau():
 def test_patch_fill_noop_and_self_match():
     tex = noise_texture(48, 48)
     T = Field2(tex)
-    Q0 = identity_correspondence(48, 48)
-    out = patch_fill(Q0.copy(), T, T, Q0, 8, 21)
-    assert (out.data == Q0.data).all()
+    Q = centres(48, 48)
+    out = patch_fill(Q.copy(), T, T, 8, 21)
+    assert (out.data == Q.data).all()
     assert out.valid.all()
-    holed = Q0.copy()
+    holed = Q.copy()
     holed.valid[20:28, 20:28] = False
-    filled = patch_fill(holed, T, T, Q0, 8, 21)
+    filled = patch_fill(holed, T, T, 8, 21)
     assert filled.valid.all()
-    # identical textures: the best tile is the tile itself, fill == Q0
-    assert np.allclose(filled.data, Q0.data, atol=1e-12)
+    # identical textures: the best tile is the tile itself, so each hole
+    # gets its own texel centre
+    assert np.allclose(filled.data, Q.data, atol=1e-12)
 
 
 def test_patch_fill_never_modifies_valid():
-    _, T_o, Q0, T_t, g, _ = scene_pair()
-    Qr = init_correspondence(Q0, block_flow(T_t, T_o))
+    _, T_o, covered0, T_t, g, _ = scene_pair()
+    Qr = init_correspondence(covered0, block_flow(T_t, T_o))
     Qr.valid &= g.valid
     rng = np.random.default_rng(0)
     Qp = Qr.copy()
     Qp.valid &= rng.uniform(size=Qp.valid.shape) >= 0.2
-    out = patch_fill(Qp, T_o, T_t, Q0, 8, 21, domain=g.valid)
+    out = patch_fill(Qp, T_o, T_t, 8, 21, domain=g.valid)
     assert (out.data[Qp.valid] == Qp.data[Qp.valid]).all()
     assert (out.valid & Qp.valid).sum() == Qp.valid.sum()
     assert (out.valid | ~g.valid.reshape(out.valid.shape)).all()
 
 
 def test_patch_fill_pruned_scene_accuracy():
-    _, T_o, Q0, T_t, g, f1 = scene_pair()
-    Qr = init_correspondence(Q0, block_flow(T_t, T_o))
+    _, T_o, covered0, T_t, g, f1 = scene_pair()
+    Qr = init_correspondence(covered0, block_flow(T_t, T_o))
     Qr.valid &= g.valid
     rng = np.random.default_rng(0)
     drop = rng.uniform(size=Qr.valid.shape) < 0.2
     Qp = Qr.copy()
     Qp.valid &= ~drop
-    out = patch_fill(Qp, T_o, T_t, Q0, 8, 21, domain=g.valid)
+    out = patch_fill(Qp, T_o, T_t, 8, 21, domain=g.valid)
     gt = f1.corr_gt
     filled = out.valid & drop & g.valid.reshape(out.valid.shape) & gt.valid
     e = np.linalg.norm((out.data - gt.data) * 96, axis=-1)[filled]
@@ -595,12 +636,12 @@ def test_patch_fill_pruned_scene_accuracy():
 
 
 def test_patch_fill_config_errors():
-    Q = identity_correspondence(16, 16)
+    Q = centres(16, 16)
     T = Field2(np.zeros((16, 16, 3)))
     with pytest.raises(ValidationError, match="patch"):
-        patch_fill(Q, T, T, Q, patch=0, window=21)
+        patch_fill(Q, T, T, patch=0, window=21)
     with pytest.raises(ValidationError, match="patch"):
-        patch_fill(Q, T, T, Q, patch=8, window=0)
+        patch_fill(Q, T, T, patch=8, window=0)
     # the stage's configuration rejects the same values before any work
     for bad in ({"patch": 0}, {"window": 0}, {"patch": -1, "window": 5}):
         with pytest.raises(ValidationError, match="patch"):
@@ -610,9 +651,9 @@ def test_patch_fill_config_errors():
 
 
 def test_to_image_uv_identity_and_shift():
-    fs, T_o, Q0, _, _, f1 = scene_pair()
+    fs, T_o, _, _, _, f1 = scene_pair()
     P = f1.uv_gt
-    ident = identity_correspondence(96, 96)
+    ident = centres(96, 96)
     back = to_image_uv(ident, P)
     sil = P.silhouette
     assert np.allclose(back.uv.data[sil], P.uv.data[sil], atol=1e-9)
@@ -624,16 +665,13 @@ def test_to_image_uv_identity_and_shift():
 
 
 def test_frame_zero_products_and_self_relocation():
-    fs, T_o, Q0, _, _, _ = scene_pair()
+    fs, T_o, covered0, _, _, _ = scene_pair()
     f0 = fs.frames[0]
-    assert (Q0.data == pixel_center_grid(96, 96)).all()
     g0 = texture_grid(f0.uv_gt, 96, 96)
-    assert (Q0.valid == g0.valid.reshape(96, 96)).all()
-    P_f, Qt, flow, T_t = relocate_frame(f0.uv_gt, f0.image, T_o, Q0)
-    assert (T_t.data == T_o.data).all()
-    assert np.abs(flow_texels(flow)[Q0.valid]).max() == 0.0
-    assert np.allclose(Qt.data[Qt.valid & Q0.valid],
-                       Q0.data[Qt.valid & Q0.valid], atol=1e-12)
+    assert (covered0 == g0.valid).all()
+    assert (T_o.data == warp(f0.image, g0).data).all()
+    P_f, flow = relocate_frame(f0.uv_gt, f0.image, T_o, covered0)
+    assert np.abs(flow_texels(flow)[covered0]).max() == 0.0
     sil = f0.uv_gt.silhouette
     assert np.allclose(P_f.uv.data[sil], f0.uv_gt.uv.data[sil], atol=1e-9)
 
@@ -647,12 +685,13 @@ def loop_tile_cost(T_o, T_t, domain, tile, offset):
     return float(np.sum(d * d))
 
 
-def loop_patch_fill(Q, T_o, T_t, Q0, patch=8, window=21, domain=None, offsets=None):
+def loop_patch_fill(Q, T_o, T_t, patch=8, window=21, domain=None, offsets=None):
     """Reference: one masked SSD per tile and in-bounds offset, nearest
-    offset first, keeping the first strictly smaller cost.  ``offsets``,
-    when given, maps each tile ``(ty, tx)`` to the offset it donates from
-    instead."""
+    offset first, keeping the first strictly smaller cost; a tile donates
+    the texel centres at its offset.  ``offsets``, when given, maps each
+    tile ``(ty, tx)`` to the offset it donates from instead."""
     h, w = Q.height, Q.width
+    c = pixel_center_grid(w, h)
     if domain is None:
         domain = T_t.valid if T_t.valid is not None else np.ones((h, w), dtype=bool)
     fill = domain & ~Q.valid
@@ -680,7 +719,7 @@ def loop_patch_fill(Q, T_o, T_t, Q0, patch=8, window=21, domain=None, offsets=No
                     best_cost = cost
                     best = (dy, dx)
             dy, dx = best if offsets is None else offsets[ty, tx]
-            donated = Q0.data[ty + dy:y1 + dy, tx + dx:x1 + dx]
+            donated = c[ty + dy:y1 + dy, tx + dx:x1 + dx]
             acc[ty:y1, tx:x1][tile_fill] += donated[tile_fill]
             cnt[ty:y1, tx:x1][tile_fill] += 1.0
     target = Q.data.copy()
@@ -761,12 +800,12 @@ def test_patch_fill_exact_shift_matches_offset_loop(shift):
     T_o = Field2(big[10:10 + h, 10:10 + w])
     T_t = Field2(big[10 + dy:10 + dy + h, 10 + dx:10 + dx + w])
     rng = np.random.default_rng(7)
-    ident = identity_correspondence(w, h)
-    Q0 = Field2(ident.data + rng.normal(0, 1e-3, size=(h, w, 2)), valid=ident.valid)
-    Q = Q0.copy()
+    # positions off the texel centres, so a texel the fill keeps shows
+    Q = centres(w, h)
+    Q.data = Q.data + rng.normal(0, 1e-3, size=(h, w, 2))
     Q.valid[18:h - 18, 18:w - 18] &= rng.uniform(size=(h - 36, w - 36)) >= 0.3
-    out = patch_fill(Q, T_o, T_t, Q0, 8, 21)
-    target, valid = loop_patch_fill(Q, T_o, T_t, Q0)
+    out = patch_fill(Q, T_o, T_t, 8, 21)
+    target, valid = loop_patch_fill(Q, T_o, T_t)
     assert (out.valid == valid).all() and (valid & ~Q.valid).sum() > 150
     assert out.data.tobytes() == target.tobytes()
     assert set(check_search(T_o, T_t, None, Q, 8, 21).values()) == {shift}
@@ -783,8 +822,8 @@ def test_patch_fill_matches_offset_loop():
     flat = np.zeros((h, w, 2))
     flat[:, w // 2:, 0] = 0.5
     flat[h // 3:, :, 1] = 0.25
-    ident = identity_correspondence(w, h)
-    Q0 = Field2(ident.data + rng.normal(0, 1e-3, size=(h, w, 2)), valid=ident.valid)
+    start = centres(w, h)
+    start.data = start.data + rng.normal(0, 1e-3, size=(h, w, 2))
     cases = [
         (Field2(noisy), Field2(np.roll(noisy, (2, -3), axis=(0, 1))), None, 8, 21),
         (Field2(flat), Field2(flat), None, 8, 21),
@@ -804,18 +843,18 @@ def test_patch_fill_matches_offset_loop():
         (Field2(stripes[diag]), Field2(stripes[diag + 2]), None, 8, 21),
     ]
     for T_o, T_t, domain, patch, window in cases:
-        Q = Q0.copy()
+        Q = start.copy()
         Q.valid &= rng.uniform(size=(h, w)) >= 0.3
         Q.valid[:, -3:] = False                    # holes along two borders
         Q.valid[-2:] = False
         rec = {}
-        out = patch_fill(Q, T_o, T_t, Q0, patch=patch, window=window, domain=domain,
+        out = patch_fill(Q, T_o, T_t, patch=patch, window=window, domain=domain,
                          record=rec)
-        _, valid = loop_patch_fill(Q, T_o, T_t, Q0, patch, window, domain)
+        _, valid = loop_patch_fill(Q, T_o, T_t, patch, window, domain)
         assert (out.valid == valid).all()
         chosen = check_search(T_o, T_t, domain, Q, patch, window)
         # donations from the chosen offsets add up as the loop's do
-        target, _ = loop_patch_fill(Q, T_o, T_t, Q0, patch, window, domain, offsets=chosen)
+        target, _ = loop_patch_fill(Q, T_o, T_t, patch, window, domain, offsets=chosen)
         assert out.data.tobytes() == target.tobytes()
         assert rec["fill_tiles"] == len(chosen)
 
@@ -830,12 +869,11 @@ def test_patch_fill_edge_tiles_fill_like_loop(size, patch, window):
     tex = noise_texture(h + 4, w + 4, seed=9)
     T_o, T_t = Field2(tex[:h, :w]), Field2(tex[1:h + 1, 2:w + 2])
     rng = np.random.default_rng(h * w + patch + window)
-    Q0 = identity_correspondence(w, h)
-    Q = Q0.copy()
+    Q = centres(w, h)
     Q.valid &= rng.uniform(size=(h, w)) >= 0.5
     Q.valid[-1] = Q.valid[:, -1] = False
-    out = patch_fill(Q, T_o, T_t, Q0, patch=patch, window=window)
-    _, valid = loop_patch_fill(Q, T_o, T_t, Q0, patch, window)
+    out = patch_fill(Q, T_o, T_t, patch=patch, window=window)
+    _, valid = loop_patch_fill(Q, T_o, T_t, patch, window)
     assert (out.valid == valid).all() and valid.all()
     check_search(T_o, T_t, None, Q, patch, window)
 
@@ -849,16 +887,14 @@ def test_patch_fill_huge_patch_equals_clamped_patch():
     # a tile that is not the whole texture matches best one texel up-left
     T_o, T_t = Field2(tex[1:h + 1, 1:w + 1]), Field2(tex[:h, :w])
     rng = np.random.default_rng(17)
-    Q0 = Field2(rng.uniform(size=(h, w, 2)))
-    Q = Q0.copy()
-    Q.valid = rng.uniform(size=(h, w)) >= 0.5
+    Q = Field2(rng.uniform(size=(h, w, 2)), valid=rng.uniform(size=(h, w)) >= 0.5)
     runs = []
     for patch in (2 * max(h, w), 10 ** 9):
         rec = {}
-        out = patch_fill(Q, T_o, T_t, Q0, patch, 21, record=rec)
+        out = patch_fill(Q, T_o, T_t, patch, 21, record=rec)
         runs.append((out.data.tobytes(), out.valid.tobytes(), rec))
     assert runs[0] == runs[1]
-    target, valid = loop_patch_fill(Q, T_o, T_t, Q0, 10 ** 9, 21)
+    target, valid = loop_patch_fill(Q, T_o, T_t, 10 ** 9, 21)
     assert runs[1][:2] == (target.tobytes(), valid.tobytes())
 
 
@@ -871,8 +907,7 @@ def test_patch_fill_huge_window_equals_texture_wide_window(size, monkeypatch):
     tex = noise_texture(h + 4, w + 4, seed=13)
     T_o, T_t = Field2(tex[:h, :w]), Field2(tex[2:h + 2, 1:w + 1])
     rng = np.random.default_rng(14)
-    Q0 = identity_correspondence(w, h)
-    Q = Q0.copy()
+    Q = centres(w, h)
     Q.valid &= rng.uniform(size=(h, w)) >= 0.5
 
     def candidates(radius, _f=_candidates):
@@ -883,10 +918,10 @@ def test_patch_fill_huge_window_equals_texture_wide_window(size, monkeypatch):
     runs = []
     for window in (2 * max(h, w) - 1, 10 ** 9):
         rec = {}
-        out = patch_fill(Q, T_o, T_t, Q0, 8, window, record=rec)
+        out = patch_fill(Q, T_o, T_t, 8, window, record=rec)
         runs.append((out.data.tobytes(), out.valid.tobytes(), rec))
     assert runs[0] == runs[1]
-    _, valid = loop_patch_fill(Q, T_o, T_t, Q0, window=2 * max(h, w) - 1)
+    _, valid = loop_patch_fill(Q, T_o, T_t, window=2 * max(h, w) - 1)
     assert runs[0][1] == valid.tobytes()
 
 
@@ -894,12 +929,11 @@ def test_patch_fill_memory_does_not_grow_with_fill_tiles():
     h = w = 64
     tex = noise_texture(h + 4, w + 4, seed=12)
     T_o, T_t = Field2(tex[:h, :w]), Field2(tex[2:h + 2, 3:w + 3])
-    Q0 = identity_correspondence(w, h)
-    every, quarter = Q0.copy(), Q0.copy()
+    every, quarter = centres(w, h), centres(w, h)
     every.valid[:] = False
     quarter.valid[:h // 2, :w // 2] = False
     counts = [{}, {}]
-    many = traced_peak(lambda: patch_fill(every, T_o, T_t, Q0, 8, 21, record=counts[0]))
-    few = traced_peak(lambda: patch_fill(quarter, T_o, T_t, Q0, 8, 21, record=counts[1]))
+    many = traced_peak(lambda: patch_fill(every, T_o, T_t, 8, 21, record=counts[0]))
+    few = traced_peak(lambda: patch_fill(quarter, T_o, T_t, 8, 21, record=counts[1]))
     assert counts[0]["fill_tiles"] == 256 and counts[1]["fill_tiles"] == 64
     assert many <= 1.5 * few

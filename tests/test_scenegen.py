@@ -85,6 +85,10 @@ def test_config_validation():
         small_cfg(amplitude=-0.1)
     with pytest.raises(ValidationError, match="degenerate deformation"):
         small_cfg(amplitude=0.2, frequency=2.0)
+    # with no motion the amplitude bound passes, but the phase 2*pi*frequency
+    # would overflow
+    with pytest.raises(ValidationError, match="frequency must keep 2\\*pi\\*frequency finite"):
+        small_cfg(amplitude=0.0, frequency=1e308)
 
 
 def test_empty_silhouette_rejected(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from uvweave import (CorruptConfig, Field2, OptConfig, SceneConfig, UVMap,
+from uvweave import (CorruptConfig, Field2, NumericalError, OptConfig, SceneConfig, UVMap,
                      ValidationError, corrupt, gen_sequence, optimize_uv)
 from uvweave import gradcore, uvopt
 from uvweave.gradcore import grad_reg
@@ -116,3 +116,21 @@ def test_one_factorization_per_frame(monkeypatch):
     _, tr = optimize_uv(fr.uv_raw, fr.image, OptConfig(), 48, 48)
     assert sorted(calls) == ["reg", "splu"]
     assert len(tr.l_reg) == 2
+
+
+def test_singular_system_raises_numerical_error(monkeypatch):
+    def singular(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    _, fr = noisy_frame()
+    with pytest.raises(NumericalError, match="singular"):
+        optimize_uv(fr.uv_raw, fr.image, OptConfig(), 48, 48)
+
+
+def test_non_finite_trace_raises_numerical_error(monkeypatch):
+    # a trace value JSON cannot hold fails here, before a stage writes
+    monkeypatch.setattr(uvopt, "loss_app", lambda *a: float("inf"))
+    _, fr = noisy_frame()
+    with pytest.raises(NumericalError, match="non-finite"):
+        optimize_uv(fr.uv_raw, fr.image, OptConfig(), 48, 48)
